@@ -138,9 +138,8 @@ int Main(int argc, char** argv) {
         3));
   }
   {
-    // Million-node multi-SCC workloads: serial reference numbers for the
-    // SCC-scheduled interpreters (num_threads = 1 is the bit-identical
-    // serial path, and this container is single-core).
+    // Million-node multi-SCC workloads for the serial close and
+    // well-founded interpreter.
     const Board board = MakeLargeRandomBoard(400000, 23);
     results.push_back(Measure("close_winmove_random_400k", board,
                               [](const Board& b) {

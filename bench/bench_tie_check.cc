@@ -66,7 +66,7 @@ void BM_TieCheck_RingTie(benchmark::State& state) {
   for (auto _ : state) {
     const SccResult scc = ComputeScc(g);
     benchmark::DoNotOptimize(
-        CheckTie(g, scc.members[0], scc.component, 0).is_tie);
+        CheckTie(g, scc.Members(0), scc.component, 0).is_tie);
   }
   state.SetItemsProcessed(state.iterations() * g.num_edges());
 }
@@ -80,7 +80,7 @@ void BM_TieCheck_RandomTie(benchmark::State& state) {
     bool all_ties = true;
     for (int c = 0; c < scc.num_components; ++c) {
       all_ties = all_ties &&
-                 CheckTie(g, scc.members[c], scc.component, c).is_tie;
+                 CheckTie(g, scc.Members(c), scc.component, c).is_tie;
     }
     benchmark::DoNotOptimize(all_ties);
   }

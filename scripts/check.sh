@@ -5,53 +5,14 @@
 #
 #   scripts/check.sh [--bench]    --bench additionally runs bench_engine
 #                                 and refreshes BENCH_engine.json
-#   scripts/check.sh --tsan       builds with -DTIEBREAK_SANITIZE=thread
-#                                 into build-tsan/ and runs the concurrency
-#                                 surface — the engine (engine_test,
-#                                 engine_parallel_test, engine_kernel_test),
-#                                 the parallel grounder (ground_test,
-#                                 ground_csr_test) and the SCC-scheduled
-#                                 parallel interpreters' atomic worklist
-#                                 (interpreter_parallel_test) — under
-#                                 ThreadSanitizer
-#   scripts/check.sh --asan       builds with -DTIEBREAK_SANITIZE=address
-#                                 into build-asan/ and runs the grounding
-#                                 pipeline surface (ground_test,
-#                                 ground_csr_test, core_semantics_test)
-#                                 plus the fault-injection sweep
-#                                 (fault_injection_test) and the parallel-
-#                                 interpreter agreement matrix
-#                                 (interpreter_parallel_test) under
-#                                 AddressSanitizer — the CSR arenas and
-#                                 span accessors live or die by their
-#                                 offset arithmetic, and every truncation
-#                                 unwind path must stay leak-free — plus
-#                                 the snapshot corruption-injection sweep
-#                                 (storage_test, storage_corruption_test,
-#                                 workload_test): hostile bytes must fail
-#                                 with a Status, never an overread — plus
-#                                 the CDCL clause arena (sat_test): watch
-#                                 rewiring, compacting GC and the
-#                                 preprocessor all index raw arena words —
-#                                 plus the demand-driven query path
-#                                 (query_test, query_demand_test): the
-#                                 per-predicate atom index and the
-#                                 planner's prepared-database reloads are
-#                                 raw offset arithmetic over flat arrays
-#   scripts/check.sh --ubsan      builds with -DTIEBREAK_SANITIZE=undefined
-#                                 into build-ubsan/ and runs the resource-
-#                                 governance surface (fault sweep, context
-#                                 unit tests, engine, grounding, parallel
-#                                 interpreters, reductions)
-#                                 and the snapshot corruption sweep under
-#                                 UndefinedBehaviorSanitizer — the bytewise
-#                                 codec must stay free of misaligned loads
-#                                 and shift/overflow UB on hostile input —
-#                                 plus the CDCL core (sat_test): the arena
-#                                 header bit-packing, float activity
-#                                 punning and literal casts must stay
-#                                 UB-free — plus the demand-driven query
-#                                 path (query_test, query_demand_test)
+#   scripts/check.sh --tsan       builds everything with
+#                                 -DTIEBREAK_SANITIZE=thread into
+#                                 build-tsan/ and runs the whole ctest suite
+#                                 under ThreadSanitizer
+#   scripts/check.sh --asan       the same with AddressSanitizer
+#                                 (build-asan/)
+#   scripts/check.sh --ubsan      the same with UndefinedBehaviorSanitizer
+#                                 (build-ubsan/)
 #   scripts/check.sh --docs       only the docs checks: broken relative
 #                                 links in *.md, and public-header
 #                                 declarations without a doc comment
@@ -140,48 +101,25 @@ if [[ "${1:-}" == "--docs" ]]; then
   exit 0
 fi
 
-if [[ "${1:-}" == "--tsan" ]]; then
-  build="$repo/build-tsan"
-  cmake -B "$build" -S "$repo" -DTIEBREAK_SANITIZE=thread
-  cmake --build "$build" -j "$(nproc)" \
-    --target engine_test engine_parallel_test engine_kernel_test \
-             ground_test ground_csr_test interpreter_parallel_test
-  # TSan aborts with a non-zero exit on the first data race; halt_on_error
-  # keeps the report readable.
-  TSAN_OPTIONS="halt_on_error=1" ctest --test-dir "$build" \
-    --output-on-failure \
-    -R '^(engine_(parallel_|kernel_)?test|ground_(csr_)?test|interpreter_parallel_test)$'
-  echo "check.sh: tsan green"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--asan" ]]; then
-  build="$repo/build-asan"
-  cmake -B "$build" -S "$repo" -DTIEBREAK_SANITIZE=address
-  cmake --build "$build" -j "$(nproc)" \
-    --target ground_test ground_csr_test core_semantics_test \
-             fault_injection_test interpreter_parallel_test storage_test \
-             storage_corruption_test workload_test sat_test query_test \
-             query_demand_test
-  ASAN_OPTIONS="halt_on_error=1" ctest --test-dir "$build" \
-    --output-on-failure \
-    -R '^(ground_(csr_)?test|core_semantics_test|fault_injection_test|interpreter_parallel_test|storage_(corruption_)?test|workload_test|sat_test|query_(demand_)?test)$'
-  echo "check.sh: asan green"
-  exit 0
-fi
-
-if [[ "${1:-}" == "--ubsan" ]]; then
-  build="$repo/build-ubsan"
-  cmake -B "$build" -S "$repo" -DTIEBREAK_SANITIZE=undefined
-  cmake --build "$build" -j "$(nproc)" \
-    --target fault_injection_test execution_context_test engine_test \
-             ground_test ground_csr_test interpreter_parallel_test \
-             reductions_test storage_test storage_corruption_test \
-             workload_test sat_test query_test query_demand_test
-  UBSAN_OPTIONS="halt_on_error=1" ctest --test-dir "$build" \
-    --output-on-failure \
-    -R '^(fault_injection_test|execution_context_test|engine_test|ground_(csr_)?test|interpreter_parallel_test|reductions_test|storage_(corruption_)?test|workload_test|sat_test|query_(demand_)?test)$'
-  echo "check.sh: ubsan green"
+# --------------------------------------------------------------------------
+# Sanitizer gates: a full build and the whole ctest suite under one
+# sanitizer. halt_on_error makes the first report fatal and keeps it
+# readable.
+# --------------------------------------------------------------------------
+case "${1:-}" in
+  --tsan) sanitizer=thread options=TSAN_OPTIONS ;;
+  --asan) sanitizer=address options=ASAN_OPTIONS ;;
+  --ubsan) sanitizer=undefined options=UBSAN_OPTIONS ;;
+  *) sanitizer="" ;;
+esac
+if [[ -n "$sanitizer" ]]; then
+  gate="${1#--}"
+  build="$repo/build-$gate"
+  cmake -B "$build" -S "$repo" -DTIEBREAK_SANITIZE="$sanitizer"
+  cmake --build "$build" -j "$(nproc)"
+  env "$options=halt_on_error=1" ctest --test-dir "$build" \
+    --output-on-failure -j "$(nproc)"
+  echo "check.sh: $gate green"
   exit 0
 fi
 

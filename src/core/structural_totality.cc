@@ -1,6 +1,7 @@
 #include "core/structural_totality.h"
 
 #include <algorithm>
+#include <span>
 
 #include "core/stratification.h"
 #include "graph/scc.h"
@@ -130,13 +131,13 @@ std::vector<ComponentReport> AnalyzeComponents(const Program& program) {
   for (int32_t comp = 0; comp < scc.num_components; ++comp) {
     if (!cond.has_internal_edge[comp]) continue;
     ComponentReport report;
-    report.predicates.assign(scc.members[comp].begin(),
-                             scc.members[comp].end());
+    const std::span<const int32_t> members = scc.Members(comp);
+    report.predicates.assign(members.begin(), members.end());
     std::sort(report.predicates.begin(), report.predicates.end());
     report.internal_negative_edges = negatives[comp];
     if (negatives[comp] == 0) {
       report.kind = ComponentReport::Kind::kPositive;
-    } else if (CheckTie(pg.graph, scc.members[comp], scc.component, comp)
+    } else if (CheckTie(pg.graph, members, scc.component, comp)
                    .is_tie) {
       report.kind = ComponentReport::Kind::kTie;
     } else {

@@ -1,69 +1,46 @@
 #include "core/tie_breaking.h"
 
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "ground/ground_scc.h"
-#include "ground/parallel_close.h"
 #include "util/execution_context.h"
-#include "util/thread_pool.h"
 
 namespace tiebreak {
 
-namespace {
-
-// Bottom ties of the live subgraph described by `live`, straight off the
-// CSR spans. Component enumeration order and Lemma-1 side orientation match
-// the old BuildLiveGraph + ComputeScc + CheckTie route exactly (same
-// Tarjan ids, same member order; ground/ground_scc.h documents the
-// contract), so default-policy choice sequences are unchanged.
-std::vector<TieView> FindBottomTiesImpl(const GroundGraph& graph,
-                                        const GroundLiveness& live) {
+std::vector<TieView> FindBottomTies(const CloseState& state) {
+  // One Tarjan pass over the live subgraph records components and DFS-tree
+  // sign parities; each bottom component then costs one verification sweep.
+  const GroundGraph& graph = state.graph();
+  const GroundLiveness live{state.values().data(), state.rule_dead().data()};
   std::vector<TieView> ties;
   const SccResult scc = ComputeGroundScc(graph, live);
   if (scc.num_components == 0) return ties;
   const Condensation cond = CondenseGroundScc(graph, scc, live);
-  std::vector<int32_t> scratch(graph.num_atoms() + graph.num_rules(), -1);
   const int32_t num_atoms = graph.num_atoms();
   for (int32_t comp = 0; comp < scc.num_components; ++comp) {
     if (cond.external_in_degree[comp] != 0) continue;  // not bottom
     if (!cond.has_internal_edge[comp]) continue;       // isolated node
-    const GroundTieCheck check =
-        CheckGroundTie(graph, scc, comp, live, &scratch);
-    if (!check.is_tie) continue;
+    if (!CheckGroundTie(graph, scc, comp)) continue;
+    // Lemma-1 sides: side 0 shares the parity of members.front().
+    const std::span<const int32_t> members = scc.Members(comp);
+    const char front_parity = scc.parity[members.front()];
     TieView tie;
-    for (size_t i = 0; i < scc.members[comp].size(); ++i) {
-      const int32_t node = scc.members[comp][i];
+    for (int32_t node : members) {
       if (node >= num_atoms) continue;  // rule node
-      (check.side[i] == 0 ? tie.side0 : tie.side1).push_back(node);
+      (scc.parity[node] == front_parity ? tie.side0 : tie.side1)
+          .push_back(node);
     }
     ties.push_back(std::move(tie));
   }
   return ties;
 }
 
-}  // namespace
-
-std::vector<TieView> FindBottomTies(const CloseState& state) {
-  return FindBottomTiesImpl(
-      state.graph(),
-      GroundLiveness{state.values().data(), state.rule_dead().data()});
-}
-
-std::vector<TieView> FindBottomTies(const ParallelCloseState& state) {
-  // Snapshots keep the liveness pointers valid for the duration of the
-  // pass; the state is quiescent between SetAndClose calls.
-  const std::vector<Truth> values = state.values();
-  const std::vector<char> dead = state.rule_dead();
-  return FindBottomTiesImpl(state.graph(),
-                            GroundLiveness{values.data(), dead.data()});
-}
-
 namespace {
 
 // Applies one tie break: K's atoms true, L's atoms false, then close.
-template <typename State>
-void BreakTie(const TieView& tie, ChoicePolicy* policy, State* state,
+void BreakTie(const TieView& tie, ChoicePolicy* policy, CloseState* state,
               Certificate* certificate) {
   const std::vector<AtomId>* k_side;  // true side
   const std::vector<AtomId>* l_side;  // false side
@@ -93,14 +70,12 @@ void BreakTie(const TieView& tie, ChoicePolicy* policy, State* state,
   state->SetAndClose(assignments);
 }
 
-// The Section 3 interpreter loop over either close-state flavor. The
-// stopped() guards matter for truncation soundness: after a trip the
-// unfounded-set simulation returns {} over a possibly half-propagated
-// state, and breaking a "tie" of that state could assign atoms the full
-// run decides differently — so a tripped run stops choosing and reports
-// the partially-propagated prefix.
-template <typename State>
-InterpreterResult RunTieBreaking(State& state, TieBreakingMode mode,
+// The Section 3 interpreter loop. The stopped() guards matter for
+// truncation soundness: after a trip the unfounded-set simulation returns
+// {} over a possibly half-propagated state, and breaking a "tie" of that
+// state could assign atoms the full run decides differently — so a tripped
+// run stops choosing and reports the partially-propagated prefix.
+InterpreterResult RunTieBreaking(CloseState& state, TieBreakingMode mode,
                                  ChoicePolicy* policy,
                                  Certificate* certificate,
                                  ExecutionContext* context) {
@@ -140,6 +115,8 @@ InterpreterResult RunTieBreaking(State& state, TieBreakingMode mode,
         !context->Checkpoint("tie_breaking", 1).ok()) {
       break;
     }
+    // A total state has no live rule left: no unfounded set, no tie.
+    if (state.IsTotal()) break;
     switch (mode) {
       case TieBreakingMode::kPure:
         if (break_a_tie()) continue;
@@ -181,14 +158,7 @@ InterpreterResult TieBreaking(const Program& program, const Database& database,
                               ChoicePolicy* policy, Certificate* certificate) {
   FirstChoicePolicy default_policy;
   if (policy == nullptr) policy = &default_policy;
-
-  const int32_t threads = ThreadPool::EffectiveThreads(options.num_threads);
-  if (threads == 1) {
-    CloseState state(program, database, graph, options.context);
-    return RunTieBreaking(state, mode, policy, certificate, options.context);
-  }
-  ThreadPool pool(threads);
-  ParallelCloseState state(program, database, graph, &pool, options.context);
+  CloseState state(program, database, graph, options.context);
   return RunTieBreaking(state, mode, policy, certificate, options.context);
 }
 

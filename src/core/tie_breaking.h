@@ -29,8 +29,6 @@
 
 namespace tiebreak {
 
-class ParallelCloseState;
-
 /// Which variant of Section 3's interpreter to run. kTieFirst is *not* in
 /// the paper: it is the ablation of the paper's ordering decision — it
 /// prefers breaking ties over falsifying unfounded sets. It still computes
@@ -70,12 +68,12 @@ InterpreterResult TieBreaking(const Program& program, const Database& database,
                               ChoicePolicy* policy = nullptr,
                               Certificate* certificate = nullptr);
 
-/// Options overload: `num_threads > 1` closes wave-parallel between
-/// choices (ground/parallel_close.h); the choice sequence itself stays
-/// serial and deterministic given the policy, so every thread count
-/// reproduces the same model for the same policy. A non-null context
-/// checkpoints once per interpreter round (tag "tie_breaking") on top of
-/// the close/unfounded checkpoints; after a trip no further ties are
+/// Options overload. `options.num_threads` changes nothing here: the run
+/// always closes with the serial CloseState (a wave-parallel close cost more
+/// than it saved on 4 cores; docs/benchmarks.md has the figures), so every
+/// thread count reproduces the same model for the same policy. A non-null
+/// context checkpoints once per interpreter round (tag "tie_breaking") on
+/// top of the close/unfounded checkpoints; after a trip no further ties are
 /// broken, so a truncated run is a partially-propagated prefix of the full
 /// run's step sequence and every decided atom agrees with the full model
 /// under the same policy.
@@ -86,15 +84,14 @@ InterpreterResult TieBreaking(const Program& program, const Database& database,
                               Certificate* certificate = nullptr);
 
 /// The bottom ties of `state`'s live graph, atoms split by Lemma-1 side.
-/// Exposed for certificate verification and diagnostics. Runs SCC +
-/// condensation + Lemma-1 checks directly over the ground graph's CSR
-/// spans restricted to the live subgraph — no per-round graph
-/// materialization — with tie order and side orientation identical to the
-/// historical materialized-live-graph implementation (see
-/// ground/ground_scc.h for why).
+/// Exposed for certificate verification and diagnostics. One Tarjan pass
+/// directly over the ground graph's CSR spans restricted to the live
+/// subgraph — no per-round graph materialization — yields the components
+/// and each node's DFS-tree sign parity; the condensation and one Lemma-1
+/// verification sweep per bottom component follow. Tie order and side
+/// orientation are identical to the historical materialized-live-graph
+/// implementation (see ground/ground_scc.h for why).
 std::vector<TieView> FindBottomTies(const CloseState& state);
-/// Same, over a quiescent parallel close state.
-std::vector<TieView> FindBottomTies(const ParallelCloseState& state);
 
 /// Convenience overload: grounds (reduced mode) and interprets.
 Result<InterpreterResult> TieBreaking(const Program& program,

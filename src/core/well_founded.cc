@@ -1,24 +1,19 @@
 #include "core/well_founded.h"
 
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "ground/close.h"
-#include "ground/parallel_close.h"
 #include "util/execution_context.h"
-#include "util/thread_pool.h"
 
 namespace tiebreak {
 
-namespace {
-
-// The VRS loop over either close-state flavor: falsify the largest
-// unfounded set and re-close until none remains. Identical model for any
-// State (both closures are confluent); identical code so the serial and
-// parallel paths cannot drift.
-template <typename State>
-InterpreterResult RunWellFounded(State& state, ExecutionContext* context) {
+InterpreterResult WellFounded(const Program& program, const Database& database,
+                              const GroundGraph& graph,
+                              ExecutionContext* context) {
+  // The VRS loop: falsify the largest unfounded set and re-close until none
+  // remains.
+  CloseState state(program, database, graph, context);
   InterpreterResult result;
   while (true) {
     ++result.iterations;
@@ -28,6 +23,8 @@ InterpreterResult RunWellFounded(State& state, ExecutionContext* context) {
         !context->Checkpoint("well_founded", 1).ok()) {
       break;
     }
+    // A total state has no live rule left, so nothing can change.
+    if (state.IsTotal()) break;
     const std::vector<AtomId> unfounded = state.LargestUnfoundedSet();
     if (unfounded.empty()) break;
     ++result.unfounded_rounds;
@@ -49,25 +46,10 @@ InterpreterResult RunWellFounded(State& state, ExecutionContext* context) {
   return result;
 }
 
-}  // namespace
-
-InterpreterResult WellFounded(const Program& program, const Database& database,
-                              const GroundGraph& graph,
-                              ExecutionContext* context) {
-  CloseState state(program, database, graph, context);
-  return RunWellFounded(state, context);
-}
-
 InterpreterResult WellFounded(const Program& program, const Database& database,
                               const GroundGraph& graph,
                               const InterpreterOptions& options) {
-  const int32_t threads = ThreadPool::EffectiveThreads(options.num_threads);
-  if (threads == 1) {
-    return WellFounded(program, database, graph, options.context);
-  }
-  ThreadPool pool(threads);
-  ParallelCloseState state(program, database, graph, &pool, options.context);
-  return RunWellFounded(state, options.context);
+  return WellFounded(program, database, graph, options.context);
 }
 
 Result<InterpreterResult> WellFounded(const Program& program,

@@ -25,12 +25,10 @@ InterpreterResult WellFounded(const Program& program, const Database& database,
                               const GroundGraph& graph,
                               ExecutionContext* context = nullptr);
 
-/// Options overload: `options.num_threads == 1` is the serial reference
-/// above; `> 1` drains SCC components of the ground graph's condensation
-/// wave-parallel on a thread pool (ground/parallel_close.h). Close and the
-/// unfounded-set falsification are confluent, so every thread count
-/// computes the identical well-founded model; the truncation contract is
-/// unchanged.
+/// Options overload, same run as above under `options.context`.
+/// `options.num_threads` changes nothing here: the interpreter always
+/// closes with the serial CloseState (a wave-parallel close cost more than
+/// it saved on 4 cores; docs/benchmarks.md has the figures).
 InterpreterResult WellFounded(const Program& program, const Database& database,
                               const GroundGraph& graph,
                               const InterpreterOptions& options);

@@ -14,10 +14,12 @@ struct DigraphAdjacency {
   int32_t num_nodes() const { return graph->num_nodes(); }
   bool Alive(int32_t) const { return true; }
   Cursor FirstEdge(int32_t) const { return 0; }
-  int32_t NextNeighbor(int32_t node, Cursor& cursor) const {
+  int32_t NextNeighbor(int32_t node, Cursor& cursor, bool* negative) const {
     const auto out = graph->OutEdges(node);
     if (cursor >= out.size()) return -1;
-    return graph->edge(out[cursor++]).to;
+    const SignedEdge& edge = graph->edge(out[cursor++]);
+    *negative = edge.negative;
+    return edge.to;
   }
 };
 

@@ -16,7 +16,7 @@ struct SccBfsTree {
 };
 
 SccBfsTree BuildSccBfsTree(const SignedDigraph& graph,
-                           const std::vector<int32_t>& members,
+                           std::span<const int32_t> members,
                            const std::vector<int32_t>& component_of,
                            int32_t comp_id) {
   SccBfsTree tree;
@@ -150,7 +150,7 @@ std::vector<int32_t> ExtractOddSimpleCycle(const SignedDigraph& graph,
 }  // namespace
 
 TieCheckResult CheckTie(const SignedDigraph& graph,
-                        const std::vector<int32_t>& members,
+                        std::span<const int32_t> members,
                         const std::vector<int32_t>& component_of,
                         int32_t comp_id) {
   TIEBREAK_CHECK(graph.finalized());
@@ -185,7 +185,7 @@ TieCheckResult CheckTie(const SignedDigraph& graph,
 bool HasOddCycle(const SignedDigraph& graph) {
   const SccResult scc = ComputeScc(graph);
   for (int32_t comp = 0; comp < scc.num_components; ++comp) {
-    if (!CheckTie(graph, scc.members[comp], scc.component, comp).is_tie) {
+    if (!CheckTie(graph, scc.Members(comp), scc.component, comp).is_tie) {
       return true;
     }
   }
@@ -195,7 +195,7 @@ bool HasOddCycle(const SignedDigraph& graph) {
 std::vector<int32_t> FindOddCycle(const SignedDigraph& graph) {
   const SccResult scc = ComputeScc(graph);
   for (int32_t comp = 0; comp < scc.num_components; ++comp) {
-    const auto& members = scc.members[comp];
+    const std::span<const int32_t> members = scc.Members(comp);
     const TieCheckResult check =
         CheckTie(graph, members, scc.component, comp);
     if (check.is_tie) continue;

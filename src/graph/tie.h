@@ -13,6 +13,7 @@
 #define TIEBREAK_GRAPH_TIE_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/digraph.h"
@@ -33,10 +34,10 @@ struct TieCheckResult {
 };
 
 /// Runs the Lemma-1 partition test on the strongly connected component
-/// `comp_id` whose members are `members` (as produced by ComputeScc).
+/// `comp_id` whose members are `members` (SccResult::Members of ComputeScc).
 /// Only internal edges (both endpoints in the component) are considered.
 TieCheckResult CheckTie(const SignedDigraph& graph,
-                        const std::vector<int32_t>& members,
+                        std::span<const int32_t> members,
                         const std::vector<int32_t>& component_of,
                         int32_t comp_id);
 

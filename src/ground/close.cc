@@ -1,17 +1,19 @@
 #include "ground/close.h"
 
-#include "ground/unfounded.h"
+#include <algorithm>
+
 #include "util/execution_context.h"
 
 namespace tiebreak {
 
 namespace {
+
 // Worklist pops between resource checkpoints in Drain and
 // LargestUnfoundedSet; each pop is a few cache lines of CSR arc work.
 constexpr int32_t kClosePollBlock = 256;
-}  // namespace
-
-namespace {
+// Queue pops per prefetch block in LargestUnfoundedSet: each popped atom's
+// consumer span start is prefetched a block ahead of its scatter work.
+constexpr int32_t kUnfoundedPrefetchBlock = 64;
 
 // Shared constructor prologue: per-rule pending counters (unresolved body
 // edges) and per-atom support counters (live rules per head), straight off
@@ -179,13 +181,96 @@ std::vector<int32_t> CloseState::LiveRules() const {
 }
 
 std::vector<AtomId> CloseState::LargestUnfoundedSet() const {
-  // close over G+ is confluent, so the shared batched simulation returns
-  // the same (unique) set the original in-place loop did, with the same
-  // number of queue pops and therefore the same checkpoint count.
-  return SimulateUnfoundedSet(
-      *graph_, [this](AtomId a) { return value_[a]; },
-      [this](int32_t r) { return rule_dead_[r] != 0; },
-      [this](AtomId a) { return atom_support_[a]; }, exec_);
+  // Simulates close over the positive-edge live subgraph G+ on scratch
+  // copies of the counters. The result is the unique greatest unfounded
+  // set — a monotone closure, so processing order cannot change it — which
+  // is what lets the queue drain in prefetched blocks.
+  // States: 0 = open, 1 = "founded" (deleted as true), 2 = deleted as false.
+  const GroundGraph& graph = *graph_;
+  const int32_t n = graph.num_atoms();
+  std::vector<char> state(n, 0);
+  std::vector<char> dead = rule_dead_;
+  std::vector<int32_t> pending(graph.num_rules(), 0);
+  std::vector<int32_t> support = atom_support_;
+  std::vector<AtomId> queue;
+
+  auto is_open = [&](AtomId a) {
+    return value_[a] == Truth::kUndef && state[a] == 0;
+  };
+  auto mark = [&](AtomId a, char s) {
+    state[a] = s;
+    queue.push_back(a);
+  };
+  // Deletes a live rule of G+: its head loses one support, and an open
+  // head left without support is deleted as false.
+  auto drop_support = [&](int32_t r) {
+    dead[r] = 1;
+    const AtomId head = graph.HeadOf(r);
+    if (--support[head] <= 0 && is_open(head)) mark(head, 2);
+  };
+
+  for (int32_t r = 0; r < graph.num_rules(); ++r) {
+    if (dead[r]) continue;
+    int32_t live_pos = 0;
+    for (AtomId a : graph.PositiveBody(r)) {
+      if (value_[a] == Truth::kUndef) ++live_pos;
+    }
+    pending[r] = live_pos;
+    if (live_pos == 0) {
+      // Source rule node in G+: its head is founded.
+      dead[r] = 1;
+      const AtomId head = graph.HeadOf(r);
+      if (is_open(head)) mark(head, 1);
+      --support[head];
+    }
+  }
+  for (AtomId a = 0; a < n; ++a) {
+    if (is_open(a) && support[a] <= 0) mark(a, 2);
+  }
+
+  int32_t drained = 0;
+  AtomId batch[kUnfoundedPrefetchBlock];
+  while (!queue.empty()) {
+    // Pop a block off the queue tail and prefetch every popped atom's
+    // positive-consumer span before scattering into any of them. New marks
+    // append behind the popped tail and wait for the next block.
+    const int32_t take = static_cast<int32_t>(
+        std::min<size_t>(kUnfoundedPrefetchBlock, queue.size()));
+    for (int32_t i = 0; i < take; ++i) {
+      batch[i] = queue[queue.size() - take + i];
+    }
+    queue.resize(queue.size() - take);
+    for (int32_t i = 0; i < take; ++i) {
+      __builtin_prefetch(graph.PositiveConsumers(batch[i]).data());
+    }
+    for (int32_t i = 0; i < take; ++i) {
+      // A partial simulation proves nothing about which atoms are
+      // unfounded, so a trip abandons it and reports the empty set — the
+      // caller's loop terminates and reads the trip from the context.
+      if (exec_ != nullptr && (++drained & (kClosePollBlock - 1)) == 0 &&
+          !exec_->Checkpoint("close", kClosePollBlock).ok()) {
+        return {};
+      }
+      const AtomId atom = batch[i];
+      const bool founded = state[atom] == 1;
+      for (int32_t r : graph.PositiveConsumers(atom)) {
+        if (dead[r]) continue;
+        if (!founded) {
+          drop_support(r);
+        } else if (--pending[r] <= 0) {
+          const AtomId head = graph.HeadOf(r);
+          if (is_open(head)) mark(head, 1);
+          drop_support(r);
+        }
+      }
+    }
+  }
+
+  std::vector<AtomId> unfounded;
+  for (AtomId a = 0; a < n; ++a) {
+    if (is_open(a)) unfounded.push_back(a);
+  }
+  return unfounded;
 }
 
 }  // namespace tiebreak

@@ -74,10 +74,11 @@ SccSchedule BuildSccSchedule(const GroundGraph& graph,
   const GroundAdjacency adj{&graph, live};
   for (int32_t comp = scc.num_components - 1; comp >= 0; --comp) {
     const int32_t next_wave = schedule.wave[comp] + 1;
-    for (int32_t node : scc.members[comp]) {
+    for (int32_t node : scc.Members(comp)) {
       GroundAdjacency::Cursor cursor = adj.FirstEdge(node);
+      bool negative = false;
       int32_t w;
-      while ((w = adj.NextNeighbor(node, cursor)) >= 0) {
+      while ((w = adj.NextNeighbor(node, cursor, &negative)) >= 0) {
         const int32_t to_comp = scc.component[w];
         if (to_comp == comp) continue;
         if (schedule.wave[to_comp] < next_wave) {
@@ -106,76 +107,29 @@ SccSchedule BuildSccSchedule(const GroundGraph& graph,
   return schedule;
 }
 
-GroundTieCheck CheckGroundTie(const GroundGraph& graph, const SccResult& scc,
-                              int32_t comp, const GroundLiveness& live,
-                              std::vector<int32_t>* local_scratch) {
-  const std::vector<int32_t>& members = scc.members[comp];
-  TIEBREAK_CHECK(!members.empty());
-  std::vector<int32_t>& local = *local_scratch;
-  TIEBREAK_CHECK_GE(static_cast<int32_t>(local.size()),
-                    graph.num_atoms() + graph.num_rules());
-  const int32_t size = static_cast<int32_t>(members.size());
-  for (int32_t i = 0; i < size; ++i) local[members[i]] = i;
-
+bool CheckGroundTie(const GroundGraph& graph, const SccResult& scc,
+                    int32_t comp) {
+  // Dead nodes carry component -1, so a same-component test also filters
+  // liveness.
   const int32_t num_atoms = graph.num_atoms();
-  // Internal signed out-edges of one member node. BFS order is free here
-  // (parity relative to the root is unique when the component is sign-
-  // consistent, and any inconsistency fails the verification pass), so no
-  // merged walk is needed — positives then negatives is fine.
-  auto for_internal_out = [&](int32_t node, auto&& fn) {
-    if (node < num_atoms) {
-      for (int32_t r : graph.PositiveConsumers(node)) {
-        if (live.RuleAlive(r) && scc.component[num_atoms + r] == comp) {
-          fn(num_atoms + r, /*negative=*/false);
-        }
+  const std::vector<int32_t>& component = scc.component;
+  const std::vector<char>& parity = scc.parity;
+  for (int32_t v : scc.Members(comp)) {
+    if (v < num_atoms) {
+      for (int32_t r : graph.PositiveConsumers(v)) {
+        const int32_t w = num_atoms + r;
+        if (component[w] == comp && parity[w] != parity[v]) return false;
       }
-      for (int32_t r : graph.NegativeConsumers(node)) {
-        if (live.RuleAlive(r) && scc.component[num_atoms + r] == comp) {
-          fn(num_atoms + r, /*negative=*/true);
-        }
+      for (int32_t r : graph.NegativeConsumers(v)) {
+        const int32_t w = num_atoms + r;
+        if (component[w] == comp && parity[w] == parity[v]) return false;
       }
     } else {
-      const AtomId head = graph.HeadOf(node - num_atoms);
-      if (live.AtomLive(head) && scc.component[head] == comp) {
-        fn(static_cast<int32_t>(head), /*negative=*/false);
-      }
+      const AtomId head = graph.HeadOf(v - num_atoms);
+      if (component[head] == comp && parity[head] != parity[v]) return false;
     }
-  };
-
-  GroundTieCheck result;
-  result.side.assign(size, 0);
-  std::vector<char> visited(size, 0);
-  std::vector<int32_t> queue;
-  queue.reserve(size);
-  queue.push_back(members.front());
-  visited[local[members.front()]] = 1;
-  for (size_t head = 0; head < queue.size(); ++head) {
-    const int32_t v = queue[head];
-    const char v_side = result.side[local[v]];
-    for_internal_out(v, [&](int32_t w, bool negative) {
-      const int32_t w_local = local[w];
-      if (visited[w_local]) return;
-      visited[w_local] = 1;
-      result.side[w_local] = static_cast<char>(v_side ^ (negative ? 1 : 0));
-      queue.push_back(w);
-    });
   }
-  // Strong connectivity of the component guarantees full coverage.
-  for (char v : visited) TIEBREAK_CHECK(v) << "SCC not strongly connected";
-
-  // Verify every internal edge against the parity partition (Lemma 1).
-  result.is_tie = true;
-  for (int32_t v : members) {
-    if (!result.is_tie) break;
-    const char v_side = result.side[local[v]];
-    for_internal_out(v, [&](int32_t w, bool negative) {
-      const char expected = static_cast<char>(v_side ^ (negative ? 1 : 0));
-      if (result.side[local[w]] != expected) result.is_tie = false;
-    });
-  }
-
-  for (int32_t node : members) local[node] = -1;
-  return result;
+  return true;
 }
 
 }  // namespace tiebreak

@@ -1,6 +1,7 @@
-// SCC condensation and topological wave scheduling directly over GroundGraph
-// CSR spans — no SignedDigraph copy. This is what lets the interpreters
-// condense G(Π, Δ) (or its live subgraph) at memory-bandwidth cost and fan
+// SCC condensation, the Lemma-1 tie test and topological wave scheduling
+// directly over GroundGraph CSR spans — no SignedDigraph copy. This is what
+// lets the tie-breaking interpreters condense the live subgraph of
+// G(Π, Δ) at memory-bandwidth cost, and the perfect-model interpreter fan
 // independent components out over the thread pool.
 //
 // Node space: atoms occupy ids [0, num_atoms), rule instance r is node
@@ -16,10 +17,10 @@
 // negative consumer spans in ascending rule order with positive first on
 // ties, which is precisely the edge insertion order of live_graph.cc /
 // perfect_model's FullGraph (both consumer spans are ascending by
-// GroundGraph::Finalize construction). The tie-breaking interpreters depend
-// on this: Lemma-1 partition sides are labeled relative to members.front(),
-// so a different DFS order would silently flip default-policy tie
-// orientations. interpreter_parallel_test.cc asserts the equivalence on
+// GroundGraph::Finalize construction) — and the same DFS tree, so the same
+// sign parities. The tie-breaking interpreters depend on this: Lemma-1
+// partition sides are labeled relative to members.front(), so a different
+// DFS order would silently flip default-policy tie orientations. interpreter_parallel_test.cc asserts the equivalence on
 // randomized programs.
 #ifndef TIEBREAK_GROUND_GROUND_SCC_H_
 #define TIEBREAK_GROUND_GROUND_SCC_H_
@@ -72,7 +73,7 @@ struct GroundAdjacency {
                : live.RuleAlive(node - graph->num_atoms());
   }
   Cursor FirstEdge(int32_t) const { return Cursor{}; }
-  int32_t NextNeighbor(int32_t node, Cursor& cursor) const {
+  int32_t NextNeighbor(int32_t node, Cursor& cursor, bool* negative) const {
     const int32_t num_atoms = graph->num_atoms();
     if (node < num_atoms) {
       // Merged consumer walk: ascending rule id, positive before negative
@@ -85,16 +86,19 @@ struct GroundAdjacency {
         if (cursor.neg >= neg.size() ||
             (cursor.pos < pos.size() && pos[cursor.pos] <= neg[cursor.neg])) {
           r = pos[cursor.pos++];
+          *negative = false;
         } else {
           r = neg[cursor.neg++];
+          *negative = true;
         }
         if (live.RuleAlive(r)) return num_atoms + r;
       }
       return -1;
     }
-    // Rule node: one head edge, present while the head atom is live.
+    // Rule node: one positive head edge, present while the head is live.
     if (cursor.pos != 0) return -1;
     cursor.pos = 1;
+    *negative = false;
     const AtomId head = graph->HeadOf(node - num_atoms);
     return live.AtomLive(head) ? head : -1;
   }
@@ -138,24 +142,17 @@ struct SccSchedule {
 SccSchedule BuildSccSchedule(const GroundGraph& graph,
                              const GroundLiveness& live = {});
 
-/// Result of the Lemma-1 tie test on one ground component (the flat-array
-/// replacement for graph/tie.h CheckTie on a materialized live graph).
-struct GroundTieCheck {
-  bool is_tie = false;
-  /// Parity side per member, aligned with scc.members[comp]: side 0 = same
-  /// parity as members.front() — the same convention as TieCheckResult, so
-  /// tie orientations are preserved.
-  std::vector<char> side;
-};
-
-/// Lemma-1 partition test on component `comp` of a ground SCC result:
-/// BFS the internal live edges from members.front() assigning sign parity,
-/// then verify every internal edge. `local_scratch` must be a vector of
-/// size >= num_atoms + num_rules holding -1 everywhere; it is used for the
-/// node -> member-index map and restored to -1 before returning.
-GroundTieCheck CheckGroundTie(const GroundGraph& graph, const SccResult& scc,
-                              int32_t comp, const GroundLiveness& live,
-                              std::vector<int32_t>* local_scratch);
+/// Lemma-1 test on component `comp` of a ground SCC result: true iff the
+/// component is a tie. Tarjan's DFS tree spans the component with paths
+/// inside it, so `scc.parity` already labels each member with a side; the
+/// test is one sweep checking every internal edge against that labeling (a
+/// positive edge keeps the parity, a negative one flips it). A component
+/// with an odd cycle fails on some edge outside the tree. For a tie, the
+/// side of member v is scc.parity[v] ^ scc.parity[Members(comp).front()]:
+/// side 0 = same parity as the front, as in TieCheckResult, so tie
+/// orientations match the materialized route.
+bool CheckGroundTie(const GroundGraph& graph, const SccResult& scc,
+                    int32_t comp);
 
 }  // namespace tiebreak
 

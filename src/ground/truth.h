@@ -1,9 +1,7 @@
-// Three-valued truth for partial models, plus the widened atomic cell the
-// parallel interpreters publish assignments through.
+// Three-valued truth for partial models.
 #ifndef TIEBREAK_GROUND_TRUTH_H_
 #define TIEBREAK_GROUND_TRUTH_H_
 
-#include <atomic>
 #include <cstdint>
 
 namespace tiebreak {
@@ -26,44 +24,6 @@ inline const char* TruthName(Truth t) {
   }
   return "?";
 }
-
-/// One atom's truth value as a lock-free atomic cell, widened from the
-/// int8_t enum to a 32-bit word (always lock-free, and wide enough that a
-/// compare-exchange never shares a word with a neighbor). The parallel
-/// close propagation assigns atoms with TrySet — a single CAS from kUndef,
-/// so concurrent forced derivations of the same atom pick exactly one
-/// winner and the close invariant "every atom is assigned once" survives
-/// any interleaving. Starts at kUndef.
-class AtomicTruth {
- public:
-  AtomicTruth() : cell_(static_cast<int32_t>(Truth::kUndef)) {}
-
-  /// Current value. Relaxed by default: callers sequence against writers
-  /// through the ThreadPool barrier (or their own fences), not per-cell.
-  Truth load(std::memory_order order = std::memory_order_relaxed) const {
-    return static_cast<Truth>(static_cast<int8_t>(cell_.load(order)));
-  }
-
-  /// Attempts the one-shot kUndef -> value transition. Returns true iff
-  /// this caller won the assignment; `value` must not be kUndef.
-  bool TrySet(Truth value) {
-    int32_t expected = static_cast<int32_t>(Truth::kUndef);
-    return cell_.compare_exchange_strong(expected,
-                                         static_cast<int32_t>(value),
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire);
-  }
-
-  /// Unconditional store, for single-threaded initialization phases.
-  void StoreRelaxed(Truth value) {
-    cell_.store(static_cast<int32_t>(value), std::memory_order_relaxed);
-  }
-
- private:
-  static_assert(std::atomic<int32_t>::is_always_lock_free,
-                "AtomicTruth requires lock-free 32-bit atomics");
-  std::atomic<int32_t> cell_;
-};
 
 }  // namespace tiebreak
 

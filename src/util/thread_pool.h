@@ -3,10 +3,10 @@
 // the results on the calling thread. The engine's fixpoint rounds fan out
 // (rule, delta-literal) evaluations this way, the grounder fans out
 // per-rule instance-emission jobs into per-worker graph shards plus the
-// three CSR index builds of GroundGraph::Finalize, and the ground-graph
-// interpreters fan out the SCC components of one topological wave
-// (ground/parallel_close.h, core/perfect_model.cc) or rule blocks of one
-// fixpoint sweep (core/alternating.cc). Tasks are distributed
+// three CSR index builds of GroundGraph::Finalize, and the perfect-model
+// interpreter fans out the SCC components of one topological wave
+// (core/perfect_model.cc), the alternating fixpoint the rule blocks of one
+// sweep (core/alternating.cc). Tasks are distributed
 // by an atomic claim counter (the cheap half of work stealing: idle
 // workers pull the next unclaimed task instead of owning a fixed slice),
 // so uneven task costs self-balance without per-task queues.

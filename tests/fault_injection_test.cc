@@ -32,10 +32,10 @@ struct WfOutcome {
 
 // Grounds win/move over a random digraph and runs the well-founded
 // interpreter, all under `context`. Exercises the engine (grounding
-// bindings), the grounder's emission, close, unfounded sets and the
-// alternating fixpoint. `interpreter_threads > 1` runs the SCC-scheduled
-// parallel interpreter (ground/parallel_close.h), whose checkpoints add
-// the per-component "close_scc" sites to the sweep.
+// bindings), the grounder's emission, close and unfounded sets.
+// `interpreter_threads` is passed through InterpreterOptions; the
+// well-founded interpreter closes serially at any count, so the count must
+// not change a model or the set of checkpoints.
 WfOutcome RunWellFoundedPipeline(ExecutionContext* context,
                                  int32_t num_threads,
                                  int32_t interpreter_threads = 1) {
@@ -125,13 +125,12 @@ TEST(FaultInjectionTest, WellFoundedPipelineSurvivesTripAtEveryCheckpoint) {
   EXPECT_EQ(rerun.values, clean.values);
 }
 
-// Same sweep with the whole pipeline fanned out on 8 threads: 8-way
-// grounding into the shared context, then the SCC-scheduled parallel
-// well-founded interpreter. Any worker's checkpoint can be the one that
-// trips while its siblings are mid-drain, so this exercises the
-// barrier-consistent unwind of ParallelFor plus the worklist-clearing trip
-// path of the parallel close (and, under TSan, the cross-thread
-// publication of the trip flag).
+// Same sweep with 8-way grounding into the shared context, then the
+// well-founded interpreter asked for 8 threads (it closes serially). Any
+// grounding worker's checkpoint can be the one that trips while its
+// siblings are mid-emission, so this exercises the barrier-consistent
+// unwind of ParallelFor (and, under TSan, the cross-thread publication of
+// the trip flag).
 TEST(FaultInjectionTest,
      ParallelWellFoundedPipelineSurvivesTripAtEveryCheckpoint) {
   fault_injection::CountCheckpoints();
@@ -143,8 +142,7 @@ TEST(FaultInjectionTest,
   ASSERT_TRUE(clean.truncation.ok());
   ASSERT_GT(checkpoints, 0);
 
-  // The serial reference model: the parallel clean run must already match
-  // it (close and unfounded falsification are confluent).
+  // The serial reference model: the 8-thread clean run must match it.
   ExecutionContext serial_context;
   const WfOutcome serial = RunWellFoundedPipeline(&serial_context, 1, 1);
   ASSERT_FALSE(serial.errored);

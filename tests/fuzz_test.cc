@@ -10,10 +10,8 @@
 #include "core/stratification.h"
 #include "core/well_founded.h"
 #include "engine/evaluation.h"
-#include "ground/close.h"
 #include "ground/ground_scc.h"
 #include "ground/grounder.h"
-#include "ground/parallel_close.h"
 #include "gtest/gtest.h"
 #include "lang/parser.h"
 #include "lang/printer.h"
@@ -22,7 +20,6 @@
 #include "storage/snapshot.h"
 #include "util/logging.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 #include "workload/programs.h"
 
 namespace tiebreak {
@@ -191,8 +188,8 @@ TEST(SnapshotFuzzTest, MutatedValidSnapshotsNeverCrashTheLoader) {
 // ---------------------------------------------------------------------------
 // SCC scheduler over hostile ground graphs: hand-built rule structures
 // (cyclic negation, self-loops, empty components, duplicate rules) and
-// random mutations must neither crash nor hang the wave scheduler, and the
-// parallel close must agree with the serial close exactly.
+// random mutations must neither crash nor hang the wave scheduler that the
+// parallel perfect-model interpreter runs on.
 // ---------------------------------------------------------------------------
 
 // A graph of `num_atoms` nullary atoms (one per predicate id).
@@ -213,7 +210,7 @@ void ExpectScheduleWellFormed(const GroundGraph& graph) {
   const int32_t num_nodes = graph.num_atoms() + graph.num_rules();
   std::vector<int32_t> seen(num_nodes, 0);
   for (int32_t comp = 0; comp < scc.num_components; ++comp) {
-    for (int32_t node : scc.members[comp]) {
+    for (int32_t node : scc.Members(comp)) {
       ASSERT_EQ(scc.component[node], comp);
       ++seen[node];
     }
@@ -232,23 +229,6 @@ void ExpectScheduleWellFormed(const GroundGraph& graph) {
     for (AtomId a : graph.PositiveBody(r)) check_edge(a, rule_node);
     for (AtomId a : graph.NegativeBody(r)) check_edge(a, rule_node);
     check_edge(rule_node, graph.HeadOf(r));
-  }
-}
-
-// Runs serial and parallel close from `initial` and asserts exact
-// agreement on values, rule liveness and the largest unfounded set.
-void ExpectParallelCloseAgrees(const GroundGraph& graph,
-                               const std::vector<Truth>& initial) {
-  CloseState serial(graph, initial);
-  const std::vector<AtomId> serial_unfounded = serial.LargestUnfoundedSet();
-  for (const int32_t threads : {2, 8}) {
-    ThreadPool pool(threads);
-    ParallelCloseState parallel(graph, initial, &pool);
-    ASSERT_EQ(parallel.values(), serial.values()) << "threads=" << threads;
-    ASSERT_EQ(parallel.rule_dead(), serial.rule_dead())
-        << "threads=" << threads;
-    ASSERT_EQ(parallel.LargestUnfoundedSet(), serial_unfounded)
-        << "threads=" << threads;
   }
 }
 
@@ -304,12 +284,10 @@ TEST(SccSchedulerFuzzTest, HandBuiltAdversarialGraphs) {
     SCOPED_TRACE("graph " + std::to_string(i));
     const GroundGraph& graph = graphs[i];
     ExpectScheduleWellFormed(graph);
-    ExpectParallelCloseAgrees(
-        graph, std::vector<Truth>(graph.num_atoms(), Truth::kUndef));
   }
 }
 
-TEST(SccSchedulerFuzzTest, RandomMutatedGroundGraphsAgreeWithSerial) {
+TEST(SccSchedulerFuzzTest, RandomMutatedGroundGraphs) {
   Rng rng(0xF028);
   for (int round = 0; round < 120; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
@@ -332,23 +310,7 @@ TEST(SccSchedulerFuzzTest, RandomMutatedGroundGraphsAgreeWithSerial) {
                        static_cast<int32_t>(neg.size()), nullptr, 0);
     }
     graph.Finalize();
-
     ExpectScheduleWellFormed(graph);
-    const std::vector<Truth> open(graph.num_atoms(), Truth::kUndef);
-    ExpectParallelCloseAgrees(graph, open);
-
-    // Re-seeding with a random decided subset of the closure is consistent
-    // (close is monotone), so serial and parallel must still agree.
-    CloseState reference(graph, open);
-    std::vector<Truth> preset(graph.num_atoms(), Truth::kUndef);
-    bool any = false;
-    for (AtomId a = 0; a < graph.num_atoms(); ++a) {
-      if (reference.values()[a] != Truth::kUndef && rng.Chance(0.5)) {
-        preset[a] = reference.values()[a];
-        any = true;
-      }
-    }
-    if (any) ExpectParallelCloseAgrees(graph, preset);
   }
 }
 

@@ -151,7 +151,7 @@ TEST(SccTest, SingleCycle) {
   g.Finalize();
   const SccResult scc = ComputeScc(g);
   EXPECT_EQ(scc.num_components, 1);
-  EXPECT_EQ(scc.members[0].size(), 3u);
+  EXPECT_EQ(scc.Members(0).size(), 3u);
 }
 
 TEST(SccTest, ChainHasSingletonComponents) {
@@ -235,7 +235,7 @@ TEST(TieTest, PositiveCycleIsTie) {
   g.AddEdge(2, 0, false);
   g.Finalize();
   const SccResult scc = ComputeScc(g);
-  const auto check = CheckTie(g, scc.members[0], scc.component, 0);
+  const auto check = CheckTie(g, scc.Members(0), scc.component, 0);
   EXPECT_TRUE(check.is_tie);
   // All-positive cycle: everything on one side.
   for (char s : check.side) EXPECT_EQ(s, check.side[0]);
@@ -248,7 +248,7 @@ TEST(TieTest, TwoNegativeEdgesCycleIsTie) {
   g.AddEdge(1, 0, true);
   g.Finalize();
   const SccResult scc = ComputeScc(g);
-  const auto check = CheckTie(g, scc.members[0], scc.component, 0);
+  const auto check = CheckTie(g, scc.Members(0), scc.component, 0);
   ASSERT_TRUE(check.is_tie);
   EXPECT_NE(check.side[0], check.side[1]);  // negative edges cross sides
 }
@@ -259,7 +259,7 @@ TEST(TieTest, SingleNegativeCycleIsNotTie) {
   g.AddEdge(1, 0, false);
   g.Finalize();
   const SccResult scc = ComputeScc(g);
-  const auto check = CheckTie(g, scc.members[0], scc.component, 0);
+  const auto check = CheckTie(g, scc.Members(0), scc.component, 0);
   EXPECT_FALSE(check.is_tie);
   EXPECT_GE(check.violating_edge, 0);
 }
@@ -269,7 +269,7 @@ TEST(TieTest, NegativeSelfLoopIsNotTie) {
   g.AddEdge(0, 0, true);
   g.Finalize();
   const SccResult scc = ComputeScc(g);
-  EXPECT_FALSE(CheckTie(g, scc.members[0], scc.component, 0).is_tie);
+  EXPECT_FALSE(CheckTie(g, scc.Members(0), scc.component, 0).is_tie);
 }
 
 TEST(TieTest, PositiveSelfLoopIsTie) {
@@ -277,7 +277,7 @@ TEST(TieTest, PositiveSelfLoopIsTie) {
   g.AddEdge(0, 0, false);
   g.Finalize();
   const SccResult scc = ComputeScc(g);
-  EXPECT_TRUE(CheckTie(g, scc.members[0], scc.component, 0).is_tie);
+  EXPECT_TRUE(CheckTie(g, scc.Members(0), scc.component, 0).is_tie);
 }
 
 TEST(TieTest, PartitionSeparatesSignsOnTies) {
@@ -288,13 +288,13 @@ TEST(TieTest, PartitionSeparatesSignsOnTies) {
     const SignedDigraph g = RandomGraph(&rng, n, 2 * n, 0.25);
     const SccResult scc = ComputeScc(g);
     for (int c = 0; c < scc.num_components; ++c) {
-      const auto check = CheckTie(g, scc.members[c], scc.component, c);
+      const auto check = CheckTie(g, scc.Members(c), scc.component, c);
       if (!check.is_tie) continue;
       ++ties_seen;
       // Rebuild node -> side and verify the Lemma 1 conditions.
       std::vector<int> side(n, -1);
-      for (size_t i = 0; i < scc.members[c].size(); ++i) {
-        side[scc.members[c][i]] = check.side[i];
+      for (size_t i = 0; i < scc.Members(c).size(); ++i) {
+        side[scc.Members(c)[i]] = check.side[i];
       }
       for (int e = 0; e < g.num_edges(); ++e) {
         const auto& edge = g.edge(e);

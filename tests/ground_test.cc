@@ -466,12 +466,12 @@ TEST(LiveGraphTest, PQTieStructure) {
   const SccResult scc = ComputeScc(live.graph);
   ASSERT_EQ(scc.num_components, 1);
   const TieCheckResult tie =
-      CheckTie(live.graph, scc.members[0], scc.component, 0);
+      CheckTie(live.graph, scc.Members(0), scc.component, 0);
   ASSERT_TRUE(tie.is_tie);
   // p sits with its own rule; q with its rule; the sides are opposite.
   std::vector<int> side_of_atom(2, -1);
-  for (size_t i = 0; i < scc.members[0].size(); ++i) {
-    const int32_t node = scc.members[0][i];
+  for (size_t i = 0; i < scc.Members(0).size(); ++i) {
+    const int32_t node = scc.Members(0)[i];
     if (live.node_atom[node] >= 0) {
       side_of_atom[live.node_atom[node]] = tie.side[i];
     }
@@ -501,7 +501,7 @@ TEST(LiveGraphTest, ThreeRuleComponentIsNotATie) {
   const SccResult scc = ComputeScc(live.graph);
   ASSERT_EQ(scc.num_components, 1);
   EXPECT_FALSE(
-      CheckTie(live.graph, scc.members[0], scc.component, 0).is_tie);
+      CheckTie(live.graph, scc.Members(0), scc.component, 0).is_tie);
   EXPECT_TRUE(HasOddCycle(live.graph));
 }
 

@@ -1,14 +1,18 @@
-// Differential harness for the SCC-scheduled parallel interpreters: every
-// interpreter must produce the same three-valued model at 1, 2 and 8
-// threads (serial = CloseState and friends, parallel = wave-scheduled
-// ParallelCloseState / rule-block sweeps), over curated programs, workload
-// families and randomized programs. Also locks down the structural
-// contracts the parallelism rests on: the CSR Tarjan reproduces the
-// materialized-digraph Tarjan exactly (component ids, member order, tie
-// orientation), the wave schedule is a valid topological leveling with
-// every node in exactly one component, and truncated parallel runs only
-// move atoms to kUndef relative to the full model.
+// Differential harness for the interpreters' thread counts and for the
+// CSR-direct SCC and tie passes. Every interpreter must produce the same
+// three-valued model at 1, 2 and 8 threads (perfect model and alternating
+// fixpoint run wave- or rule-block-parallel; WellFounded and TieBreaking
+// always close serially, so their rows guard that the thread count never
+// changes a model), over curated programs, workload families and
+// randomized programs. Also locks down the structural contracts the tie
+// pass rests on: the CSR Tarjan reproduces the materialized-digraph Tarjan
+// exactly (component ids, member order, DFS-tree parities), the tie pass
+// reproduces the materialized reference tie-for-tie at every state a run
+// passes through, the wave schedule is a valid topological leveling with
+// every node in exactly one component, and truncated runs only move atoms
+// to kUndef relative to the full model.
 #include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,12 +28,10 @@
 #include "ground/close.h"
 #include "ground/ground_scc.h"
 #include "ground/live_graph.h"
-#include "ground/parallel_close.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "util/execution_context.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 #include "workload/databases.h"
 #include "workload/programs.h"
 
@@ -39,6 +41,9 @@ namespace {
 using testing_util::GroundOrDie;
 using testing_util::Instance;
 using testing_util::ParseInstance;
+
+// Three atoms on one odd negative cycle: never a tie (Lemma 1).
+constexpr char kOddNegativeCycle[] = "p :- not q.\nq :- not r.\nr :- not p.";
 
 // The curated instance list shared with ground_csr_test: negation cycles,
 // forced-false heads, positive recursion, stratified programs, residual
@@ -64,6 +69,12 @@ std::vector<Instance> CuratedInstances() {
       "odd(X) :- succ(Y, X), even(Y).\neven(X) :- succ(Y, X), odd(Y).\n"
       "even(z) :- zero(z).",
       "zero(z). succ(z, a). succ(a, b). succ(b, c)."));
+  instances.push_back(ParseInstance(kOddNegativeCycle, ""));
+  // A tie whose last-discovered member (members.front()) sits on the
+  // opposite parity side from the DFS root (members.back()): sides must be
+  // labeled relative to the front to keep the reference orientation.
+  instances.push_back(ParseInstance(
+      "a :- x.\nx :- a, not b.\nb :- not x.\nx :- a.", ""));
   return instances;
 }
 
@@ -121,12 +132,13 @@ std::vector<TieView> ReferenceBottomTies(const CloseState& state) {
   for (int32_t comp = 0; comp < scc.num_components; ++comp) {
     if (cond.external_in_degree[comp] != 0) continue;
     if (!cond.has_internal_edge[comp]) continue;
+    const std::span<const int32_t> members = scc.Members(comp);
     const TieCheckResult check =
-        CheckTie(live.graph, scc.members[comp], scc.component, comp);
+        CheckTie(live.graph, members, scc.component, comp);
     if (!check.is_tie) continue;
     TieView tie;
-    for (size_t i = 0; i < scc.members[comp].size(); ++i) {
-      const int32_t node = scc.members[comp][i];
+    for (size_t i = 0; i < members.size(); ++i) {
+      const int32_t node = members[i];
       const AtomId atom = live.node_atom[node];
       if (atom < 0) continue;
       (check.side[i] == 0 ? tie.side0 : tie.side1).push_back(atom);
@@ -147,7 +159,7 @@ void ExpectValidSchedule(const GroundGraph& graph) {
 
   std::vector<int32_t> seen(num_nodes, 0);
   for (int32_t comp = 0; comp < scc.num_components; ++comp) {
-    for (int32_t node : scc.members[comp]) {
+    for (int32_t node : scc.Members(comp)) {
       ASSERT_GE(node, 0);
       ASSERT_LT(node, num_nodes);
       EXPECT_EQ(scc.component[node], comp);
@@ -209,9 +221,6 @@ void ExpectInterpretersAgreeAcrossThreads(const Instance& inst) {
   const GroundGraph& graph = ground.graph;
 
   // Serial references.
-  CloseState serial_close(inst.program, inst.database, graph);
-  const std::vector<AtomId> serial_unfounded =
-      serial_close.LargestUnfoundedSet();
   const InterpreterResult serial_wf =
       WellFounded(inst.program, inst.database, graph);
   const InterpreterResult serial_alt =
@@ -227,8 +236,7 @@ void ExpectInterpretersAgreeAcrossThreads(const Instance& inst) {
   const std::vector<std::vector<Truth>> serial_models =
       EnumerateFixpoints(&serial_search, 64);
 
-  // The options structs at num_threads = 1 must hit the bit-identical
-  // serial paths.
+  // The options structs at num_threads = 1 must hit the serial paths.
   EXPECT_EQ(WellFounded(inst.program, inst.database, graph,
                         InterpreterOptions{1, nullptr})
                 .values,
@@ -238,17 +246,6 @@ void ExpectInterpretersAgreeAcrossThreads(const Instance& inst) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     InterpreterOptions options;
     options.num_threads = threads;
-
-    // close: the full propagation state, value-for-value and
-    // rule-for-rule (both closures are confluent and deterministic).
-    ThreadPool pool(threads);
-    ParallelCloseState parallel_close(inst.program, inst.database, graph,
-                                      &pool);
-    EXPECT_EQ(parallel_close.values(), serial_close.values());
-    EXPECT_EQ(parallel_close.rule_dead(), serial_close.rule_dead());
-    EXPECT_EQ(parallel_close.num_live_atoms(),
-              serial_close.num_live_atoms());
-    EXPECT_EQ(parallel_close.LargestUnfoundedSet(), serial_unfounded);
 
     const InterpreterResult wf =
         WellFounded(inst.program, inst.database, graph, options);
@@ -287,29 +284,67 @@ void ExpectInterpretersAgreeAcrossThreads(const Instance& inst) {
   }
 }
 
+void ExpectSameTies(const std::vector<TieView>& csr,
+                    const std::vector<TieView>& reference) {
+  ASSERT_EQ(csr.size(), reference.size());
+  for (size_t i = 0; i < csr.size(); ++i) {
+    EXPECT_EQ(csr[i].side0, reference[i].side0) << "tie " << i;
+    EXPECT_EQ(csr[i].side1, reference[i].side1) << "tie " << i;
+  }
+}
+
+// Replays a tie-breaking run step by step from its certificate, starting at
+// M0(Δ), and compares the CSR tie pass with the materialized reference at
+// every state the run passes through — a superset of the states at which
+// the interpreter itself looks for ties.
+void ExpectTiePassMatchesAlongRun(const Instance& inst,
+                                  const GroundGraph& graph,
+                                  TieBreakingMode mode, ChoicePolicy* policy) {
+  Certificate certificate;
+  TieBreaking(inst.program, inst.database, graph, mode, policy, &certificate);
+  CloseState state(inst.program, inst.database, graph);
+  for (size_t step = 0;; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    ExpectSameTies(FindBottomTies(state), ReferenceBottomTies(state));
+    if (step == certificate.steps.size()) break;
+    std::vector<std::pair<AtomId, bool>> assignments;
+    for (AtomId a : certificate.steps[step].made_true) {
+      assignments.emplace_back(a, true);
+    }
+    for (AtomId a : certificate.steps[step].made_false) {
+      assignments.emplace_back(a, false);
+    }
+    state.SetAndClose(assignments);
+  }
+}
+
 // CSR-direct SCC and tie passes against the materialized-graph reference.
 void ExpectCsrPassesMatchReference(const Instance& inst) {
   const GroundingResult ground = GroundOrDie(inst);
   const GroundGraph& graph = ground.graph;
 
-  // Full graph: exact Tarjan equivalence, ids and member order.
+  // Full graph: exact Tarjan equivalence — ids, member order and the DFS
+  // tree's sign parities.
   const SccResult csr = ComputeGroundScc(graph);
   const SignedDigraph full = MaterializeFullGraph(graph);
   const SccResult reference = ComputeScc(full);
   EXPECT_EQ(csr.num_components, reference.num_components);
   EXPECT_EQ(csr.component, reference.component);
+  EXPECT_EQ(csr.member_offset, reference.member_offset);
   EXPECT_EQ(csr.members, reference.members);
+  EXPECT_EQ(csr.parity, reference.parity);
 
   // Live subgraph: the tie pass drives default-policy choices, so the CSR
   // route must reproduce the reference tie list exactly — same ties, same
-  // order, same Lemma-1 side orientation.
-  CloseState state(inst.program, inst.database, graph);
-  const std::vector<TieView> reference_ties = ReferenceBottomTies(state);
-  const std::vector<TieView> csr_ties = FindBottomTies(state);
-  ASSERT_EQ(csr_ties.size(), reference_ties.size());
-  for (size_t i = 0; i < csr_ties.size(); ++i) {
-    EXPECT_EQ(csr_ties[i].side0, reference_ties[i].side0) << "tie " << i;
-    EXPECT_EQ(csr_ties[i].side1, reference_ties[i].side1) << "tie " << i;
+  // order, same Lemma-1 side orientation — at the initial close and at
+  // every later state of WFTB and pure-TB runs, under the default policy
+  // and a seeded random one.
+  for (const TieBreakingMode mode :
+       {TieBreakingMode::kWellFounded, TieBreakingMode::kPure}) {
+    SCOPED_TRACE(mode == TieBreakingMode::kPure ? "pure" : "wftb");
+    ExpectTiePassMatchesAlongRun(inst, graph, mode, nullptr);
+    RandomChoicePolicy random(0x71E5);
+    ExpectTiePassMatchesAlongRun(inst, graph, mode, &random);
   }
 
   ExpectValidSchedule(graph);
@@ -350,6 +385,12 @@ TEST(InterpreterParallelTest, CsrPassesMatchReferenceCurated) {
   }
 }
 
+TEST(InterpreterParallelTest, CsrPassesMatchReferenceWorkloads) {
+  for (Instance& inst : WorkloadInstances()) {
+    ExpectCsrPassesMatchReference(inst);
+  }
+}
+
 TEST(InterpreterParallelTest, CsrPassesMatchReferenceRandom) {
   Rng rng(0xD1FF);
   for (int round = 0; round < 12; ++round) {
@@ -367,27 +408,26 @@ TEST(InterpreterParallelTest, CsrPassesMatchReferenceRandom) {
   }
 }
 
-TEST(InterpreterParallelTest, ExplicitInitialAssignmentAgrees) {
-  // The explicit-initial constructor pair (used by the stable-model check's
-  // close(M⁻, G)): all-open initial, both closures must coincide.
-  for (Instance& inst : WorkloadInstances()) {
-    const GroundingResult ground = GroundOrDie(inst);
-    const std::vector<Truth> initial(ground.graph.num_atoms(),
-                                     Truth::kUndef);
-    CloseState serial(ground.graph, initial);
-    for (const int32_t threads : {2, 8}) {
-      ThreadPool pool(threads);
-      ParallelCloseState parallel(ground.graph, initial, &pool);
-      EXPECT_EQ(parallel.values(), serial.values()) << "threads=" << threads;
-      EXPECT_EQ(parallel.rule_dead(), serial.rule_dead())
-          << "threads=" << threads;
-    }
-  }
+TEST(InterpreterParallelTest, OddNegativeCycleIsNoTie) {
+  // p, q, r and their rules form one bottom component. Its DFS tree
+  // labels every member consistently, so the contradiction sits on the
+  // one non-tree edge back to the root, and the verification sweep must
+  // reject the component.
+  const Instance inst = ParseInstance(kOddNegativeCycle, "");
+  const GroundingResult ground = GroundOrDie(inst);
+  CloseState state(inst.program, inst.database, ground.graph);
+  ASSERT_EQ(state.num_live_atoms(), 3);
+  const GroundLiveness live{state.values().data(), state.rule_dead().data()};
+  const SccResult scc = ComputeGroundScc(ground.graph, live);
+  ASSERT_EQ(scc.num_components, 1);
+  EXPECT_FALSE(CheckGroundTie(ground.graph, scc, 0));
+  EXPECT_TRUE(FindBottomTies(state).empty());
+  EXPECT_TRUE(ReferenceBottomTies(state).empty());
 }
 
 // Truncation soundness at 8 threads: under any step budget, a truncated
-// parallel run decides only atoms the full model decides, with the same
-// values — undecided atoms are merely kUndef, never flipped.
+// run decides only atoms the full model decides, with the same values —
+// undecided atoms are merely kUndef, never flipped.
 TEST(InterpreterParallelTest, TruncatedParallelRunsOnlyUndecide) {
   Program program = WinMoveProgram();
   Rng rng(17);
