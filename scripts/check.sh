@@ -56,7 +56,9 @@ check_docs() {
   local header
   for header in src/engine/relation.h src/engine/evaluation.h \
                 src/util/thread_pool.h src/lang/database.h \
-                src/ground/ground_graph.h src/ground/grounder.h; do
+                src/ground/ground_graph.h src/ground/grounder.h \
+                src/core/query_plan.h src/lang/program.h \
+                src/lang/symbols.h; do
     if ! awk -v file="$header" '
       BEGIN { in_private = 0; prev_commented = 0; prev_decl = 0; bad = 0 }
       /^ *private:/ { in_private = 1 }

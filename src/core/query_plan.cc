@@ -43,7 +43,9 @@ void MergeInterpreterTruncation(const InterpreterResult& wf,
 }  // namespace
 
 QueryPlanner::QueryPlanner(const Program& program, const Database& database)
-    : program_(program), database_(&database) {
+    : program_(program),
+      database_(&database),
+      edb_(database.num_predicates()) {
   TIEBREAK_CHECK_EQ(database.num_predicates(), program.num_predicates())
       << "database not shaped by program";
 }
@@ -131,26 +133,14 @@ QueryPlanner::CachedPlan* QueryPlanner::GetPlan(PredId pred,
   return raw;
 }
 
-void QueryPlanner::SyncConstants(CachedPlan* plan) {
-  // Patterns intern their constants into program_ after the plan's programs
-  // were copied; append the tail in id order so ConstIds stay aligned
-  // across all three programs.
-  Program& demand = plan->transform.demand;
-  Program& guarded = plan->transform.guarded;
-  for (ConstId c = demand.num_constants(); c < program_.num_constants(); ++c) {
-    demand.InternConstant(program_.constant_name(c));
-  }
-  for (ConstId c = guarded.num_constants(); c < program_.num_constants();
-       ++c) {
-    guarded.InternConstant(program_.constant_name(c));
-  }
-}
-
 Result<QueryResult> QueryPlanner::ExecuteDemand(CachedPlan* plan,
                                                 const AtomPattern& atom,
                                                 std::string_view pattern,
                                                 const QueryOptions& options) {
-  SyncConstants(plan);
+  // The plan's programs keep the constant table of their build: a pattern
+  // constant interned into program_ since then only ever appears in facts
+  // (the seed and the magic relations), never in their rules, and the final
+  // scan parses the pattern against program_, whose ids they share.
   const DemandTransform& t = plan->transform;
 
   // The seed fact: the pattern's constants at the adornment's bound
@@ -161,8 +151,8 @@ Result<QueryResult> QueryPlanner::ExecuteDemand(CachedPlan* plan,
     seed.push_back(atom.atom.args[pos].index);
   }
 
-  // Phase 1: the demand program over borrowed Δ spans — only the EDB
-  // relations its rule bodies read, plus the one-row seed span.
+  // Phase 1: the demand program over Δ's kept relations — only the EDB
+  // relations its rule bodies read — plus the one-row seed span.
   std::vector<FactSpan> spans(t.demand.num_predicates());
   for (PredId p = 0; p < program_.num_predicates(); ++p) {
     if (t.edb_used[p]) spans[p] = database_->Facts(p);
@@ -172,6 +162,7 @@ Result<QueryResult> QueryPlanner::ExecuteDemand(CachedPlan* plan,
   engine_options.num_threads = options.num_threads;
   engine_options.materialize_edb = false;
   engine_options.context = options.context;
+  engine_options.edb = &edb_;
   Result<Database> magic = EvaluateStratified(
       t.demand, Span<const FactSpan>(spans.data(), spans.size()),
       engine_options);
@@ -219,10 +210,12 @@ Result<QueryResult> QueryPlanner::ExecuteDemand(CachedPlan* plan,
 
   // Phase 2: reduced grounding of the guarded program — the magic guards
   // resolve at binding-enumeration time, so only the cone's instances are
-  // created — then the well-founded interpreter and the indexed scan.
+  // created, and the binding rules read Δ's kept relations — then the
+  // well-founded interpreter and the indexed scan.
   GroundingOptions ground_options;
   ground_options.num_threads = options.num_threads;
   ground_options.context = options.context;
+  ground_options.edb = &edb_;
   Result<GroundingResult> ground =
       Ground(t.guarded, *plan->prepared, ground_options);
   if (!ground.ok()) {
@@ -238,9 +231,8 @@ Result<QueryResult> QueryPlanner::ExecuteDemand(CachedPlan* plan,
   const InterpreterResult wf =
       WellFounded(t.guarded, *plan->prepared, ground->graph, interp_options);
 
-  Result<QueryResult> answer =
-      EvaluateQuery(&plan->transform.guarded, ground->graph, wf.values,
-                    pattern, options.context);
+  Result<QueryResult> answer = EvaluateQuery(
+      &program_, ground->graph, wf.values, pattern, options.context);
   if (!answer.ok()) return answer.status();
   MergeInterpreterTruncation(wf, &*answer);
   return answer;
@@ -249,6 +241,7 @@ Result<QueryResult> QueryPlanner::ExecuteDemand(CachedPlan* plan,
 Result<QueryResult> QueryPlanner::ExecuteFull(const AtomPattern& atom,
                                               std::string_view pattern,
                                               const QueryOptions& options) {
+  // Loads Δ per call: kept relations stay out of the oracle path.
   GroundingOptions ground_options;
   ground_options.num_threads = options.num_threads;
   ground_options.context = options.context;

@@ -1,12 +1,12 @@
 // Demand-driven query serving: answer point queries without grounding the
 // whole universe. A QueryPlanner owns the request loop's moving parts —
 // adornment computation, magic-set transformation (lang/transform.h), the
-// per-(predicate, adornment) plan cache, and the two-phase execution that
-// drives the existing engine/grounder/interpreter stack over just the
-// query's cone:
+// per-(predicate, adornment) plan cache, Δ's engine relations, and the
+// two-phase execution that drives the existing engine/grounder/interpreter
+// stack over just the query's cone:
 //
 //   phase 1  the plan's demand program runs through the relational engine
-//            (borrowed Δ spans, no EDB materialization) with the query's
+//            (Δ's kept relations, no EDB materialization) with the query's
 //            bound constants as the $seed fact, deriving one magic relation
 //            per reachable IDB predicate — the set of demanded bound-parts;
 //   phase 2  the plan's guarded program (original rules + one positive
@@ -26,13 +26,24 @@
 // grounding with the reason recorded in the stats; QueryMode::kFullGround
 // forces that baseline path for differential testing and benchmarking.
 //
-// Cache keying: one CachedPlan per (query predicate, pattern adornment) —
-// the transform depends on nothing else — holding the transformed
-// programs, the prepared phase-2 database (Δ copied once per plan; magic
-// relations cleared and reloaded per request), and the fallback verdict.
+// What the planner amortizes, so that a served point request costs time
+// proportional to its cone rather than to Δ or the constant table:
+//  * per planner, Δ's engine relations (EdbRelations, engine/evaluation.h):
+//    each EDB relation's column store and dedupe table is built on first
+//    use, together with every probe or sorted index a request builds on
+//    it, and lent read-only to phase 1 and, through the grounder, to the
+//    binding-rule evaluation of phase 2;
+//  * per (query predicate, pattern adornment) — the transform depends on
+//    nothing else — one CachedPlan: the transformed programs, the prepared
+//    phase-2 database (Δ copied once per plan; magic relations cleared and
+//    reloaded per request), and the fallback verdict;
+//  * the constant table, which the planner's program, every plan's
+//    programs and every grounding's binding program share copy-on-write
+//    (lang/program.h): building a plan copies no names, and a pattern
+//    constant new to the table copies it at most once per plan build.
 // Join plans inside the engine are cached per evaluation by the engine
-// itself; what this layer amortizes is the transform, the Δ copy, and the
-// adornment analysis.
+// itself. kFullGround requests load Δ per call, so the oracle path shares
+// no kept state with the demand path.
 #ifndef TIEBREAK_CORE_QUERY_PLAN_H_
 #define TIEBREAK_CORE_QUERY_PLAN_H_
 
@@ -45,6 +56,7 @@
 #include <vector>
 
 #include "core/query.h"
+#include "engine/evaluation.h"
 #include "lang/database.h"
 #include "lang/parser.h"
 #include "lang/program.h"
@@ -53,6 +65,7 @@
 
 namespace tiebreak {
 
+// Forward-declared; see util/execution_context.h.
 class ExecutionContext;
 
 /// How a QueryPlanner serves one request.
@@ -91,11 +104,13 @@ struct QueryPlannerStats {
 };
 
 /// Serves pattern queries against one (program, Δ) pair. Construction
-/// copies the program (later queries intern pattern constants into the
-/// copy, never the caller's) and borrows the database, which must outlive
-/// the planner and stay unmutated — the planner's cached plans snapshot Δ
-/// arenas per plan. Not thread-safe: one planner per serving loop
-/// (internal phases still parallelize via QueryOptions::num_threads).
+/// copies the program (sharing its constant table copy-on-write; later
+/// queries intern pattern constants into the copy, never the caller's) and
+/// borrows the database, which must outlive the planner and stay unmutated
+/// — the planner keeps engine relations built from Δ and its cached plans
+/// snapshot Δ arenas per plan. Not thread-safe: one planner per serving
+/// loop (internal phases still parallelize via QueryOptions::num_threads);
+/// two planners over one database keep separate relations.
 class QueryPlanner {
  public:
   /// See the class comment; `database` is borrowed and must be shaped by
@@ -135,11 +150,10 @@ class QueryPlanner {
   Result<QueryResult> ExecuteDemand(CachedPlan* plan, const AtomPattern& atom,
                                     std::string_view pattern,
                                     const QueryOptions& options);
-  // Appends constants interned into program_ since the plan was built.
-  void SyncConstants(CachedPlan* plan);
-
   Program program_;
   const Database* database_;
+  // Δ's engine relations, built on first use; see the file comment.
+  EdbRelations edb_;
   std::map<std::pair<PredId, std::string>, std::unique_ptr<CachedPlan>>
       plans_;
   QueryPlannerStats stats_;

@@ -57,15 +57,7 @@ ReducedProgram ReduceProgram(const Program& program) {
   const std::vector<bool> useless = UselessPredicates(program);
   ReducedProgram reduced;
   // Preserve predicate and constant ids.
-  for (PredId p = 0; p < program.num_predicates(); ++p) {
-    const PredId id = reduced.program.DeclarePredicate(
-        program.predicate(p).name, program.predicate(p).arity);
-    TIEBREAK_CHECK_EQ(id, p);
-  }
-  for (ConstId c = 0; c < program.num_constants(); ++c) {
-    const ConstId id = reduced.program.InternConstant(program.constant_name(c));
-    TIEBREAK_CHECK_EQ(id, c);
-  }
+  reduced.program = program.CopyVocabulary();
   for (int32_t r = 0; r < program.num_rules(); ++r) {
     const Rule& rule = program.rule(r);
     bool drop = false;

@@ -169,7 +169,8 @@ struct CompiledPlan {
 /// parallel fan-outs, so workers only ever see finished plans.
 class PlanCache {
  public:
-  PlanCache(const Program& program, const std::vector<Relation>& relations,
+  PlanCache(const Program& program,
+            const std::vector<const Relation*>& relations,
             const EngineOptions& options)
       : program_(program),
         relations_(relations),
@@ -224,7 +225,7 @@ class PlanCache {
   bool ChooseMergeJoin(PredId predicate, uint32_t mask) const {
     if (kernel_ == JoinKernel::kRow || mask == 0) return false;
     if (!program_.IsEdb(predicate)) return false;
-    const Relation& relation = relations_[predicate];
+    const Relation& relation = *relations_[predicate];
     if (kernel_ == JoinKernel::kMerge) return true;
     if (merge_selectivity_ <= 0 || relation.size() < kMergeMinRows) {
       return false;
@@ -249,10 +250,10 @@ class PlanCache {
       JoinStep step;
       step.relation = (body_index == delta_literal)
                           ? nullptr
-                          : &relations_[atom.predicate];
+                          : relations_[atom.predicate];
       step.size_snapshot = (body_index == delta_literal)
                                ? delta_size
-                               : relations_[atom.predicate].size();
+                               : relations_[atom.predicate]->size();
       step.actions_begin = static_cast<int32_t>(plan->actions.size());
       for (size_t i = 0; i < atom.args.size(); ++i) {
         const Term& t = atom.args[i];
@@ -319,7 +320,7 @@ class PlanCache {
         for (const Term& t : atom.args) {
           if (t.is_constant() || var_bound_[t.index]) ++bound_args;
         }
-        const Relation& rel = relations_[atom.predicate];
+        const Relation& rel = *relations_[atom.predicate];
         if (bound_args > best_bound ||
             (bound_args == best_bound && rel.size() < best_size)) {
           best_at = i;
@@ -418,7 +419,7 @@ class PlanCache {
   }
 
   const Program& program_;
-  const std::vector<Relation>& relations_;
+  const std::vector<const Relation*>& relations_;
   const int64_t refresh_drift_;
   const JoinKernel kernel_;
   const double merge_selectivity_;
@@ -438,7 +439,7 @@ class RuleEvaluator {
  public:
   using Sink = FunctionView<void(const ConstId*)>;
 
-  explicit RuleEvaluator(const std::vector<Relation>& relations)
+  explicit RuleEvaluator(const std::vector<const Relation*>& relations)
       : relations_(relations) {}
 
   /// Runs `plan` under `kernel`. A null-relation join step (the delta
@@ -508,7 +509,7 @@ class RuleEvaluator {
     ++*applications_;
     for (const AtomTemplate& neg : plan_->negatives) {
       FillScratch(neg);
-      if (relations_[neg.predicate].Contains(scratch_.data())) return;
+      if (relations_[neg.predicate]->Contains(scratch_.data())) return;
     }
     FillScratch(plan_->head);
     (*sink_)(scratch_.data());
@@ -757,7 +758,7 @@ class RuleEvaluator {
     }
   }
 
-  const std::vector<Relation>& relations_;
+  const std::vector<const Relation*>& relations_;
   const CompiledPlan* plan_ = nullptr;
   const Relation* delta_ = nullptr;
   int32_t range_begin_ = -1;
@@ -888,10 +889,15 @@ Result<Database> EvaluateStratified(const Program& program,
           std::to_string(kEngineMaxArity));
     }
   }
-  std::vector<Relation> relations;
-  relations.reserve(num_preds);
+  // `owned` holds this evaluation's relations; `relations` is what plans
+  // read, pointing into `owned` or, for predicates options.edb keeps, at
+  // the kept relation (see EdbRelations).
+  std::vector<Relation> owned;
+  owned.reserve(num_preds);
+  std::vector<const Relation*> relations(num_preds);
   for (PredId p = 0; p < num_preds; ++p) {
-    relations.emplace_back(program.predicate(p).arity);
+    owned.emplace_back(program.predicate(p).arity);
+    relations[p] = &owned[p];
   }
 
   const int32_t num_threads = ThreadPool::EffectiveThreads(options.num_threads);
@@ -909,14 +915,28 @@ Result<Database> EvaluateStratified(const Program& program,
     if (!entry.ok()) return entry;
   }
 
-  // EDB load: stream every borrowed fact span into its columns. The source
-  // spans are sorted and duplicate-free, so the uniqueness-exploiting bulk
-  // path applies (no membership checks, prefetch-pipelined fingerprint
-  // stores). Per-predicate loads are independent — with a pool they fan
-  // out as one task per predicate.
+  // EDB load: stream every fact span into its columns, except the ones a
+  // kept relation already holds. The source spans are sorted and
+  // duplicate-free, so the uniqueness-exploiting bulk path applies (no
+  // membership checks, prefetch-pipelined fingerprint stores).
+  // Per-predicate loads are independent — with a pool they fan out as one
+  // task per predicate.
+  EdbRelations* const edb = options.edb;
+  std::vector<char> kept(num_preds, 0);
+  std::vector<PredId> to_load;
+  for (PredId p = 0; p < num_preds; ++p) {
+    kept[p] = edb != nullptr && p < edb->num_predicates() &&
+              program.IsEdb(p) && facts[p].rows > 0;
+    const Relation* relation = kept[p] ? edb->Find(p) : nullptr;
+    if (relation != nullptr) {
+      relations[p] = relation;
+    } else {
+      to_load.push_back(p);
+    }
+  }
   auto load_predicate = [&](PredId p) {
     const int64_t rows = facts[p].rows;
-    Relation& relation = relations[p];
+    Relation& relation = owned[p];
     relation.Reserve(rows);
     if (rows == 0) return;
     if (program.predicate(p).arity == 0) {
@@ -931,18 +951,36 @@ Result<Database> EvaluateStratified(const Program& program,
     relation.InsertUniqueBulk(facts[p].data, rows);
   };
   if (parallel) {
-    pool->ParallelFor(num_preds,
-                      [&](int32_t task, int32_t) { load_predicate(task); },
-                      ctx);
+    pool->ParallelFor(
+        static_cast<int32_t>(to_load.size()),
+        [&](int32_t task, int32_t) { load_predicate(to_load[task]); }, ctx);
   } else {
-    for (PredId p = 0; p < num_preds; ++p) load_predicate(p);
+    for (const PredId p : to_load) load_predicate(p);
+  }
+  // A tripped pool abandons unclaimed loads; a context that never stopped
+  // saw every load finish, so the kept relations built here are whole and
+  // can be published.
+  if (ctx != nullptr && ctx->stopped()) return ctx->status();
+  for (const PredId p : to_load) {
+    if (!kept[p]) continue;
+    edb->Publish(p, std::move(owned[p]));
+    owned[p] = Relation(program.predicate(p).arity);
+    relations[p] = edb->Find(p);
   }
   int64_t total_tuples = 0;
-  for (PredId p = 0; p < num_preds; ++p) total_tuples += relations[p].size();
+  for (PredId p = 0; p < num_preds; ++p) {
+    if (kept[p]) {
+      TIEBREAK_CHECK_EQ(relations[p]->arity(), program.predicate(p).arity);
+      TIEBREAK_CHECK_EQ(relations[p]->size(), facts[p].rows)
+          << "kept relation of predicate " << p << " differs from its span";
+    }
+    total_tuples += relations[p]->size();
+  }
   if (ctx != nullptr) {
+    // Charge what this call loaded; a borrowed relation costs it nothing.
     int64_t edb_bytes = 0;
-    for (PredId p = 0; p < num_preds; ++p) {
-      edb_bytes += relations[p].size() *
+    for (const PredId p : to_load) {
+      edb_bytes += relations[p]->size() *
                    std::max<int64_t>(program.predicate(p).arity, 1) *
                    static_cast<int64_t>(sizeof(ConstId));
     }
@@ -1032,7 +1070,7 @@ Result<Database> EvaluateStratified(const Program& program,
                                           : 0;
         const CompiledPlan& plan =
             plans.Get(job.rule, job.delta_literal, delta_size, stats);
-        Relation& head = relations[job.head];
+        Relation& head = owned[job.head];
         const int32_t head_arity = head.arity();
         const bool batch_sink = options.kernel != JoinKernel::kRow &&
                                 head_arity > 0 &&
@@ -1108,7 +1146,7 @@ Result<Database> EvaluateStratified(const Program& program,
       const RoundJob& job = jobs[task];
       WallTimer busy;
       Relation& stage = staging[worker][job.head];
-      const Relation& published = relations[job.head];
+      const Relation& published = owned[job.head];
       int64_t& staged = worker_staged[worker];
       const int32_t head_arity = published.arity();
       // Stages a row: pre-filter against the published relation (read-only;
@@ -1178,10 +1216,10 @@ Result<Database> EvaluateStratified(const Program& program,
       for (int32_t w = 0; w < num_threads; ++w) {
         Relation& stage = staging[w][p];
         if (stage.empty()) continue;
-        const int64_t added = relations[p].BulkInsert(stage);
+        const int64_t added = owned[p].BulkInsert(stage);
         stats->tuples_derived += added;
         total_tuples += added;
-        merged_bytes += added * relations[p].arity() *
+        merged_bytes += added * owned[p].arity() *
                         static_cast<int64_t>(sizeof(ConstId));
         stage.Clear();
       }
@@ -1287,11 +1325,11 @@ Result<Database> EvaluateStratified(const Program& program,
     auto advance_deltas = [&] {
       for (PredId p = 0; p < num_preds; ++p) {
         delta_begin[p] = delta_end[p];
-        delta_end[p] = relations[p].size();
+        delta_end[p] = relations[p]->size();
       }
     };
     for (PredId p = 0; p < num_preds; ++p) {
-      delta_end[p] = relations[p].size();
+      delta_end[p] = relations[p]->size();
     }
 
     // Round 0: full evaluation of every stratum rule.
@@ -1319,7 +1357,7 @@ Result<Database> EvaluateStratified(const Program& program,
           for (int32_t b : recursive_literals(rule)) {
             const PredId pred = rule.body[b].atom.predicate;
             if (delta_begin[pred] == delta_end[pred]) continue;
-            push_job(r, b, &relations[pred], delta_begin[pred],
+            push_job(r, b, relations[pred], delta_begin[pred],
                      delta_end[pred]);
           }
         } else {
@@ -1361,7 +1399,7 @@ Result<Database> EvaluateStratified(const Program& program,
   Database result(program);
   std::vector<ConstId> flat;
   for (PredId p = 0; p < num_preds; ++p) {
-    const Relation& rel = relations[p];
+    const Relation& rel = *relations[p];
     const int32_t arity = rel.arity();
     const int64_t rows = rel.size();
     if (rows == 0) continue;

@@ -81,6 +81,8 @@
 #define TIEBREAK_ENGINE_EVALUATION_H_
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "engine/relation.h"
@@ -115,6 +117,49 @@ enum class JoinKernel : uint8_t {
   /// onto the sort-merge path — the ablation that isolates the merge-join
   /// contribution.
   kMerge,
+};
+
+/// Δ's engine relations, kept across evaluations so that a caller serving
+/// many requests over one database loads and indexes each EDB relation
+/// once (the QueryPlanner does; see core/query_plan.h). Lent through
+/// EngineOptions::edb or GroundingOptions::edb, it stands for predicates
+/// [0, num_predicates()), which must keep their ids and facts in every
+/// program evaluated with it. An evaluation reads each such predicate that
+/// is EDB in its program and has facts from the relation kept here: the
+/// first evaluation loads it through the engine's one loader and publishes
+/// it only once fully built, so a context trip never leaves a partial one;
+/// later evaluations borrow it read-only, together with every probe and
+/// sorted index an earlier evaluation built on it, and charge their
+/// ExecutionContext no bytes for it. Each borrow CHECKs the
+/// relation's row count against the span passed in. Not thread-safe: one
+/// owner lends it to one evaluation at a time.
+class EdbRelations {
+ public:
+  /// Unbuilt slots for predicates [0, num_predicates).
+  explicit EdbRelations(int32_t num_predicates)
+      : relations_(static_cast<size_t>(num_predicates)) {}
+
+  /// Number of predicates this object stands for.
+  int32_t num_predicates() const {
+    return static_cast<int32_t>(relations_.size());
+  }
+
+  /// The published relation of `predicate`, or null while unbuilt.
+  const Relation* Find(PredId predicate) const {
+    TIEBREAK_CHECK_GE(predicate, 0);
+    TIEBREAK_CHECK_LT(predicate, num_predicates());
+    return relations_[predicate].get();
+  }
+
+  /// Publishes the fully built relation of `predicate` (CHECKed unbuilt).
+  void Publish(PredId predicate, Relation relation) {
+    TIEBREAK_CHECK(Find(predicate) == nullptr) << "relation published twice";
+    relations_[predicate] = std::make_unique<Relation>(std::move(relation));
+  }
+
+ private:
+  // Heap slots: borrowed pointers stay valid while later slots publish.
+  std::vector<std::unique_ptr<Relation>> relations_;
 };
 
 /// Evaluation knobs.
@@ -155,6 +200,9 @@ struct EngineOptions {
   /// kCancelled) instead of a database. The context's step/byte charges
   /// and EngineOptions::max_tuples are independent limits; both apply.
   ExecutionContext* context = nullptr;
+  /// Δ's engine relations kept across evaluations (not owned; null = load
+  /// every span per call). See EdbRelations.
+  EdbRelations* edb = nullptr;
 };
 
 /// Per-stratum timing breakdown (filled when stats are requested).

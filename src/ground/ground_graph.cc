@@ -450,7 +450,11 @@ void GroundGraph::Finalize(ThreadPool* pool) {
 std::vector<char> DeltaAtomMask(const Database& database,
                                 const GroundAtomStore& atoms) {
   std::vector<char> mask(atoms.size(), 0);
+  // An indexed store tells which predicates have atoms at all; reduced
+  // grounding interns no EDB atom, so this skips Δ's EDB relations.
+  const bool indexed = atoms.has_predicate_index();
   for (PredId p = 0; p < database.num_predicates(); ++p) {
+    if (indexed && atoms.AtomsOfPredicate(p).empty()) continue;
     const int32_t arity = database.arity(p);
     const int64_t facts = database.NumFacts(p);
     const ConstId* data = database.FactData(p);

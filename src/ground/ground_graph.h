@@ -470,7 +470,10 @@ class GroundGraph {
 /// `database`. One scan over Δ with store hash lookups — the flat
 /// replacement for calling Database::Contains once per atom with a freshly
 /// materialized Tuple (the pattern that regressed close-state
-/// construction). Interpreters use it to initialize M0(Δ) / base facts.
+/// construction). On an indexed store (has_predicate_index()) the scan
+/// skips predicates with no interned atom, so reduced groundings, which
+/// intern no EDB atom, pay nothing for Δ's EDB relations. Interpreters use
+/// it to initialize M0(Δ) / base facts.
 std::vector<char> DeltaAtomMask(const Database& database,
                                 const GroundAtomStore& atoms);
 

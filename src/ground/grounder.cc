@@ -73,7 +73,6 @@ class GrounderImpl {
         database_(database),
         options_(options),
         exec_(options.context) {
-    universe_ = ComputeUniverse(program, database);
     num_threads_ = ThreadPool::EffectiveThreads(options.num_threads);
   }
 
@@ -86,6 +85,12 @@ class GrounderImpl {
       if (!entry.ok()) return entry;
     }
     if (num_threads_ > 1) pool_ = std::make_unique<ThreadPool>(num_threads_);
+    // U is an O(|Δ|) scan, so it is computed here, before emission fans
+    // out, and only when something will enumerate over it.
+    if (NeedsUniverse()) {
+      universe_ = ComputeUniverse(program_, database_);
+      universe_ready_ = true;
+    }
     root_ctx_.graph = &graph_;
     // Δ's IDB atoms always become nodes: they carry initial truth values.
     // EDB atoms of Δ are nodes only without the EDB reduction.
@@ -130,7 +135,6 @@ class GrounderImpl {
     graph_.Finalize(pool_.get());
     GroundingResult result;
     result.graph = std::move(graph_);
-    result.universe = std::move(universe_);
     return result;
   }
 
@@ -225,7 +229,31 @@ class GrounderImpl {
     }
   }
 
+  // True when grounding enumerates over U: faithful mode, the full atom
+  // set, or a rule with a variable that no positive EDB literal (the only
+  // literals matched against Δ) binds.
+  bool NeedsUniverse() const {
+    if (!options_.reduce_edb || options_.include_all_atoms) return true;
+    std::vector<char> bound;
+    for (const Rule& rule : program_.rules()) {
+      bound.assign(rule.num_variables, 0);
+      for (const Literal& literal : rule.body) {
+        if (!literal.positive || !program_.IsEdb(literal.atom.predicate)) {
+          continue;
+        }
+        for (const Term& term : literal.atom.args) {
+          if (term.is_variable()) bound[term.index] = 1;
+        }
+      }
+      if (std::find(bound.begin(), bound.end(), 0) != bound.end()) {
+        return true;
+      }
+    }
+    return false;
+  }
+
   Status InternAllAtoms() {
+    TIEBREAK_CHECK(universe_ready_);
     for (PredId p = 0; p < program_.num_predicates(); ++p) {
       const int32_t arity = program_.predicate(p).arity;
       if (arity > 0 && universe_.empty()) continue;
@@ -268,6 +296,7 @@ class GrounderImpl {
   // ----------------------------- faithful ---------------------------------
 
   Status GroundRuleFaithful(int32_t rule_index) {
+    TIEBREAK_CHECK(universe_ready_);
     const Rule& rule = program_.rule(rule_index);
     const int32_t k = rule.num_variables;
     if (k > 0 && universe_.empty()) return Status::Ok();
@@ -349,17 +378,9 @@ class GrounderImpl {
     }
 
     bool any_engine = false;
-    Program bind_program;
-    if (engine_eligible) {
-      // Reproduce the vocabulary with identical predicate/constant ids.
-      for (PredId p = 0; p < program_.num_predicates(); ++p) {
-        bind_program.DeclarePredicate(program_.predicate_name(p),
-                                      program_.predicate(p).arity);
-      }
-      for (ConstId c = 0; c < program_.num_constants(); ++c) {
-        bind_program.InternConstant(program_.constant_name(c));
-      }
-    }
+    // Same predicate and constant ids as the program (the constant table is
+    // shared, not copied); the $bind predicates follow.
+    Program bind_program = program_.CopyVocabulary();
 
     for (int32_t r = 0; r < program_.num_rules(); ++r) {
       const Rule& rule = program_.rule(r);
@@ -426,6 +447,7 @@ class GrounderImpl {
       // checkpoints run inside the join kernels, and a trip there aborts
       // the whole grounding below.
       engine_options.context = exec_;
+      engine_options.edb = options_.edb;
       Result<Database> result = EvaluateStratified(
           bind_program, Span<const FactSpan>(edb.data(), edb.size()),
           engine_options);
@@ -780,6 +802,7 @@ class GrounderImpl {
     // universe odometer. Odometer steps stream through the same block
     // pipeline — this is the path the Theorem 6 machine workloads live on
     // (few binding rows, |U|^k instances each).
+    TIEBREAK_CHECK(universe_ready_);
     const std::vector<int32_t>& free_vars = ctx->scratch_free_vars;
     for (int64_t row = 0; row < num_rows; ++row) {
       Status s = Budget(ctx);
@@ -897,6 +920,7 @@ class GrounderImpl {
   Status EnumerateOver(EmitContext* ctx, int32_t rule_index, const Rule& rule,
                        const std::vector<int32_t>& free_vars,
                        Tuple* binding) {
+    TIEBREAK_CHECK(free_vars.empty() || universe_ready_);
     if (!free_vars.empty() && universe_.empty()) return Status::Ok();
     ctx->scratch_odo.assign(free_vars.size(), 0);
     for (int32_t var : free_vars) (*binding)[var] = universe_.front();
@@ -965,7 +989,9 @@ class GrounderImpl {
   ExecutionContext* const exec_;
   int32_t num_threads_ = 1;
   std::unique_ptr<ThreadPool> pool_;
+  // U, computed in Run() only when NeedsUniverse(); read-only afterwards.
   std::vector<ConstId> universe_;
+  bool universe_ready_ = false;
   GroundGraph graph_;
   // Instance budget: the serial counter, plus the shared atomic + stop
   // flag shard contexts flush into during parallel emission.

@@ -20,23 +20,32 @@
 //
 // Binding enumeration in reduced mode is engine-backed by default: the
 // positive EDB literals of each rule become one conjunctive "binding rule"
-// over a derived program, the whole batch is evaluated by the relational
-// engine (columnar relations, compiled/cached join plans, vectorized join
-// kernels — see engine/evaluation.h) through the borrowed-EDB entry point
-// (Δ's flat fact arenas are handed to the engine as FactSpans, no
-// intermediate Database copy), and the grounder then streams the
-// materialized binding rows out of the columnar result Database, emitting
-// rule instances straight into the CSR graph arenas with zero per-instance
-// heap allocation. Emission is block-batched: the substituted atoms of a
-// block of binding rows are hashed ahead and their dedupe slot lines
-// prefetched before any intern touches them (the Relation::InsertBatch
-// trick), and with num_threads > 1 per-rule emission jobs (row-sharded for
-// large binding relations) fan out over a thread pool into per-worker
-// graph shards that merge with an atom-id remap. The seed's
+// over a derived program (a Program::CopyVocabulary(), which shares the
+// constant table rather than copying it), the whole batch is evaluated by
+// the relational engine (columnar relations, compiled/cached join plans,
+// vectorized join kernels — see engine/evaluation.h) through the
+// borrowed-EDB entry point (Δ's flat fact arenas are handed to the engine
+// as FactSpans, no intermediate Database copy; a caller grounding many
+// times over one Δ lends kept relations through GroundingOptions::edb, so
+// each EDB relation loads and indexes once), and the grounder then streams
+// the materialized binding rows out of the columnar result Database,
+// emitting rule instances straight into the CSR graph arenas with zero
+// per-instance heap allocation. Emission is block-batched: the substituted
+// atoms of a block of binding rows are hashed ahead and their dedupe slot
+// lines prefetched before any intern touches them (the trick of
+// Relation::InsertBatch), and with num_threads > 1 per-rule emission jobs
+// (row-sharded for large binding relations) fan out over a thread pool
+// into per-worker graph shards that merge with an atom-id remap. The seed's
 // tuple-at-a-time backtracking join survives as the legacy path
 // (engine_bindings = false) — it is the reference implementation the
 // CSR/engine agreement tests compare against, and the automatic fallback
 // for rules whose bound-variable count exceeds the engine's arity cap.
+//
+// Per-call cost beyond the emitted instances: the universe U is an O(|Δ|)
+// scan, computed only when grounding enumerates over it (faithful mode,
+// include_all_atoms, or a rule variable no positive EDB literal binds), so
+// a reduced grounding of range-restricted rules over a small cone costs
+// time proportional to the cone plus the program.
 #ifndef TIEBREAK_GROUND_GROUNDER_H_
 #define TIEBREAK_GROUND_GROUNDER_H_
 
@@ -50,8 +59,9 @@
 
 namespace tiebreak {
 
-// Forward-declared; see util/execution_context.h.
+// Forward-declared; see util/execution_context.h and engine/evaluation.h.
 class ExecutionContext;
+class EdbRelations;
 
 /// Grounding knobs.
 struct GroundingOptions {
@@ -95,15 +105,20 @@ struct GroundingOptions {
   /// kCancelled); parallel shards abandon cleanly at the merge barrier.
   /// Independent of max_instances — both limits apply.
   ExecutionContext* context = nullptr;
+  /// Δ's engine relations kept across groundings, lent to the evaluation
+  /// of the binding program (not owned; null = load Δ per call). See
+  /// EdbRelations in engine/evaluation.h.
+  EdbRelations* edb = nullptr;
 };
 
-/// A finalized ground graph plus the universe it was built over.
+/// A finalized ground graph.
 struct GroundingResult {
   GroundGraph graph;
-  std::vector<ConstId> universe;  // ascending ConstIds of Π and Δ
 };
 
-/// Computes U: all constants appearing in `program`'s rules or `database`.
+/// Computes U: all constants appearing in `program`'s rules or `database`,
+/// ascending. One O(|Δ|) scan; Ground runs it only when it enumerates over
+/// U (see the file comment).
 std::vector<ConstId> ComputeUniverse(const Program& program,
                                      const Database& database);
 

@@ -279,8 +279,12 @@ Result<Database> ParseDatabase(std::string_view text, Program* program) {
 
   Parser parser(std::move(tokens), program);
   // Collect facts first: implicit predicate declarations must all land in
-  // `program` before the Database snapshot of arities is taken.
-  std::vector<std::pair<PredId, Tuple>> facts;
+  // `program` before the Database snapshot of arities is taken. Each
+  // predicate's rows gather into one flat buffer that loads with a single
+  // sort (per-fact Insert would shift the sorted arena: O(n^2) on unsorted
+  // text).
+  std::vector<std::vector<ConstId>> rows;
+  std::vector<char> propositions;
   while (parser.Peek().kind != Token::Kind::kEnd) {
     Atom atom;
     std::unordered_map<std::string, int32_t> no_vars;
@@ -289,14 +293,21 @@ Result<Database> ParseDatabase(std::string_view text, Program* program) {
     if (!s.ok()) return s;
     s = parser.Expect(Token::Kind::kPeriod, "'.' at end of fact");
     if (!s.ok()) return s;
-    Tuple tuple;
-    tuple.reserve(atom.args.size());
-    for (const Term& term : atom.args) tuple.push_back(term.index);
-    facts.emplace_back(atom.predicate, std::move(tuple));
+    if (atom.predicate >= static_cast<PredId>(rows.size())) {
+      rows.resize(atom.predicate + 1);
+      propositions.resize(atom.predicate + 1, 0);
+    }
+    if (atom.args.empty()) propositions[atom.predicate] = 1;
+    for (const Term& term : atom.args) {
+      rows[atom.predicate].push_back(term.index);
+    }
   }
 
   Database database(*program);
-  for (auto& [pred, tuple] : facts) database.Insert(pred, std::move(tuple));
+  for (PredId p = 0; p < static_cast<PredId>(rows.size()); ++p) {
+    if (propositions[p]) database.InsertProposition(p);
+    if (!rows[p].empty()) database.BulkLoadFlat(p, std::move(rows[p]));
+  }
   return database;
 }
 

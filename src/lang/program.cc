@@ -13,6 +13,23 @@ PredId Program::DeclarePredicate(std::string_view name, int32_t arity) {
   return id;
 }
 
+Program Program::CopyVocabulary() const {
+  Program out;
+  out.predicates_ = predicates_;
+  out.predicate_names_ = predicate_names_;
+  out.constants_ = constants_;
+  return out;
+}
+
+ConstId Program::InternConstant(std::string_view name) {
+  if (constants_.use_count() > 1) {
+    const ConstId existing = constants_->Lookup(name);
+    if (existing >= 0) return existing;
+    constants_ = std::make_shared<SymbolTable>(*constants_);
+  }
+  return constants_->Intern(name);
+}
+
 void Program::AddRule(Rule rule) {
   rules_.push_back(std::move(rule));
   head_index_valid_ = false;

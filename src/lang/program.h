@@ -4,6 +4,7 @@
 #ifndef TIEBREAK_LANG_PROGRAM_H_
 #define TIEBREAK_LANG_PROGRAM_H_
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,8 +26,22 @@ struct PredicateInfo {
 /// Construction protocol: declare predicates/constants, add rules, then call
 /// Validate() once; EDB flags and per-predicate rule indexes are computed
 /// lazily and invalidated by further mutation.
+///
+/// The constant table is copy-on-write: copies of a program, and programs
+/// derived through CopyVocabulary(), share one table, and a program copies
+/// it only when it interns a name the shared table lacks. Copying a program
+/// therefore costs O(predicates + rules), not O(constants), and every
+/// sharer keeps the ConstIds it had. Sharers may be read from any threads;
+/// a program interning a new name must not race with another sharer that
+/// interns or is destroyed at the same time (the table's reference count is
+/// what tells a program it holds the table alone).
 class Program {
  public:
+  /// A program with this one's predicates (same ids, names and arities)
+  /// and constants (same ids; the table is shared, see the class comment)
+  /// but no rules: the starting point of every derived program.
+  Program CopyVocabulary() const;
+
   /// Declares (or finds) a predicate. Re-declaring with a different arity is
   /// an error surfaced by Validate(); the first arity wins until then.
   PredId DeclarePredicate(std::string_view name, int32_t arity);
@@ -36,13 +51,12 @@ class Program {
     return predicate_names_.Lookup(name);
   }
 
-  /// Interns a constant symbol.
-  ConstId InternConstant(std::string_view name) {
-    return constants_.Intern(name);
-  }
+  /// Interns a constant symbol. A new name first copies the constant table
+  /// when other programs share it; they keep their size and ids.
+  ConstId InternConstant(std::string_view name);
   /// Returns the id of a known constant or -1.
   ConstId LookupConstant(std::string_view name) const {
-    return constants_.Lookup(name);
+    return constants_->Lookup(name);
   }
 
   /// Appends a rule. The rule must reference declared predicates; full
@@ -54,12 +68,14 @@ class Program {
   /// to grounding, analysis or evaluation.
   Status Validate() const;
 
+  /// Sizes of the predicate table, the constant table and the rule list.
   int32_t num_predicates() const {
     return static_cast<int32_t>(predicates_.size());
   }
-  int32_t num_constants() const { return constants_.size(); }
+  int32_t num_constants() const { return constants_->size(); }
   int32_t num_rules() const { return static_cast<int32_t>(rules_.size()); }
 
+  /// Declaration, name, constant name and rule accessors; ids are CHECKed.
   const PredicateInfo& predicate(PredId p) const {
     TIEBREAK_CHECK_GE(p, 0);
     TIEBREAK_CHECK_LT(p, num_predicates());
@@ -69,7 +85,7 @@ class Program {
     return predicate(p).name;
   }
   const std::string& constant_name(ConstId c) const {
-    return constants_.Name(c);
+    return constants_->Name(c);
   }
   const Rule& rule(int32_t r) const {
     TIEBREAK_CHECK_GE(r, 0);
@@ -93,7 +109,8 @@ class Program {
 
   std::vector<PredicateInfo> predicates_;
   SymbolTable predicate_names_;
-  SymbolTable constants_;
+  // Shared copy-on-write; see the class comment and InternConstant.
+  std::shared_ptr<SymbolTable> constants_ = std::make_shared<SymbolTable>();
   std::vector<Rule> rules_;
 
   // Lazy caches (invalidated by AddRule/DeclarePredicate).

@@ -43,12 +43,14 @@ class SymbolTable {
     return it == index_.end() ? -1 : it->second;
   }
 
+  /// The name interned under `id` (CHECKed to be a valid id).
   const std::string& Name(int32_t id) const {
     TIEBREAK_CHECK_GE(id, 0);
     TIEBREAK_CHECK_LT(id, static_cast<int32_t>(names_.size()));
     return names_[id];
   }
 
+  /// Number of interned names; ids are exactly [0, size()).
   int32_t size() const { return static_cast<int32_t>(names_.size()); }
 
  private:

@@ -110,14 +110,7 @@ Result<Program> RenamePredicates(
 }
 
 Result<Program> MergePrograms(const Program& a, const Program& b) {
-  Program out;
-  for (PredId p = 0; p < a.num_predicates(); ++p) {
-    out.DeclarePredicate(a.predicate(p).name, a.predicate(p).arity);
-  }
-  for (ConstId c = 0; c < a.num_constants(); ++c) {
-    out.InternConstant(a.constant_name(c));
-  }
-  for (const Rule& rule : a.rules()) out.AddRule(rule);
+  Program out = a;
 
   // b's predicates/constants map into the merged tables by name.
   std::vector<PredId> pred_map(b.num_predicates());
@@ -228,16 +221,14 @@ Result<DemandTransform> MagicSetTransform(const Program& program,
     }
   }
 
-  // Declare the shared vocabulary: original predicates at their original
-  // ids in both programs, then the magic predicates (ascending original
-  // id, so both programs agree), then `demand`'s seed predicate last.
-  // '$' cannot appear in parsed identifiers, so the generated names never
-  // collide with user predicates.
-  for (PredId p = 0; p < P; ++p) {
-    const PredicateInfo& info = program.predicate(p);
-    TIEBREAK_CHECK_EQ(out.demand.DeclarePredicate(info.name, info.arity), p);
-    TIEBREAK_CHECK_EQ(out.guarded.DeclarePredicate(info.name, info.arity), p);
-  }
+  // The shared vocabulary: original predicates and constants at their
+  // original ids in both programs (the constant table is shared, not
+  // copied), then the magic predicates (ascending original id, so both
+  // programs agree), then `demand`'s seed predicate last. '$' cannot appear
+  // in parsed identifiers, so the generated names never collide with user
+  // predicates.
+  out.demand = program.CopyVocabulary();
+  out.guarded = program.CopyVocabulary();
   for (PredId p = 0; p < P; ++p) {
     if (!relevant[p]) continue;
     const int32_t bound_arity = static_cast<int32_t>(
@@ -246,10 +237,6 @@ Result<DemandTransform> MagicSetTransform(const Program& program,
     out.magic[p] = out.demand.DeclarePredicate(name, bound_arity);
     TIEBREAK_CHECK_EQ(out.guarded.DeclarePredicate(name, bound_arity),
                       out.magic[p]);
-  }
-  for (ConstId c = 0; c < program.num_constants(); ++c) {
-    out.demand.InternConstant(program.constant_name(c));
-    out.guarded.InternConstant(program.constant_name(c));
   }
   for (int32_t i = 0; i < query_arity; ++i) {
     if (out.adornments[query_pred][i] == 'b') out.seed_positions.push_back(i);

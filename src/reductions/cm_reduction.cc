@@ -224,14 +224,7 @@ Result<Database> NaturalDatabase(CmReduction* reduction, int32_t t) {
 }
 
 Program UniformTotalityTransform(const Program& program) {
-  Program out;
-  for (PredId p = 0; p < program.num_predicates(); ++p) {
-    out.DeclarePredicate(program.predicate(p).name,
-                         program.predicate(p).arity);
-  }
-  for (ConstId c = 0; c < program.num_constants(); ++c) {
-    out.InternConstant(program.constant_name(c));
-  }
+  Program out = program.CopyVocabulary();
   const PredId q = out.DeclarePredicate("q_total", 0);
 
   // Every original rule gets ¬q_total appended.

@@ -295,6 +295,55 @@ TEST(EngineTest, TransitiveClosureMatchesFloydWarshall) {
   }
 }
 
+// Kept EDB relations: the first evaluation lent an EdbRelations publishes
+// the EDB relations it loads, later ones borrow the same objects, and every
+// result equals the per-call load, at every thread count. IDB relations
+// (even with Δ facts) and EDB spans passed empty are never kept.
+TEST(EngineTest, KeptEdbRelationsMatchPerCallLoads) {
+  Instance inst = ParseInstance(
+      "t(X, Y) :- e(X, Y).\nt(X, Z) :- e(X, Y), t(Y, Z).\n"
+      "s(X) :- e(X, X), not u(X).",
+      "e(a, b). e(b, c). e(c, a). e(c, c). e(d, c). u(c). t(d, d).");
+  const PredId e = inst.program.LookupPredicate("e");
+  const PredId u = inst.program.LookupPredicate("u");
+  const PredId t = inst.program.LookupPredicate("t");
+  const Result<Database> reference =
+      EvaluateStratified(inst.program, inst.database);
+  ASSERT_TRUE(reference.ok());
+
+  EdbRelations edb(inst.database.num_predicates());
+  const Relation* kept_e = nullptr;
+  for (const int32_t threads : {1, 4, 1, 4}) {
+    EngineOptions options;
+    options.num_threads = threads;
+    options.edb = &edb;
+    const Result<Database> result =
+        EvaluateStratified(inst.program, inst.database, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(*result == *reference) << threads << " threads";
+    if (kept_e == nullptr) kept_e = edb.Find(e);
+    ASSERT_NE(kept_e, nullptr);
+    EXPECT_EQ(edb.Find(e), kept_e);
+    EXPECT_EQ(kept_e->size(), 5);
+    EXPECT_NE(edb.Find(u), nullptr);
+    EXPECT_EQ(edb.Find(t), nullptr);
+  }
+
+  // Only e's span: u is not borrowed, so ¬u(c) holds and s(c) is derived.
+  std::vector<FactSpan> spans(inst.program.num_predicates());
+  spans[e] = inst.database.Facts(e);
+  EngineOptions options;
+  options.edb = &edb;
+  const Result<Database> without_u = EvaluateStratified(
+      inst.program, Span<const FactSpan>(spans.data(), spans.size()),
+      options);
+  ASSERT_TRUE(without_u.ok());
+  const PredId s = inst.program.LookupPredicate("s");
+  EXPECT_EQ(without_u->NumFacts(s), 1);
+  EXPECT_EQ(reference->NumFacts(s), 0);
+  EXPECT_EQ(edb.Find(e), kept_e);
+}
+
 TEST(EngineTest, NaiveAndSemiNaiveAgree) {
   Rng rng(123);
   for (int round = 0; round < 15; ++round) {

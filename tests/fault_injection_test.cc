@@ -5,9 +5,11 @@
 // kCancelled Status (or a sound truncated partial result), and full
 // agreement with a clean run afterwards. Run under ASan/UBSan by
 // scripts/check.sh to catch unwind-path leaks and UB.
+#include <algorithm>
 #include <vector>
 
 #include "core/completion.h"
+#include "core/query_plan.h"
 #include "core/well_founded.h"
 #include "ground/grounder.h"
 #include "gtest/gtest.h"
@@ -202,6 +204,70 @@ TEST(FaultInjectionTest, StableModelSearchSurvivesTripAtEveryCheckpoint) {
 
   ExecutionContext rerun_context;
   EXPECT_EQ(RunStableModelPipeline(&rerun_context), clean_models);
+}
+
+// Sorted bindings: demand and full grounding may report them in different
+// orders (different graphs), never different sets.
+std::vector<Tuple> Sorted(std::vector<Tuple> bindings) {
+  std::sort(bindings.begin(), bindings.end());
+  return bindings;
+}
+
+// A planner's first demand request builds Δ's kept engine relations. Trip
+// it at each of its checkpoints: it unwinds to a truncated answer, and clean
+// requests on the same planner, which borrow whatever the tripped request
+// published, agree with full grounding (which loads Δ per call).
+TEST(FaultInjectionTest, KeptRelationsSurviveTripOfTheFirstQuery) {
+  Program program = WinMoveProgram();
+  Rng rng(7);
+  const Database database =
+      *RandomDigraphDatabase(&program, "move", 64, 160, &rng);
+  for (const int32_t threads : {1, 4}) {
+    QueryOptions options;
+    options.num_threads = threads;
+    const auto first_request = [&](QueryPlanner* planner,
+                                   ExecutionContext* context) {
+      QueryOptions governed = options;
+      governed.context = context;
+      return planner->Execute("win(n0)", governed);
+    };
+    fault_injection::CountCheckpoints();
+    {
+      QueryPlanner planner(program, database);
+      ExecutionContext count_context;
+      ASSERT_TRUE(first_request(&planner, &count_context).ok());
+    }
+    const int64_t checkpoints = fault_injection::CheckpointsObserved();
+    fault_injection::Disarm();
+    ASSERT_GT(checkpoints, 0);
+
+    for (int64_t n = 0; n < checkpoints; ++n) {
+      QueryPlanner planner(program, database);
+      fault_injection::TripAtCheckpoint(n);
+      ExecutionContext context;
+      const Result<QueryResult> tripped = first_request(&planner, &context);
+      fault_injection::Disarm();
+      ASSERT_TRUE(tripped.ok()) << "checkpoint " << n;
+      ASSERT_TRUE(context.stopped()) << "checkpoint " << n;
+      EXPECT_EQ(tripped->truncation.code(), StatusCode::kCancelled)
+          << "checkpoint " << n;
+      for (const char* pattern : {"win(n0)", "win(X)", "win(n9)"}) {
+        const Result<QueryResult> demand = planner.Execute(pattern, options);
+        QueryOptions full = options;
+        full.mode = QueryMode::kFullGround;
+        const Result<QueryResult> oracle = planner.Execute(pattern, full);
+        ASSERT_TRUE(demand.ok() && oracle.ok()) << "checkpoint " << n;
+        EXPECT_TRUE(demand->truncation.ok()) << "checkpoint " << n;
+        EXPECT_EQ(Sorted(demand->true_bindings),
+                  Sorted(oracle->true_bindings))
+            << pattern << " after a trip at checkpoint " << n;
+        EXPECT_EQ(Sorted(demand->undefined_bindings),
+                  Sorted(oracle->undefined_bindings))
+            << pattern << " after a trip at checkpoint " << n;
+      }
+      EXPECT_EQ(planner.stats().fallbacks, 0) << "checkpoint " << n;
+    }
+  }
 }
 
 }  // namespace

@@ -115,13 +115,11 @@ void ExpectAtomStoreConsistent(const Instance& inst,
 }
 
 // Structural agreement between two groundings of the same instance: same
-// universe, same atom set (ids may differ; compared via keys) and the same
-// rule-instance multiset. This is the equivalence contract shared by the
-// engine-vs-legacy and the parallel-vs-serial grounder comparisons.
+// atom set (ids may differ; compared via keys) and the same rule-instance
+// multiset. This is the equivalence contract shared by the engine-vs-legacy
+// and the parallel-vs-serial grounder comparisons.
 void ExpectGraphsAgree(const GroundingResult& actual,
                        const GroundingResult& expected) {
-  EXPECT_EQ(actual.universe, expected.universe);
-
   ASSERT_EQ(actual.graph.num_atoms(), expected.graph.num_atoms());
   for (AtomId a = 0; a < expected.graph.num_atoms(); ++a) {
     EXPECT_GE(actual.graph.atoms().Lookup(
@@ -544,6 +542,48 @@ TEST(GroundCsrTest, UnrelatedEdbFactsDoNotChargeBudget) {
   Result<GroundingResult> g = Ground(inst.program, inst.database, options);
   ASSERT_TRUE(g.ok()) << g.status().ToString();
   EXPECT_EQ(g->graph.num_rules(), 2);
+}
+
+// DeltaAtomMask skips predicates without atoms only on an indexed store.
+// Reduced grounding interns no EDB atom, faithful grounding interns them
+// all, and a uniform Δ's IDB facts (win(c), and win(z), which no rule
+// instance mentions) must be marked either way.
+TEST(GroundCsrTest, DeltaAtomMaskIndexedAndUnindexed) {
+  Instance inst = ParseInstance(
+      "win(X) :- move(X, Y), not win(Y).",
+      "move(a, b). move(b, c). move(c, d). win(c). win(z).");
+  const PredId win = inst.program.LookupPredicate("win");
+  const PredId move = inst.program.LookupPredicate("move");
+  for (const bool reduce : {true, false}) {
+    GroundingOptions options;
+    options.reduce_edb = reduce;
+    const GroundingResult g = GroundOrDie(inst, options);
+    const GroundAtomStore& indexed = g.graph.atoms();
+    ASSERT_TRUE(indexed.has_predicate_index());
+    EXPECT_EQ(indexed.AtomsOfPredicate(move).empty(), reduce);
+    GroundAtomStore unindexed;
+    for (AtomId a = 0; a < indexed.size(); ++a) {
+      unindexed.Intern(indexed.PredicateOf(a), indexed.TupleOf(a));
+    }
+    ASSERT_FALSE(unindexed.has_predicate_index());
+
+    const std::vector<char> mask = DeltaAtomMask(inst.database, indexed);
+    EXPECT_EQ(DeltaAtomMask(inst.database, unindexed), mask);
+    int32_t marked = 0;
+    for (AtomId a = 0; a < indexed.size(); ++a) {
+      EXPECT_EQ(mask[a] != 0, inst.database.Contains(indexed.PredicateOf(a),
+                                                     indexed.TupleOf(a)))
+          << "atom " << a;
+      marked += mask[a];
+    }
+    for (const char* name : {"c", "z"}) {
+      const AtomId fact =
+          indexed.Lookup(win, {inst.program.LookupConstant(name)});
+      ASSERT_GE(fact, 0) << name;
+      EXPECT_EQ(mask[fact], 1) << name;
+    }
+    EXPECT_EQ(marked, reduce ? 2 : 5);
+  }
 }
 
 TEST(GroundCsrTest, CuratedProgramFamilies) {

@@ -94,7 +94,7 @@ TEST(GrounderTest, FaithfulInstanceCountIsUniverseToTheK) {
   GroundingOptions options;
   options.reduce_edb = false;
   const GroundingResult g = MustGround(inst, options);
-  EXPECT_EQ(g.universe.size(), 3u);
+  EXPECT_EQ(ComputeUniverse(inst.program, inst.database).size(), 3u);
   EXPECT_EQ(g.graph.num_rules(), 9);  // |U|^2 instances of the one rule
 }
 
@@ -168,7 +168,7 @@ TEST(GrounderTest, PropositionalProgramGrounds) {
   const GroundingResult g = MustGround(inst);
   EXPECT_EQ(g.graph.num_atoms(), 2);
   EXPECT_EQ(g.graph.num_rules(), 2);
-  EXPECT_TRUE(g.universe.empty());
+  EXPECT_TRUE(ComputeUniverse(inst.program, inst.database).empty());
 }
 
 TEST(GrounderTest, RepeatedVariableInGeneratorLiteral) {

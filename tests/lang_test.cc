@@ -1,7 +1,9 @@
 // Tests for the language layer: parsing, printing (round-trips), program
 // validation, EDB/IDB classification, databases, skeletons / alphabetic
 // variants, and the program graph G(Π).
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "lang/database.h"
@@ -204,6 +206,89 @@ TEST(DatabaseTest, BulkLoadMatchesPerTupleInsert) {
   bulk.BulkLoad(e, std::move(batch2));  // second load merges into non-empty
   EXPECT_TRUE(bulk == reference);
   EXPECT_EQ(bulk.TotalFacts(), reference.TotalFacts());
+}
+
+TEST(DatabaseTest, ParseIgnoresFactOrderAndDuplicates) {
+  // Facts load per predicate in one sorted bulk load, so the order and
+  // repetition of the text must not show in the database.
+  Program p = MustParse("w(X) :- m(X, Y), not w(Y).\nq :- r.");
+  std::vector<std::string> facts;
+  for (int i = 0; i < 50; ++i) {
+    facts.push_back("m(c" + std::to_string(i) + ", c" +
+                    std::to_string((i * 17 + 3) % 50) + ").");
+    facts.push_back("m(c" + std::to_string(i) + ", c" +
+                    std::to_string((i * 29 + 1) % 50) + ").");
+  }
+  facts.push_back("r.");
+  facts.push_back("w(c7).");
+  std::vector<std::string> sorted = facts;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<std::string> shuffled = facts;
+  for (size_t i = 0; i < shuffled.size(); ++i) {
+    std::swap(shuffled[i], shuffled[(i * 37 + 11) % shuffled.size()]);
+  }
+  std::string sorted_text, shuffled_text, duplicated_text;
+  for (const std::string& fact : sorted) sorted_text += fact + "\n";
+  for (const std::string& fact : shuffled) {
+    shuffled_text += fact + " ";
+    duplicated_text += fact + " " + fact + " ";
+  }
+  Result<Database> from_sorted = ParseDatabase(sorted_text, &p);
+  Result<Database> from_shuffled = ParseDatabase(shuffled_text, &p);
+  Result<Database> from_duplicated = ParseDatabase(duplicated_text, &p);
+  ASSERT_TRUE(from_sorted.ok() && from_shuffled.ok() && from_duplicated.ok());
+  EXPECT_TRUE(*from_sorted == *from_shuffled);
+  EXPECT_TRUE(*from_sorted == *from_duplicated);
+  Database reference(p);
+  for (const std::string& fact : facts) {
+    Result<Database> one = ParseDatabase(fact, &p);
+    ASSERT_TRUE(one.ok());
+    for (PredId pred = 0; pred < one->num_predicates(); ++pred) {
+      for (const Tuple& tuple : one->Tuples(pred)) {
+        reference.Insert(pred, tuple);
+      }
+    }
+  }
+  EXPECT_TRUE(*from_sorted == reference);
+}
+
+// ---------------------------------------------------------------------------
+// The copy-on-write constant table.
+// ---------------------------------------------------------------------------
+
+TEST(ProgramTest, InterningIntoACopyLeavesTheOriginalAlone) {
+  Program original = MustParse("p(X) :- e(X, a), not q(b).");
+  const int32_t size = original.num_constants();
+  const ConstId a = original.LookupConstant("a");
+  const ConstId b = original.LookupConstant("b");
+
+  Program copy = original;
+  const ConstId fresh = copy.InternConstant("fresh");
+  EXPECT_EQ(fresh, size);
+  EXPECT_EQ(copy.num_constants(), size + 1);
+  EXPECT_EQ(original.num_constants(), size);
+  EXPECT_EQ(original.LookupConstant("fresh"), -1);
+  EXPECT_EQ(copy.LookupConstant("a"), a);
+  EXPECT_EQ(copy.InternConstant("b"), b);  // known names never copy or move
+
+  // The reverse: the original interns, the copy keeps its own table.
+  EXPECT_EQ(original.InternConstant("other"), size);
+  EXPECT_EQ(copy.constant_name(size), "fresh");
+  EXPECT_EQ(original.constant_name(size), "other");
+  EXPECT_EQ(copy.LookupConstant("other"), -1);
+
+  // A vocabulary copy shares ids, keeps predicates and drops rules.
+  const Program vocabulary = original.CopyVocabulary();
+  EXPECT_EQ(vocabulary.num_rules(), 0);
+  EXPECT_EQ(vocabulary.num_predicates(), original.num_predicates());
+  for (PredId q = 0; q < original.num_predicates(); ++q) {
+    EXPECT_EQ(vocabulary.predicate_name(q), original.predicate_name(q));
+    EXPECT_EQ(vocabulary.predicate(q).arity, original.predicate(q).arity);
+  }
+  EXPECT_EQ(vocabulary.num_constants(), original.num_constants());
+  for (ConstId c = 0; c < original.num_constants(); ++c) {
+    EXPECT_EQ(vocabulary.constant_name(c), original.constant_name(c));
+  }
 }
 
 // ---------------------------------------------------------------------------

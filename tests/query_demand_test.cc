@@ -233,6 +233,67 @@ TEST(QueryDemandTest, PlanCacheHitsAcrossConstants) {
   EXPECT_EQ(planner.stats().full_queries, 1);
 }
 
+// A pattern constant new to the constant table, served after the plans
+// were built: the planner's program copies the shared table once, the
+// plans keep theirs, and every answer still agrees with full grounding.
+TEST(QueryDemandTest, NewConstantAfterPlansWereBuilt) {
+  Instance inst = ParseInstance(
+      "t(X, Y) :- e(X, Y).\nt(X, Z) :- e(X, Y), t(Y, Z).\n"
+      "win(X) :- e(X, Y), not win(Y).",
+      "e(a, b). e(b, c). e(c, a). e(c, d).");
+  QueryPlanner planner(inst.program, inst.database);
+  const int32_t constants = inst.program.num_constants();
+  ExpectModesAgree(&planner, inst.program, "t(a, Y)");
+  ExpectModesAgree(&planner, inst.program, "win(b)");
+  for (const char* pattern :
+       {"t(fresh, Y)", "win(fresh)", "t(X, fresh)", "win(other)"}) {
+    const QueryResult result =
+        ExpectModesAgree(&planner, inst.program, pattern);
+    EXPECT_TRUE(result.true_bindings.empty()) << pattern;
+    EXPECT_TRUE(result.undefined_bindings.empty()) << pattern;
+  }
+  // Known constants after the new ones, on old and new plans alike.
+  for (const char* pattern : {"t(b, Y)", "win(c)", "t(X, d)", "win(X)"}) {
+    ExpectModesAgree(&planner, inst.program, pattern);
+  }
+  EXPECT_EQ(inst.program.num_constants(), constants);
+  EXPECT_EQ(inst.program.LookupConstant("fresh"), -1);
+  EXPECT_EQ(planner.stats().fallbacks, 0);
+}
+
+// One planner keeps Δ's engine relations across requests: interleaved
+// point, scan and absent-constant patterns, several plans (hence several
+// probe masks on the kept relations) and both thread counts reuse them,
+// and every answer agrees with full grounding, which loads Δ per call. A
+// second planner over the same database keeps its own relations.
+TEST(QueryDemandTest, KeptRelationsServeInterleavedRequests) {
+  Result<Program> parsed = ParseProgram(
+      "t(X, Y) :- e(X, Y).\nt(X, Z) :- e(X, Y), t(Y, Z).\n"
+      "win(X) :- e(X, Y), not win(Y).");
+  ASSERT_TRUE(parsed.ok());
+  Program program = std::move(*parsed);
+  Rng rng(17);
+  Result<Database> database =
+      RandomDigraphDatabase(&program, "e", 40, 90, &rng);
+  ASSERT_TRUE(database.ok());
+  QueryPlanner first(program, *database);
+  QueryPlanner second(program, *database);
+  const std::vector<std::string> patterns = {
+      "win(n3)", "t(n1, Y)", "win(X)",  "t(X, n5)", "win(absent)",
+      "t(n7, Y)", "win(n3)", "t(X, Y)", "t(absent, Y)", "win(n11)"};
+  for (int round = 0; round < 2; ++round) {
+    for (const int32_t threads : {1, 4}) {
+      const int32_t other_threads = threads == 1 ? 4 : 1;
+      for (const std::string& pattern : patterns) {
+        ExpectModesAgree(&first, program, pattern, threads);
+        ExpectModesAgree(&second, program, pattern, other_threads);
+      }
+    }
+  }
+  EXPECT_EQ(first.stats().fallbacks, 0);
+  EXPECT_EQ(first.stats().plans_built, 5);
+}
+
 // ---------------------------------------------------------------------------
 // Randomized stratified and unstratified programs.
 // ---------------------------------------------------------------------------

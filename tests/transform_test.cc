@@ -2,16 +2,19 @@
 // call-consistency (per-instance Theorem 1).
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/exploration.h"
 #include "core/perfect_model.h"
 #include "core/stratification.h"
+#include "core/structural_totality.h"
 #include "engine/evaluation.h"
 #include "core/tie_breaking.h"
 #include "gtest/gtest.h"
 #include "lang/printer.h"
 #include "lang/skeleton.h"
 #include "lang/transform.h"
+#include "reductions/cm_reduction.h"
 #include "test_util.h"
 #include "workload/databases.h"
 #include "workload/programs.h"
@@ -223,6 +226,39 @@ TEST(MagicSetTest, InvalidInputsRejected) {
   // Out-of-range predicate.
   EXPECT_EQ(MagicSetTransform(inst.program, 99, "b").status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// Every derived program starts from CopyVocabulary(): it shares the source's
+// constant table, so ConstIds agree, and interning into it leaves the source
+// untouched.
+TEST(DerivedProgramTest, DerivedProgramsKeepConstIds) {
+  Instance inst = ParseInstance(
+      "win(X) :- move(X, Y), not win(Y), not banned(b).\nwin(a) :- base.",
+      "move(a, b). move(b, c). move(c, d).");
+  const Program& source = inst.program;
+  const int32_t constants = source.num_constants();
+  const PredId win = source.LookupPredicate("win");
+  Result<DemandTransform> transform = MagicSetTransform(source, win, "b");
+  ASSERT_TRUE(transform.ok());
+  Result<Program> merged =
+      MergePrograms(source, ParseInstance("other(X) :- move(X, e).").program);
+  ASSERT_TRUE(merged.ok());
+  const std::vector<Program> derived = {
+      transform->demand, transform->guarded, *merged,
+      ReduceProgram(source).program, UniformTotalityTransform(source)};
+  for (const Program& program : derived) {
+    ASSERT_GE(program.num_constants(), constants);
+    for (ConstId c = 0; c < constants; ++c) {
+      EXPECT_EQ(program.constant_name(c), source.constant_name(c));
+      EXPECT_EQ(program.LookupConstant(source.constant_name(c)), c);
+    }
+    Program copy = program;
+    EXPECT_EQ(copy.InternConstant("brand_new"), program.num_constants());
+    EXPECT_EQ(source.num_constants(), constants);
+    EXPECT_EQ(source.LookupConstant("brand_new"), -1);
+  }
+  // The merged program interned b's new constant "e" after a's.
+  EXPECT_EQ(merged->LookupConstant("e"), constants);
 }
 
 // ---------------------------------------------------------------------------
