@@ -7,11 +7,14 @@
 // bench_util.h): emits BENCH_grounding.json with per-workload wall time,
 // ground-graph nodes (atoms + ground rules), nodes/sec, the thread count,
 // and the recorded serial baseline so every PR can show its perf delta.
+// Every reduced workload is recorded twice in one run, at 1 thread and at
+// --threads N; the two rows share a name and differ in num_threads, so the
+// 4-core curve of grounding is a rerunnable row.
 //
 // Usage: bench_grounding [output.json] [--threads N] [--reps N]
-//   --threads N   GroundingOptions::num_threads for the reduced workloads
-//                 (0 = hardware concurrency; default 1 — the committed
-//                 JSON records the serial reference path)
+//   --threads N   GroundingOptions::num_threads of the second row of each
+//                 reduced workload (0 = hardware concurrency; default 4;
+//                 a value that resolves to 1 thread records one row)
 //   --reps N      repetitions per workload (best-of; default 3)
 #include <cstdio>
 #include <cstdlib>
@@ -45,9 +48,9 @@ constexpr benchutil::BaselineEntry kBaseline[] = {
     {"ground_winmove_65536", 5148112.0},
 };
 
-benchutil::Row Measure(const std::string& name, const Program& program,
-                       const Database& database, GroundingOptions options,
-                       int reps, int32_t num_threads) {
+benchutil::Row MeasureAt(const std::string& name, const Program& program,
+                         const Database& database, GroundingOptions options,
+                         int reps, int32_t num_threads) {
   options.num_threads = num_threads;
   benchutil::Row out;
   out.name = name;
@@ -70,10 +73,22 @@ benchutil::Row Measure(const std::string& name, const Program& program,
   return out;
 }
 
+// Appends the serial row of a workload and, when `num_threads` resolves
+// to more than one thread, its parallel row.
+void Measure(const std::string& name, const Program& program,
+             const Database& database, const GroundingOptions& options,
+             int reps, int32_t num_threads, std::vector<benchutil::Row>* out) {
+  out->push_back(MeasureAt(name, program, database, options, reps, 1));
+  if (ThreadPool::EffectiveThreads(num_threads) > 1) {
+    out->push_back(
+        MeasureAt(name, program, database, options, reps, num_threads));
+  }
+}
+
 int Main(int argc, char** argv) {
   std::string json_path = "BENCH_grounding.json";
   int reps = 3;
-  int32_t num_threads = 1;  // serial reference; see the usage comment
+  int32_t num_threads = 4;  // the parallel row; see the usage comment
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     // Strict integer parse: a typo like "--threads 4x" must not silently
@@ -108,22 +123,22 @@ int Main(int argc, char** argv) {
     Database db = *RandomDigraphDatabase(&program, "move", 64, 128, &rng);
     GroundingOptions options;
     options.reduce_edb = false;  // faithful mode grounds serially
-    results.push_back(Measure("ground_faithful_winmove_64", program, db,
-                              options, reps, 1));
+    results.push_back(MeasureAt("ground_faithful_winmove_64", program, db,
+                                options, reps, 1));
   }
   {
     Program program = WinMoveProgram();
     Rng rng(1);
     Database db = *RandomDigraphDatabase(&program, "move", 4096, 8192, &rng);
-    results.push_back(Measure("ground_reduced_winmove_4096", program, db, {},
-                              reps, num_threads));
+    Measure("ground_reduced_winmove_4096", program, db, {}, reps,
+            num_threads, &results);
   }
   {
     const CounterMachine machine = MakeTransferMachine(3);
     CmReduction reduction = CounterMachineToProgram(machine);
     const Database db = NaturalDatabase(&reduction, 16).value();
-    results.push_back(Measure("ground_theorem6_transfer_t16",
-                              reduction.program, db, {}, reps, num_threads));
+    Measure("ground_theorem6_transfer_t16", reduction.program, db, {}, reps,
+            num_threads, &results);
   }
   {
     Rng rng(9);
@@ -132,8 +147,8 @@ int Main(int argc, char** argv) {
     options.num_rules = 10;
     Program program = RandomProgram(&rng, options);
     Database db = *RandomEdbDatabase(&program, 64, 0.4, &rng);
-    results.push_back(Measure("ground_random_unary_64", program, db, {},
-                              reps, num_threads));
+    Measure("ground_random_unary_64", program, db, {}, reps, num_threads,
+            &results);
   }
   // Million-node workloads: the Theorem 6 machine simulation over 64
   // naturals (~3.2M ground-graph nodes; long succ-chain generator lists
@@ -146,9 +161,8 @@ int Main(int argc, char** argv) {
     const Database db = NaturalDatabase(&reduction, 64).value();
     GroundingOptions options;
     options.max_instances = 50'000'000;
-    results.push_back(Measure("ground_theorem6_transfer_t64",
-                              reduction.program, db, options, reps,
-                              num_threads));
+    Measure("ground_theorem6_transfer_t64", reduction.program, db, options,
+            reps, num_threads, &results);
   }
   {
     Program program = WinMoveProgram();
@@ -157,8 +171,8 @@ int Main(int argc, char** argv) {
         *LargeRandomDigraphDatabase(&program, "move", 65536, 262144, &rng);
     GroundingOptions options;
     options.max_instances = 50'000'000;
-    results.push_back(Measure("ground_winmove_65536", program, db, options,
-                              reps, num_threads));
+    Measure("ground_winmove_65536", program, db, options, reps, num_threads,
+            &results);
   }
 
   benchutil::PrintTable(results, kBaseline, "nodes");

@@ -11,7 +11,8 @@
 // nodes/sec, and the recorded baseline so every PR can show its perf
 // delta.
 //
-// Usage: bench_interpreters [output.json] (default BENCH_interpreters.json)
+// Usage: bench_interpreters [output.json] (default BENCH_interpreters.json);
+// any flag is rejected with exit status 1.
 #include <string>
 #include <vector>
 
@@ -100,8 +101,8 @@ benchutil::Row Measure(const std::string& name, const Board& board,
 }
 
 int Main(int argc, char** argv) {
-  const std::string json_path =
-      argc > 1 ? argv[1] : "BENCH_interpreters.json";
+  std::string json_path = "BENCH_interpreters.json";
+  if (!benchutil::ParseJsonPathOnly(argc, argv, &json_path)) return 1;
   std::vector<benchutil::Row> results;
 
   {

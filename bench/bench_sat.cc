@@ -14,7 +14,8 @@
 // model counts and SAT/UNSAT answers are CHECKed, so the harness doubles as
 // an end-to-end agreement test between solver generations.
 //
-// Usage: bench_sat [output.json] (default BENCH_sat.json)
+// Usage: bench_sat [output.json] (default BENCH_sat.json); any flag is
+// rejected with exit status 1.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -250,7 +251,8 @@ SatRow UnsatWitnessRow(const char* name, const Program& program,
 }
 
 int Main(int argc, char** argv) {
-  const std::string json_path = argc > 1 ? argv[1] : "BENCH_sat.json";
+  std::string json_path = "BENCH_sat.json";
+  if (!benchutil::ParseJsonPathOnly(argc, argv, &json_path)) return 1;
   std::vector<SatRow> results;
 
   // Completion -> model enumeration, 10-60x the 12-node boards the

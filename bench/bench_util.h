@@ -34,6 +34,22 @@ inline bool ParseKernelName(const char* name, JoinKernel* kernel) {
   return true;
 }
 
+/// Argument parsing for the harnesses whose only argument is the output
+/// path: an argument that does not start with '-' names the JSON file, and
+/// every flag is unknown. Returns false after naming the offending flag,
+/// so `bench_sat --threads 4` exits 1 instead of writing a file named
+/// "--threads".
+inline bool ParseJsonPathOnly(int argc, char** argv, std::string* json_path) {
+  for (int i = 1; i < argc; ++i) {
+    if (argv[i][0] == '-' || argv[i][0] == '\0') {
+      std::fprintf(stderr, "unknown flag %s\n", argv[i]);
+      return false;
+    }
+    *json_path = argv[i];
+  }
+  return true;
+}
+
 /// Best-of-`reps` measurement loop shared by the three harnesses (each
 /// runs its workload once for warm-up/sanity before calling this). `run`
 /// performs one repetition and returns its own measured wall seconds —

@@ -4,7 +4,9 @@
 # build-check/.
 #
 #   scripts/check.sh [--bench]    --bench additionally runs bench_engine
-#                                 and refreshes BENCH_engine.json
+#                                 and bench_grounding and refreshes
+#                                 BENCH_engine.json and BENCH_grounding.json
+#                                 (grounding rows at 1 and 4 threads)
 #   scripts/check.sh --tsan       builds everything with
 #                                 -DTIEBREAK_SANITIZE=thread into
 #                                 build-tsan/ and runs the whole ctest suite
@@ -134,7 +136,8 @@ ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
 check_docs
 
 if [[ "${1:-}" == "--bench" ]]; then
-  (cd "$repo" && "$build/bench_engine" BENCH_engine.json)
+  (cd "$repo" && "$build/bench_engine" BENCH_engine.json &&
+     "$build/bench_grounding" BENCH_grounding.json)
 fi
 
 echo "check.sh: all green"

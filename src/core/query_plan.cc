@@ -48,6 +48,7 @@ QueryPlanner::QueryPlanner(const Program& program, const Database& database)
       edb_(database.num_predicates()) {
   TIEBREAK_CHECK_EQ(database.num_predicates(), program.num_predicates())
       << "database not shaped by program";
+  in_universe_ = UniverseMask(program, database);
 }
 
 Result<QueryResult> QueryPlanner::Execute(std::string_view pattern,
@@ -62,8 +63,10 @@ Result<QueryResult> QueryPlanner::Execute(std::string_view pattern,
   }
 
   // Reduced grounding interns no EDB atoms, so an EDB pattern is empty in
-  // both modes (see Execute's doc comment); skip the pipeline entirely.
-  if (program_.IsEdb(pred)) {
+  // both modes (see Execute's doc comment), and so is a pattern with a
+  // constant outside U, which no ground atom mentions; skip the pipeline
+  // entirely.
+  if (program_.IsEdb(pred) || !ConstantsInUniverse(parsed->atom)) {
     ++stats_.demand_queries;
     QueryResult empty;
     empty.variables = parsed->variable_names;
@@ -91,6 +94,17 @@ Result<QueryResult> QueryPlanner::Execute(std::string_view pattern,
   ++stats_.full_queries;
   stats_.last_fallback_reason = plan->fallback_reason;
   return ExecuteFull(*parsed, pattern, options);
+}
+
+bool QueryPlanner::ConstantsInUniverse(const Atom& atom) const {
+  for (const Term& term : atom.args) {
+    if (!term.is_constant()) continue;
+    if (term.index >= static_cast<ConstId>(in_universe_.size()) ||
+        !in_universe_[term.index]) {
+      return false;
+    }
+  }
+  return true;
 }
 
 QueryPlanner::CachedPlan* QueryPlanner::GetPlan(PredId pred,

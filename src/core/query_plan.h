@@ -33,6 +33,9 @@
 //    use, together with every probe or sorted index a request builds on
 //    it, and lent read-only to phase 1 and, through the grounder, to the
 //    binding-rule evaluation of phase 2;
+//  * per planner, U's membership bitmap: one O(|Δ|) scan at construction,
+//    so a pattern with a constant outside U is answered empty, as full
+//    grounding answers it, without building or running a plan;
 //  * per (query predicate, pattern adornment) — the transform depends on
 //    nothing else — one CachedPlan: the transformed programs, the prepared
 //    phase-2 database (Δ copied once per plan; magic relations cleared and
@@ -122,8 +125,11 @@ class QueryPlanner {
   /// ones constrain equality, as in EvaluateQuery) are free. Malformed
   /// patterns fail with INVALID_ARGUMENT. EDB-predicate patterns return
   /// empty results in both modes (reduced grounding interns no EDB atoms;
-  /// consult Δ directly for raw facts). A governing context trip returns
-  /// OK with QueryResult::truncation set; see QueryOptions.
+  /// consult Δ directly for raw facts), and so do patterns with a constant
+  /// outside the universe U (the constants of Π's rules and of Δ): no
+  /// ground atom mentions one, even under a rule like
+  /// `p(X) :- not q(X).`. A governing context trip returns OK with
+  /// QueryResult::truncation set; see QueryOptions.
   Result<QueryResult> Execute(std::string_view pattern,
                               const QueryOptions& options = {});
 
@@ -146,6 +152,8 @@ class QueryPlanner {
   Result<QueryResult> ExecuteFull(const AtomPattern& atom,
                                   std::string_view pattern,
                                   const QueryOptions& options);
+  // True when every constant of `atom` is in U (per in_universe_).
+  bool ConstantsInUniverse(const Atom& atom) const;
   // The demand pipeline over a healthy plan.
   Result<QueryResult> ExecuteDemand(CachedPlan* plan, const AtomPattern& atom,
                                     std::string_view pattern,
@@ -154,6 +162,10 @@ class QueryPlanner {
   const Database* database_;
   // Δ's engine relations, built on first use; see the file comment.
   EdbRelations edb_;
+  // U-membership bitmap (UniverseMask), one O(|Δ|) scan at construction.
+  // Constants interned later (pattern constants) are past its end, hence
+  // outside U, so checking a request costs O(pattern).
+  std::vector<char> in_universe_;
   std::map<std::pair<PredId, std::string>, std::unique_ptr<CachedPlan>>
       plans_;
   QueryPlannerStats stats_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -12,8 +13,8 @@
 
 namespace tiebreak {
 
-std::vector<ConstId> ComputeUniverse(const Program& program,
-                                     const Database& database) {
+std::vector<char> UniverseMask(const Program& program,
+                               const Database& database) {
   // ConstIds are dense in [0, num_constants), so a seen-bitmap pass over
   // the flat fact arenas replaces the old gather-sort-unique (which sorted
   // one id per fact argument — millions of entries on the large EDBs).
@@ -42,6 +43,12 @@ std::vector<ConstId> ComputeUniverse(const Program& program,
     scan(rule.head);
     for (const Literal& literal : rule.body) scan(literal.atom);
   }
+  return seen;
+}
+
+std::vector<ConstId> ComputeUniverse(const Program& program,
+                                     const Database& database) {
+  const std::vector<char> seen = UniverseMask(program, database);
   std::vector<ConstId> universe;
   for (ConstId c = 0; c < static_cast<ConstId>(seen.size()); ++c) {
     if (seen[c]) universe.push_back(c);
@@ -108,7 +115,7 @@ class GrounderImpl {
       if (!s.ok()) return s;
     }
     if (options_.reduce_edb && options_.engine_bindings) {
-      Status s = GroundReducedEngine();
+      Status s = GroundReduced();
       if (!s.ok()) return s;
     } else if (options_.reduce_edb && num_threads_ > 1) {
       // Legacy bindings, parallel: one backtracking-join job per rule.
@@ -116,7 +123,7 @@ class GrounderImpl {
       for (int32_t r = 0; r < program_.num_rules(); ++r) {
         jobs.push_back(EmitJob{r, /*whole_rule=*/true, 0, 0});
       }
-      Status s = EmitJobs(/*plans=*/nullptr, /*bound_db=*/nullptr, jobs);
+      Status s = EmitJobs(/*plans=*/nullptr, jobs);
       if (!s.ok()) return s;
     } else {
       for (int32_t r = 0; r < program_.num_rules(); ++r) {
@@ -172,12 +179,19 @@ class GrounderImpl {
     int64_t row_end = 0;
   };
 
-  // Per-rule binding plan of the engine-backed path.
+  // Per-rule binding plan of the reduced path. A rule with generators
+  // takes its binding rows from Δ directly or from the engine, and falls
+  // back to the backtracking join when the engine cannot serve it.
   struct BindPlan {
     std::vector<int32_t> generators;
     std::vector<int32_t> bound_vars;  // ascending variable indexes
-    PredId bind_pred = -1;            // in the binding program
+    bool direct = false;              // rows are the generator's Δ arena
     bool legacy = false;              // fallback: backtracking join
+    // The binding relation: rows of bound_vars.size() ids, one per binding
+    // of bound_vars, in Database order. Set for every plan with generators
+    // that is not legacy.
+    FactSpan rows;
+    bool has_rows() const { return !generators.empty() && !legacy; }
   };
 
   static Status Exhausted() {
@@ -361,151 +375,45 @@ class GrounderImpl {
     return generators;
   }
 
-  // Engine-backed reduced grounding: compile each rule's generator
-  // conjunction into a "binding rule" over a derived program, evaluate the
-  // whole batch with the relational engine (borrowing Δ's fact arenas —
-  // zero copies in), then stream the materialized binding rows into
-  // instance emission, batched and (num_threads > 1) sharded over the
-  // pool. See grounder.h.
-  Status GroundReducedEngine() {
-    std::vector<BindPlan> plans(program_.num_rules());
-
-    bool engine_eligible = true;
-    for (PredId p = 0; p < program_.num_predicates(); ++p) {
-      if (program_.predicate(p).arity > kEngineMaxArity) {
-        engine_eligible = false;  // the engine rejects the whole program
-      }
-    }
-
-    bool any_engine = false;
-    // Same predicate and constant ids as the program (the constant table is
-    // shared, not copied); the $bind predicates follow.
-    Program bind_program = program_.CopyVocabulary();
-
-    for (int32_t r = 0; r < program_.num_rules(); ++r) {
-      const Rule& rule = program_.rule(r);
-      BindPlan& plan = plans[r];
-      plan.generators = GeneratorsOf(rule);
-      if (plan.generators.empty()) continue;  // pure free-var enumeration
-      std::vector<char> bound(rule.num_variables, 0);
-      for (int32_t b : plan.generators) {
-        for (const Term& term : rule.body[b].atom.args) {
-          if (term.is_variable()) bound[term.index] = 1;
-        }
-      }
-      for (int32_t v = 0; v < rule.num_variables; ++v) {
-        if (bound[v]) plan.bound_vars.push_back(v);
-      }
-      if (!engine_eligible ||
-          static_cast<int32_t>(plan.bound_vars.size()) > kEngineMaxArity) {
-        plan.legacy = true;
-        continue;
-      }
-      // Declare $bind<r>(bound vars) :- generators.
-      std::string name = "$bind" + std::to_string(r);
-      while (bind_program.LookupPredicate(name) >= 0) name += "_";
-      plan.bind_pred = bind_program.DeclarePredicate(
-          name, static_cast<int32_t>(plan.bound_vars.size()));
-      Rule bind_rule;
-      bind_rule.head.predicate = plan.bind_pred;
-      for (int32_t v : plan.bound_vars) {
-        bind_rule.head.args.push_back(Term::Variable(v));
-      }
-      for (int32_t b : plan.generators) bind_rule.body.push_back(rule.body[b]);
-      bind_rule.num_variables = rule.num_variables;
-      bind_rule.variable_names = rule.variable_names;
-      bind_program.AddRule(std::move(bind_rule));
-      any_engine = true;
-    }
-
-    // One engine run computes every rule's binding relation: Δ's EDB fact
-    // arenas are borrowed as FactSpans (the engine streams them straight
-    // into its relations — no intermediate Database, no copy), join plans
-    // are compiled and cached per rule, and the vectorized kernels
-    // enumerate all matches, fanned over the pool when num_threads > 1.
-    Database bindings(program_);  // placeholder; replaced when engine runs
-    const Database* bound_db = nullptr;
-    if (any_engine) {
-      Status valid = bind_program.Validate();
-      TIEBREAK_CHECK(valid.ok()) << valid.ToString();
-      std::vector<FactSpan> edb(bind_program.num_predicates());
-      int64_t edb_facts = 0;
-      for (PredId p = 0; p < program_.num_predicates(); ++p) {
-        if (!program_.IsEdb(p)) continue;
-        edb[p] = database_.Facts(p);
-        edb_facts += edb[p].rows;
-      }
-      EngineOptions engine_options;
-      // The engine's tuple budget counts the loaded EDB too; charge only
-      // the derived binding rows against the grounding budget.
-      engine_options.max_tuples = options_.max_instances + edb_facts;
-      engine_options.num_threads = num_threads_;
-      // Only the $bind relations are read back; don't copy the EDB into
-      // the result.
-      engine_options.materialize_edb = false;
-      // The grounding's context governs the engine evaluation too: its
-      // checkpoints run inside the join kernels, and a trip there aborts
-      // the whole grounding below.
-      engine_options.context = exec_;
-      engine_options.edb = options_.edb;
-      Result<Database> result = EvaluateStratified(
-          bind_program, Span<const FactSpan>(edb.data(), edb.size()),
-          engine_options);
-      if (!result.ok() && exec_ != nullptr && exec_->stopped()) {
-        // A context trip (cancellation, deadline, its step/byte budgets) is
-        // a real abort, never a reason to fall back to the legacy join —
-        // that would restart the work the user just cancelled.
-        return exec_->status();
-      }
-      if (result.ok()) {
-        bindings = std::move(result).value();
-        bound_db = &bindings;
-      } else if (result.status().code() == StatusCode::kResourceExhausted) {
-        // More binding rows than the instance budget allows: emission
-        // could never fit either.
-        return Exhausted();
-      } else {
-        // Any other engine rejection (e.g. an arity past its relational
-        // cap that slipped through the plan check): fall back to the
-        // legacy join for every engine-planned rule rather than failing a
-        // grounding the backtracking path can do.
-        for (BindPlan& plan : plans) {
-          if (plan.bind_pred >= 0) plan.legacy = true;
-        }
-      }
-    }
+  // Reduced grounding over binding relations: every rule with generators
+  // gets its binding rows as one FactSpan — read straight from Δ when
+  // ReadsDeltaDirectly, computed by one engine run over the remaining rules
+  // otherwise — and the rows stream into instance emission, batched and
+  // (num_threads > 1) sharded over the pool. See grounder.h.
+  Status GroundReduced() {
+    std::vector<BindPlan> plans = PlanBindings();
+    // Owns the engine route's rows; those plans' spans point into it.
+    std::optional<Database> engine_rows;
+    Status engine = RunBindingEngine(&plans, &engine_rows);
+    if (!engine.ok()) return engine;
 
     // Pre-size the rule arenas from the known binding counts (free-var
     // enumeration can only add more; the reserve is advisory).
-    if (bound_db != nullptr) {
-      int64_t total_rows = 0;
-      int64_t total_body = 0;
-      for (int32_t r = 0; r < program_.num_rules(); ++r) {
-        const BindPlan& plan = plans[r];
-        if (plan.legacy || plan.generators.empty()) continue;
-        const int64_t rows = bound_db->NumFacts(plan.bind_pred);
-        int64_t idb_literals = 0;
-        for (const Literal& literal : program_.rule(r).body) {
-          if (!program_.IsEdb(literal.atom.predicate)) ++idb_literals;
-        }
-        total_rows += rows;
-        total_body += rows * idb_literals;
+    int64_t total_rows = 0;
+    int64_t total_body = 0;
+    for (int32_t r = 0; r < program_.num_rules(); ++r) {
+      if (!plans[r].has_rows()) continue;
+      const int64_t rows = plans[r].rows.rows;
+      int64_t idb_literals = 0;
+      for (const Literal& literal : program_.rule(r).body) {
+        if (!program_.IsEdb(literal.atom.predicate)) ++idb_literals;
       }
-      graph_.ReserveRules(total_rows, total_body);
+      total_rows += rows;
+      total_body += rows * idb_literals;
     }
+    if (total_rows > 0) graph_.ReserveRules(total_rows, total_body);
 
     if (num_threads_ > 1) {
       // Parallel emission: one job per legacy/free-var rule, one job per
-      // row shard of each engine rule's binding relation.
+      // row shard of each other rule's binding relation.
       std::vector<EmitJob> jobs;
       for (int32_t r = 0; r < program_.num_rules(); ++r) {
         const BindPlan& plan = plans[r];
-        if (plan.legacy || plan.generators.empty()) {
+        if (!plan.has_rows()) {
           jobs.push_back(EmitJob{r, /*whole_rule=*/true, 0, 0});
           continue;
         }
-        TIEBREAK_CHECK(bound_db != nullptr);
-        const int64_t rows = bound_db->NumFacts(plan.bind_pred);
+        const int64_t rows = plan.rows.rows;
         if (rows == 0) continue;
         const int64_t shards =
             std::clamp<int64_t>(rows / kMinEmitShardRows, 1,
@@ -516,11 +424,11 @@ class GrounderImpl {
                                  rows * (s + 1) / shards});
         }
       }
-      return EmitJobs(&plans, bound_db, jobs);
+      return EmitJobs(&plans, jobs);
     }
 
-    // Serial emission, rule by rule in rule order (bindings iterate in the
-    // result database's sorted order) — the bit-identical reference path.
+    // Serial emission, rule by rule in rule order (bindings iterate in
+    // their relation's sorted order) — the bit-identical reference path.
     for (int32_t r = 0; r < program_.num_rules(); ++r) {
       const Rule& rule = program_.rule(r);
       const BindPlan& plan = plans[r];
@@ -536,10 +444,158 @@ class GrounderImpl {
         if (!s.ok()) return s;
         continue;
       }
-      TIEBREAK_CHECK(bound_db != nullptr);
-      Status s = EmitEngineRows(&root_ctx_, r, plan, *bound_db, 0,
-                                bound_db->NumFacts(plan.bind_pred));
+      Status s = EmitBindingRows(&root_ctx_, r, plan, 0, plan.rows.rows);
       if (!s.ok()) return s;
+    }
+    return Status::Ok();
+  }
+
+  // True when `plan`'s one generator lists distinct variables in ascending
+  // index order. Its arguments are then exactly plan.bound_vars, and Δ's
+  // arena of that predicate (sorted, duplicate-free) is the binding
+  // relation itself, row for row in the order the engine would return.
+  // A zero-arity generator stays on the engine route.
+  bool ReadsDeltaDirectly(const Rule& rule, const BindPlan& plan) const {
+    if (plan.generators.size() != 1) return false;
+    const Atom& atom = rule.body[plan.generators[0]].atom;
+    if (atom.args.empty()) return false;
+    int32_t last = -1;
+    for (const Term& term : atom.args) {
+      if (!term.is_variable() || term.index <= last) return false;
+      last = term.index;
+    }
+    return true;
+  }
+
+  // Generators, bound variables and route of every rule; direct plans get
+  // their rows here.
+  std::vector<BindPlan> PlanBindings() const {
+    std::vector<BindPlan> plans(program_.num_rules());
+    for (int32_t r = 0; r < program_.num_rules(); ++r) {
+      const Rule& rule = program_.rule(r);
+      BindPlan& plan = plans[r];
+      plan.generators = GeneratorsOf(rule);
+      if (plan.generators.empty()) continue;  // pure free-var enumeration
+      std::vector<char> bound(rule.num_variables, 0);
+      for (int32_t b : plan.generators) {
+        for (const Term& term : rule.body[b].atom.args) {
+          if (term.is_variable()) bound[term.index] = 1;
+        }
+      }
+      for (int32_t v = 0; v < rule.num_variables; ++v) {
+        if (bound[v]) plan.bound_vars.push_back(v);
+      }
+      plan.direct = ReadsDeltaDirectly(rule, plan);
+      if (plan.direct) {
+        const Atom& generator = rule.body[plan.generators[0]].atom;
+        plan.rows = database_.Facts(generator.predicate);
+      }
+    }
+    return plans;
+  }
+
+  // The engine route: every plan with generators that is not direct
+  // becomes a binding rule $bind<r>(bound vars) :- generators over a
+  // derived program (same predicate and constant ids as the program — the
+  // constant table is shared, not copied), and one engine run evaluates
+  // them all. Δ's arenas of the generator predicates are borrowed as
+  // FactSpans (or read from options_.edb's kept relations); join plans are
+  // compiled and cached per rule, and the vectorized kernels fan out over
+  // the engine's own pool when num_threads > 1. On success those plans'
+  // rows point into *result. With no such plan the engine does not run.
+  Status RunBindingEngine(std::vector<BindPlan>* plans,
+                          std::optional<Database>* result) {
+    bool engine_eligible = true;
+    for (PredId p = 0; p < program_.num_predicates(); ++p) {
+      if (program_.predicate(p).arity > kEngineMaxArity) {
+        engine_eligible = false;  // the engine rejects the whole program
+      }
+    }
+    std::vector<int32_t> engine_rules;
+    for (int32_t r = 0; r < program_.num_rules(); ++r) {
+      BindPlan& plan = (*plans)[r];
+      if (plan.generators.empty() || plan.direct) continue;
+      if (!engine_eligible ||
+          static_cast<int32_t>(plan.bound_vars.size()) > kEngineMaxArity) {
+        plan.legacy = true;
+        continue;
+      }
+      engine_rules.push_back(r);
+    }
+    if (engine_rules.empty()) return Status::Ok();
+
+    Program bind_program = program_.CopyVocabulary();
+    std::vector<PredId> bind_preds;  // per engine rule
+    std::vector<char> read(program_.num_predicates(), 0);
+    for (int32_t r : engine_rules) {
+      const Rule& rule = program_.rule(r);
+      const BindPlan& plan = (*plans)[r];
+      std::string name = "$bind" + std::to_string(r);
+      while (bind_program.LookupPredicate(name) >= 0) name += "_";
+      bind_preds.push_back(bind_program.DeclarePredicate(
+          name, static_cast<int32_t>(plan.bound_vars.size())));
+      Rule bind_rule;
+      bind_rule.head.predicate = bind_preds.back();
+      for (int32_t v : plan.bound_vars) {
+        bind_rule.head.args.push_back(Term::Variable(v));
+      }
+      for (int32_t b : plan.generators) {
+        bind_rule.body.push_back(rule.body[b]);
+        read[rule.body[b].atom.predicate] = 1;
+      }
+      bind_rule.num_variables = rule.num_variables;
+      bind_rule.variable_names = rule.variable_names;
+      bind_program.AddRule(std::move(bind_rule));
+    }
+    Status valid = bind_program.Validate();
+    TIEBREAK_CHECK(valid.ok()) << valid.ToString();
+    // Only the relations the binding rules read are handed to the engine.
+    std::vector<FactSpan> edb(bind_program.num_predicates());
+    int64_t edb_facts = 0;
+    for (PredId p = 0; p < program_.num_predicates(); ++p) {
+      if (!read[p]) continue;
+      edb[p] = database_.Facts(p);
+      edb_facts += edb[p].rows;
+    }
+
+    EngineOptions engine_options;
+    // The engine's tuple budget counts the loaded EDB too; charge only
+    // the derived binding rows against the grounding budget.
+    engine_options.max_tuples = options_.max_instances + edb_facts;
+    engine_options.num_threads = num_threads_;
+    // Only the $bind relations are read back; don't copy the EDB into
+    // the result.
+    engine_options.materialize_edb = false;
+    // The grounding's context governs the engine evaluation too: its
+    // checkpoints run inside the join kernels, and a trip there aborts
+    // the whole grounding below.
+    engine_options.context = exec_;
+    engine_options.edb = options_.edb;
+    Result<Database> evaluated = EvaluateStratified(
+        bind_program, Span<const FactSpan>(edb.data(), edb.size()),
+        engine_options);
+    if (!evaluated.ok() && exec_ != nullptr && exec_->stopped()) {
+      // A context trip (cancellation, deadline, its step/byte budgets) is
+      // a real abort, never a reason to fall back to the legacy join —
+      // that would restart the work the user just cancelled.
+      return exec_->status();
+    }
+    if (!evaluated.ok()) {
+      // More binding rows than the instance budget allows: emission could
+      // never fit either.
+      if (evaluated.status().code() == StatusCode::kResourceExhausted) {
+        return Exhausted();
+      }
+      // Any other engine rejection (e.g. an arity past its relational cap
+      // that slipped through the plan check): fall back to the legacy join
+      // for every engine-route rule rather than failing a grounding the
+      // backtracking path can do.
+      for (int32_t r : engine_rules) (*plans)[r].legacy = true;
+      return Status::Ok();
+    }
+    result->emplace(std::move(evaluated).value());
+    for (size_t i = 0; i < engine_rules.size(); ++i) {
+      (*plans)[engine_rules[i]].rows = (*result)->Facts(bind_preds[i]);
     }
     return Status::Ok();
   }
@@ -549,7 +605,7 @@ class GrounderImpl {
   // the binding relations are read-only), then the shards merge into the
   // final graph with an atom-id remap. Returns RESOURCE_EXHAUSTED when the
   // combined work crossed the instance budget.
-  Status EmitJobs(const std::vector<BindPlan>* plans, const Database* bound_db,
+  Status EmitJobs(const std::vector<BindPlan>* plans,
                   const std::vector<EmitJob>& jobs) {
     const int32_t workers = pool_->num_threads();
     std::vector<GroundGraph> shards(workers);
@@ -571,8 +627,8 @@ class GrounderImpl {
           if (job.whole_rule) {
             s = GroundRuleReducedLegacy(ctx, job.rule);
           } else {
-            s = EmitEngineRows(ctx, job.rule, (*plans)[job.rule], *bound_db,
-                               job.row_begin, job.row_end);
+            s = EmitBindingRows(ctx, job.rule, (*plans)[job.rule],
+                                job.row_begin, job.row_end);
           }
           FlushWork(ctx);
           if (!s.ok()) statuses[worker] = s;
@@ -748,20 +804,18 @@ class GrounderImpl {
     }
   }
 
-  // Streams rows [row_begin, row_end) of `plan.bind_pred`'s binding
-  // relation into instance emission for rule `r` through the block-batched
-  // pipeline: fully-bound rules stage one instance per binding row; rules
-  // with residual free variables expand each row through the universe
-  // odometer, staging one instance per odometer step — either way every
-  // instance's atoms are hashed a block ahead of the interns that consume
-  // them.
-  Status EmitEngineRows(EmitContext* ctx, int32_t r, const BindPlan& plan,
-                        const Database& bound_db, int64_t row_begin,
-                        int64_t row_end) {
+  // Streams rows [row_begin, row_end) of `plan.rows` into instance
+  // emission for rule `r` through the block-batched pipeline, whichever
+  // route produced them: fully-bound rules stage one instance per binding
+  // row; rules with residual free variables expand each row through the
+  // universe odometer, staging one instance per odometer step — either way
+  // every instance's atoms are hashed a block ahead of the interns that
+  // consume them.
+  Status EmitBindingRows(EmitContext* ctx, int32_t r, const BindPlan& plan,
+                         int64_t row_begin, int64_t row_end) {
     const Rule& rule = program_.rule(r);
     const int32_t arity = static_cast<int32_t>(plan.bound_vars.size());
-    const ConstId* rows =
-        bound_db.FactData(plan.bind_pred) + row_begin * arity;
+    const ConstId* rows = plan.rows.data + row_begin * arity;
     const int64_t num_rows = row_end - row_begin;
     ctx->binding.assign(rule.num_variables, -1);
     ctx->scratch_free_vars.clear();
@@ -848,8 +902,8 @@ class GrounderImpl {
 
   // Legacy reduced grounding of one rule: tuple-at-a-time backtracking
   // join of the generators against Δ (the seed implementation; reference
-  // for the engine path and fallback past the engine's arity cap). Safe
-  // from worker threads: all mutation lands in `ctx`.
+  // for the binding-relation routes and fallback past the engine's arity
+  // cap). Safe from worker threads: all mutation lands in `ctx`.
   Status GroundRuleReducedLegacy(EmitContext* ctx, int32_t rule_index) {
     const Rule& rule = program_.rule(rule_index);
     const std::vector<int32_t> generators = GeneratorsOf(rule);
@@ -915,8 +969,7 @@ class GrounderImpl {
 
   // Emits one instance per assignment of `free_vars` over the universe
   // (one instance outright when `free_vars` is empty). The odometer lives
-  // in context scratch: the engine-backed path calls this once per binding
-  // row. Leaves the free variables reset to -1.
+  // in context scratch. Leaves the free variables reset to -1.
   Status EnumerateOver(EmitContext* ctx, int32_t rule_index, const Rule& rule,
                        const std::vector<int32_t>& free_vars,
                        Tuple* binding) {

@@ -18,28 +18,42 @@
 //    makes programs like the Theorem 6 machine-simulation (whose rules
 //    carry long succ-chain variable lists) groundable at all.
 //
-// Binding enumeration in reduced mode is engine-backed by default: the
-// positive EDB literals of each rule become one conjunctive "binding rule"
-// over a derived program (a Program::CopyVocabulary(), which shares the
-// constant table rather than copying it), the whole batch is evaluated by
-// the relational engine (columnar relations, compiled/cached join plans,
-// vectorized join kernels — see engine/evaluation.h) through the
-// borrowed-EDB entry point (Δ's flat fact arenas are handed to the engine
-// as FactSpans, no intermediate Database copy; a caller grounding many
-// times over one Δ lends kept relations through GroundingOptions::edb, so
-// each EDB relation loads and indexes once), and the grounder then streams
-// the materialized binding rows out of the columnar result Database,
-// emitting rule instances straight into the CSR graph arenas with zero
-// per-instance heap allocation. Emission is block-batched: the substituted
-// atoms of a block of binding rows are hashed ahead and their dedupe slot
-// lines prefetched before any intern touches them (the trick of
-// Relation::InsertBatch), and with num_threads > 1 per-rule emission jobs
-// (row-sharded for large binding relations) fan out over a thread pool
-// into per-worker graph shards that merge with an atom-id remap. The seed's
-// tuple-at-a-time backtracking join survives as the legacy path
-// (engine_bindings = false) — it is the reference implementation the
-// CSR/engine agreement tests compare against, and the automatic fallback
-// for rules whose bound-variable count exceeds the engine's arity cap.
+// Binding enumeration in reduced mode reads each rule's binding relation —
+// the bindings of its positive EDB literals ("generators") against Δ — as
+// one FactSpan of rows over its bound variables, from one of two routes
+// chosen by the rule's shape alone:
+//
+//  * direct: the rule's only generator lists one or more distinct
+//    variables in ascending index order (win(X) :- move(X, Y), not win(Y)
+//    is one), so its arguments are exactly the bound variables, and Δ's
+//    relation — sorted and duplicate-free — is the binding relation
+//    itself, byte for byte and in the engine's order. Its rows are read
+//    in place;
+//  * engine: every other rule with generators becomes one conjunctive
+//    "binding rule" over a derived program (a Program::CopyVocabulary(),
+//    which shares the constant table rather than copying it), and the
+//    batch is evaluated by the relational engine (columnar relations,
+//    compiled/cached join plans, vectorized join kernels — see
+//    engine/evaluation.h) through the borrowed-EDB entry point: the Δ
+//    arenas those rules read are handed to the engine as FactSpans, no
+//    intermediate Database copy, and a caller grounding many times over
+//    one Δ lends kept relations through GroundingOptions::edb, so each EDB
+//    relation loads and indexes once. The engine runs only when such a
+//    rule exists.
+//
+// Either way the grounder streams the rows into emission, instances go
+// straight into the CSR graph arenas with zero per-instance heap
+// allocation, and the serial graph does not depend on the route. Emission
+// is block-batched: the substituted atoms of a block of binding rows are
+// hashed ahead and their dedupe slot lines prefetched before any intern
+// touches them (the trick of Relation::InsertBatch), and with
+// num_threads > 1 per-rule emission jobs (row-sharded for large binding
+// relations) fan out over a thread pool into per-worker graph shards that
+// merge with an atom-id remap. The seed's tuple-at-a-time backtracking
+// join survives as the legacy path (engine_bindings = false) — it is the
+// reference implementation the CSR/route agreement tests compare against,
+// and the automatic fallback for engine-route rules whose bound-variable
+// count exceeds the engine's arity cap.
 //
 // Per-call cost beyond the emitted instances: the universe U is an O(|Δ|)
 // scan, computed only when grounding enumerates over it (faithful mode,
@@ -70,18 +84,23 @@ struct GroundingOptions {
   /// Faithful mode only: also intern every ground atom over U for every
   /// predicate, exactly matching the paper's VP.
   bool include_all_atoms = false;
-  /// Reduced mode: enumerate generator bindings through the relational
-  /// engine (default). false = the seed's backtracking join, kept as the
-  /// agreement-test reference.
+  /// Reduced mode: read each rule's binding rows from Δ directly or from
+  /// the relational engine, by the rule's shape (default; see the file
+  /// comment). Only a rule with generators that does not read Δ directly
+  /// reaches the engine: several generators, or one with a constant, a
+  /// repeated or out-of-order variable, or no arguments. false = the
+  /// seed's backtracking join for every rule, kept as the agreement-test
+  /// reference.
   bool engine_bindings = true;
   /// Worker threads for reduced-mode grounding: the engine evaluation of
-  /// the binding program and instance emission both fan out (the engine
-  /// constructs its own pool for the evaluation phase; emission uses the
-  /// grounder's — the phases are sequential, so at most one set of
-  /// workers is running). Emission parallelizes as per-rule jobs (large
-  /// binding relations additionally split into row shards); each worker
-  /// emits into a private GroundGraph shard with no synchronization, and
-  /// the shards merge into the final CSR arenas with an atom-id remap
+  /// the engine-route binding rules and instance emission both fan out.
+  /// The engine constructs its own pool for the evaluation phase, and only
+  /// when some rule takes the engine route; emission uses the grounder's.
+  /// The phases are sequential, so at most one set of workers is running.
+  /// Emission parallelizes as per-rule jobs (large binding relations of
+  /// either route additionally split into row shards); each worker emits
+  /// into a private GroundGraph shard with no synchronization, and the
+  /// shards merge into the final CSR arenas with an atom-id remap
   /// (GroundGraph::MergeFrom). 1 = the serial reference (the arenas it
   /// produces are bit-identical to pre-parallel grounding; parallel runs
   /// agree on atom sets and rule-instance multisets but may order them
@@ -105,9 +124,11 @@ struct GroundingOptions {
   /// kCancelled); parallel shards abandon cleanly at the merge barrier.
   /// Independent of max_instances — both limits apply.
   ExecutionContext* context = nullptr;
-  /// Δ's engine relations kept across groundings, lent to the evaluation
-  /// of the binding program (not owned; null = load Δ per call). See
-  /// EdbRelations in engine/evaluation.h.
+  /// Δ's engine relations kept across groundings, lent to the engine's
+  /// evaluation of the engine-route binding rules (not owned; null = load
+  /// Δ per call). A grounding whose rules all read Δ directly runs no
+  /// engine and never consults it. See EdbRelations in
+  /// engine/evaluation.h.
   EdbRelations* edb = nullptr;
 };
 
@@ -121,6 +142,12 @@ struct GroundingResult {
 /// U (see the file comment).
 std::vector<ConstId> ComputeUniverse(const Program& program,
                                      const Database& database);
+
+/// U as a membership bitmap: entry c is 1 iff constant c is in U; ids at
+/// or past its size are outside U. The same O(|Δ|) scan as
+/// ComputeUniverse.
+std::vector<char> UniverseMask(const Program& program,
+                               const Database& database);
 
 /// Builds G(Π, Δ). The program must Validate(). IDB atoms of Δ are always
 /// interned (they carry initial truth); EDB atoms become nodes only in

@@ -6,7 +6,10 @@
 // largest unfounded set, well-founded = alternating, tie-breaking
 // validity) must agree. Runs over every ground_test program family plus
 // randomized propositional/unary/binary programs in the fuzz_test /
-// property_test style.
+// property_test style. Both binding routes of the reduced grounder are
+// covered: rules whose one generator lists distinct variables in ascending
+// order read their rows straight from Δ, every other rule's rows come from
+// the engine.
 #include <algorithm>
 #include <map>
 #include <string>
@@ -17,9 +20,11 @@
 #include "core/stable.h"
 #include "core/tie_breaking.h"
 #include "core/well_founded.h"
+#include "engine/evaluation.h"
 #include "ground/close.h"
 #include "ground/grounder.h"
 #include "gtest/gtest.h"
+#include "lang/parser.h"
 #include "test_util.h"
 #include "util/execution_context.h"
 #include "util/random.h"
@@ -29,6 +34,7 @@
 namespace tiebreak {
 namespace {
 
+using testing_util::ExpectGraphsEqual;
 using testing_util::GroundOrDie;
 using testing_util::Instance;
 using testing_util::ParseInstance;
@@ -257,6 +263,177 @@ void ExpectParallelMatchesSerial(const Instance& inst) {
     legacy_options.engine_bindings = false;
     const GroundingResult legacy = GroundOrDie(inst, legacy_options);
     ExpectGraphsAgree(legacy, serial);
+  }
+}
+
+// Steps a 1-thread grounding of `inst` charges to a fresh context. Below
+// 256 binding rows the grounder charges only its entry checkpoint, one
+// step; an engine run adds its own entry checkpoint and kernel blocks. So
+// on these small inputs, more than one step means the engine ran.
+int64_t GroundingSteps(const Instance& inst) {
+  ExecutionContext context;
+  GroundingOptions options;
+  options.context = &context;
+  GroundOrDie(inst, options);
+  return context.steps_charged();
+}
+
+// Rules whose one generator lists distinct variables in ascending order
+// take Δ's arena as their binding relation. The legacy grounder walks the
+// same sorted rows, so at 1 thread the two graphs agree element for
+// element, with and without recorded bindings, and no engine runs.
+TEST(GroundCsrTest, DirectRouteMatchesLegacyArenas) {
+  std::string wide_args = "X0";
+  for (int i = 1; i <= kEngineMaxArity; ++i) {
+    wide_args += ", X" + std::to_string(i);
+  }
+  std::string wide_fact = "c0";
+  for (int i = 1; i <= kEngineMaxArity; ++i) {
+    wide_fact += i % 2 == 0 ? ", c0" : ", c1";
+  }
+  std::vector<Instance> instances;
+  instances.push_back(ParseInstance(
+      "win(X) :- move(X, Y), not win(Y).",
+      "move(a, b). move(b, c). move(c, a). move(c, d). move(d, d)."));
+  instances.push_back(ParseInstance("p(X) :- e(X), not q(X).",
+                                    "e(a). e(b). e(c). q(b)."));
+  // A negated-EDB kill literal between IDB literals, a residual free
+  // variable (Z, enumerated over U), and an IDB fact of Δ.
+  instances.push_back(ParseInstance(
+      "r(X, Y) :- s(X), e(X, Y), not blocked(Y), not r(Y, X).\n"
+      "s(X) :- v(X).\n"
+      "f(X, Z) :- v(X), not s(Z).",
+      "e(a, b). e(b, a). e(b, c). e(c, c). blocked(c). v(a). v(b). "
+      "r(c, a)."));
+  // A generator wider than the engine's arity cap: the engine rejects the
+  // whole program, and the direct route never asks it.
+  instances.push_back(ParseInstance(
+      "w(X0) :- big(" + wide_args + "), not w(X" +
+          std::to_string(kEngineMaxArity) + ").",
+      "big(" + wide_fact + "). big(c1" + wide_fact.substr(2) + ")."));
+  // An identity rule over an empty relation: the route follows the shape.
+  instances.push_back(ParseInstance("p(X) :- e(X), not p(X).\nq :- not p(a).",
+                                    ""));
+  {
+    Program program = WinMoveProgram();
+    Rng rng(3);
+    Database database =
+        *RandomDigraphDatabase(&program, "move", 48, 120, &rng);
+    instances.push_back(Instance{std::move(program), std::move(database)});
+  }
+  for (size_t i = 0; i < instances.size(); ++i) {
+    const Instance& inst = instances[i];
+    SCOPED_TRACE("instance " + std::to_string(i));
+    EXPECT_EQ(GroundingSteps(inst), 1);
+    for (const bool record : {false, true}) {
+      GroundingOptions direct_options;
+      direct_options.record_bindings = record;
+      GroundingOptions legacy_options = direct_options;
+      legacy_options.engine_bindings = false;
+      const GroundingResult direct = GroundOrDie(inst, direct_options);
+      const GroundingResult legacy = GroundOrDie(inst, legacy_options);
+      ExpectGraphsEqual(direct.graph, legacy.graph);
+    }
+    ExpectEngineMatchesLegacy(inst);
+  }
+}
+
+// Every other generator shape keeps the engine route, and agrees with the
+// legacy grounder structurally and semantically.
+TEST(GroundCsrTest, EngineRouteShapesMatchLegacy) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      // Permuted variables: Y is variable 0, so e(X, Y) is e(#1, #0).
+      {"p(Y) :- e(X, Y), not p(X).", "e(a, b). e(b, c). e(c, a)."},
+      // A constant.
+      {"p(X) :- e(X, c), not q(X).\nq(X) :- e(c, X).",
+       "e(a, c). e(b, d). e(c, a). e(c, c)."},
+      // A repeated variable.
+      {"p(X) :- e(X, X), not p(X).", "e(a, a). e(a, b). e(b, b)."},
+      // A zero-arity generator, alone and beside a unary one.
+      {"p :- go, not q.\nq :- go, not p.", "go."},
+      {"p(X) :- go, e(X), not p(X).", "go. e(a). e(b)."},
+      // A non-identity rule over an empty relation.
+      {"p(Y) :- e(X, Y), not q(Y).\nr :- not p(a).", ""},
+  };
+  for (const auto& [program_text, database_text] : cases) {
+    SCOPED_TRACE(program_text);
+    const Instance inst = ParseInstance(program_text, database_text);
+    EXPECT_GT(GroundingSteps(inst), 1);
+    ExpectEngineMatchesLegacy(inst);
+  }
+}
+
+// One program whose rules take both routes, on a board large enough that
+// binding relations split into row shards: serial, 2 and 8 threads agree
+// with each other and with the legacy grounder.
+TEST(GroundCsrTest, MixedRoutesAcrossThreadCounts) {
+  Result<Program> parsed = ParseProgram(
+      "win(X) :- move(X, Y), not win(Y).\n"
+      "lost(Y) :- move(X, Y), win(X).\n"
+      "loop(X) :- move(X, X).\n"
+      "hub(X) :- move(X, n0), not lost(X).\n"
+      "back(X) :- move(X, n1), move(n1, X), not win(X).");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  Program program = std::move(*parsed);
+  Rng rng(41);
+  Database database =
+      *RandomDigraphDatabase(&program, "move", 1024, 4096, &rng);
+  const Instance inst{std::move(program), std::move(database)};
+  ExpectParallelMatchesSerial(inst);
+  ExpectEngineMatchesLegacy(inst);
+}
+
+// max_instances and context trips surface the same statuses on both routes
+// at every thread count: the binding rows of a direct rule count against
+// the instance budget exactly as the engine's rows do.
+TEST(GroundCsrTest, DirectRouteBudgetsAndTrips) {
+  for (const char* text : {"win(X) :- move(X, Y), not win(Y).",
+                           "win(Y) :- move(X, Y), not win(X)."}) {
+    SCOPED_TRACE(text);
+    Result<Program> parsed = ParseProgram(text);
+    ASSERT_TRUE(parsed.ok());
+    Program program = std::move(*parsed);
+    Rng rng(5);
+    Database database =
+        *RandomDigraphDatabase(&program, "move", 256, 512, &rng);
+    const int64_t rows =
+        database.NumFacts(program.LookupPredicate("move"));
+    for (const int32_t threads : {1, 2, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      GroundingOptions options;
+      options.num_threads = threads;
+      // One binding row per instance: exactly `rows` fit.
+      options.max_instances = rows;
+      Result<GroundingResult> fits = Ground(program, database, options);
+      ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+      EXPECT_EQ(fits->graph.num_rules(), rows);
+      options.max_instances = rows - 1;
+      Result<GroundingResult> over = Ground(program, database, options);
+      ASSERT_FALSE(over.ok());
+      EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+      options.max_instances = GroundingOptions{}.max_instances;
+
+      ResourceLimits steps;
+      steps.max_steps = 100;
+      ResourceLimits deadline;
+      deadline.deadline_seconds = 1e-9;
+      const std::pair<ResourceLimits, StatusCode> trips[] = {
+          {steps, StatusCode::kResourceExhausted},
+          {deadline, StatusCode::kDeadlineExceeded},
+          {ResourceLimits{}, StatusCode::kCancelled},
+      };
+      for (const auto& [limits, code] : trips) {
+        ExecutionContext context(limits);
+        if (code == StatusCode::kCancelled) context.Cancel();
+        options.context = &context;
+        Result<GroundingResult> g = Ground(program, database, options);
+        ASSERT_FALSE(g.ok());
+        EXPECT_EQ(g.status().code(), code);
+        EXPECT_TRUE(context.stopped());
+        EXPECT_EQ(context.truncation().code, code);
+      }
+      options.context = nullptr;
+    }
   }
 }
 

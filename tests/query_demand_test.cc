@@ -190,6 +190,45 @@ TEST(QueryDemandTest, AbsentConstantsAndEdbPatterns) {
   EXPECT_TRUE(edb.true_bindings.empty());
 }
 
+// U is the constants of Π's rules and of Δ. A pattern constant outside U
+// matches no ground atom, even under an unsafe rule like
+// `p(X) :- not q(X).`, whose demand seed would put it into the cone: both
+// modes answer such patterns empty, at every thread count, and build no
+// plan for them. c is in U only through Δ's f(c), so the unsafe rules hold
+// for it in both modes.
+TEST(QueryDemandTest, PatternConstantsOutsideTheUniverse) {
+  Instance inst = ParseInstance(
+      "p(X) :- not q(X).\nq(X) :- e(X).\nt(X, Y) :- e(Y), not q(X).",
+      "e(a). e(b). f(c).");
+  for (const int32_t threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    QueryPlanner planner(inst.program, inst.database);
+    for (const char* pattern :
+         {"p(zzz)", "t(zzz, Y)", "t(zzz, a)", "t(X, zzz)", "p(zzz)"}) {
+      const QueryResult result =
+          ExpectModesAgree(&planner, inst.program, pattern, threads);
+      EXPECT_TRUE(result.true_bindings.empty()) << pattern;
+      EXPECT_TRUE(result.undefined_bindings.empty()) << pattern;
+    }
+    EXPECT_EQ(planner.stats().plans_built, 0);
+    const QueryResult p_c =
+        ExpectModesAgree(&planner, inst.program, "p(c)", threads);
+    EXPECT_EQ(p_c.true_bindings.size(), 1u);
+    const QueryResult p_x =
+        ExpectModesAgree(&planner, inst.program, "p(X)", threads);
+    EXPECT_EQ(Names(inst.program, p_x.true_bindings),
+              std::vector<std::string>{"c"});
+    const QueryResult t_c =
+        ExpectModesAgree(&planner, inst.program, "t(c, Y)", threads);
+    EXPECT_EQ(Names(inst.program, t_c.true_bindings),
+              (std::vector<std::string>{"a", "b"}));
+    const QueryResult p_a =
+        ExpectModesAgree(&planner, inst.program, "p(a)", threads);
+    EXPECT_TRUE(p_a.true_bindings.empty());
+    EXPECT_EQ(planner.stats().fallbacks, 0);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Thread matrix and plan-cache behavior.
 // ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ using storage::SnapshotInfo;
 using storage::SnapshotReadOptions;
 using storage::SnapshotStore;
 using storage::SnapshotWriteOptions;
+using testing_util::ExpectGraphsEqual;
 using testing_util::GroundOrDie;
 using testing_util::Instance;
 using testing_util::ParseInstance;
@@ -41,38 +42,6 @@ std::string TestTempDir(const std::string& leaf) {
   EXPECT_TRUE(RemoveAll(dir).ok());
   EXPECT_TRUE(CreateDir(dir).ok());
   return dir;
-}
-
-template <typename T>
-std::vector<T> ToVector(Span<T> span) {
-  return std::vector<T>(span.begin(), span.end());
-}
-
-// Arena-for-arena equality of two finalized graphs (ids, offsets, bodies,
-// bindings — everything a snapshot persists plus what Finalize derives).
-void ExpectGraphsEqual(const GroundGraph& a, const GroundGraph& b) {
-  ASSERT_EQ(a.num_atoms(), b.num_atoms());
-  ASSERT_EQ(a.num_rules(), b.num_rules());
-  EXPECT_EQ(ToVector(a.atoms().atom_predicates()),
-            ToVector(b.atoms().atom_predicates()));
-  EXPECT_EQ(ToVector(a.atoms().arg_offsets()),
-            ToVector(b.atoms().arg_offsets()));
-  EXPECT_EQ(ToVector(a.atoms().arg_arena()), ToVector(b.atoms().arg_arena()));
-  EXPECT_EQ(ToVector(a.rule_indices()), ToVector(b.rule_indices()));
-  EXPECT_EQ(ToVector(a.heads()), ToVector(b.heads()));
-  EXPECT_EQ(ToVector(a.pos_ends()), ToVector(b.pos_ends()));
-  EXPECT_EQ(ToVector(a.body_offsets()), ToVector(b.body_offsets()));
-  EXPECT_EQ(ToVector(a.body_arena()), ToVector(b.body_arena()));
-  EXPECT_EQ(ToVector(a.binding_offsets()), ToVector(b.binding_offsets()));
-  EXPECT_EQ(ToVector(a.binding_arena()), ToVector(b.binding_arena()));
-  // Derived inverse indexes must rebuild identically.
-  for (AtomId atom = 0; atom < a.num_atoms(); ++atom) {
-    EXPECT_EQ(ToVector(a.Supporters(atom)), ToVector(b.Supporters(atom)));
-    EXPECT_EQ(ToVector(a.PositiveConsumers(atom)),
-              ToVector(b.PositiveConsumers(atom)));
-    EXPECT_EQ(ToVector(a.NegativeConsumers(atom)),
-              ToVector(b.NegativeConsumers(atom)));
-  }
 }
 
 TEST(SnapshotTest, RoundTripIsBitIdentical) {

@@ -1,5 +1,6 @@
 // Shared helpers for the test suites: parse program+database text, ground,
-// and query models by predicate/constant names.
+// compare two graphs arena for arena, and query models by
+// predicate/constant names.
 #ifndef TIEBREAK_TESTS_TEST_UTIL_H_
 #define TIEBREAK_TESTS_TEST_UTIL_H_
 
@@ -12,6 +13,7 @@
 #include "lang/database.h"
 #include "lang/parser.h"
 #include "lang/program.h"
+#include "util/span.h"
 
 namespace tiebreak {
 namespace testing_util {
@@ -36,6 +38,38 @@ inline GroundingResult GroundOrDie(const Instance& inst,
   Result<GroundingResult> g = Ground(inst.program, inst.database, options);
   EXPECT_TRUE(g.ok()) << g.status().ToString();
   return std::move(g).value();
+}
+
+template <typename T>
+std::vector<T> ToVector(Span<T> span) {
+  return std::vector<T>(span.begin(), span.end());
+}
+
+/// Arena-for-arena equality of two finalized graphs (ids, offsets, bodies,
+/// bindings — everything a snapshot persists plus what Finalize derives).
+inline void ExpectGraphsEqual(const GroundGraph& a, const GroundGraph& b) {
+  ASSERT_EQ(a.num_atoms(), b.num_atoms());
+  ASSERT_EQ(a.num_rules(), b.num_rules());
+  EXPECT_EQ(ToVector(a.atoms().atom_predicates()),
+            ToVector(b.atoms().atom_predicates()));
+  EXPECT_EQ(ToVector(a.atoms().arg_offsets()),
+            ToVector(b.atoms().arg_offsets()));
+  EXPECT_EQ(ToVector(a.atoms().arg_arena()), ToVector(b.atoms().arg_arena()));
+  EXPECT_EQ(ToVector(a.rule_indices()), ToVector(b.rule_indices()));
+  EXPECT_EQ(ToVector(a.heads()), ToVector(b.heads()));
+  EXPECT_EQ(ToVector(a.pos_ends()), ToVector(b.pos_ends()));
+  EXPECT_EQ(ToVector(a.body_offsets()), ToVector(b.body_offsets()));
+  EXPECT_EQ(ToVector(a.body_arena()), ToVector(b.body_arena()));
+  EXPECT_EQ(ToVector(a.binding_offsets()), ToVector(b.binding_offsets()));
+  EXPECT_EQ(ToVector(a.binding_arena()), ToVector(b.binding_arena()));
+  // Derived inverse indexes must rebuild identically.
+  for (AtomId atom = 0; atom < a.num_atoms(); ++atom) {
+    EXPECT_EQ(ToVector(a.Supporters(atom)), ToVector(b.Supporters(atom)));
+    EXPECT_EQ(ToVector(a.PositiveConsumers(atom)),
+              ToVector(b.PositiveConsumers(atom)));
+    EXPECT_EQ(ToVector(a.NegativeConsumers(atom)),
+              ToVector(b.NegativeConsumers(atom)));
+  }
 }
 
 /// Truth of pred(constants...) in `values`; atoms missing from the store
