@@ -2,8 +2,9 @@
 // run in polynomial (near-linear here) time in the ground graph. Measures
 // close-only resolution (win-move chains resolve fully during the initial
 // close), the well-founded interpreter, and both tie-breaking interpreters
-// on random boards with draw cycles, plus a giant even negation ring (one
-// tie spanning the whole graph).
+// on random boards with draw cycles, plus two giant ties: an even negation
+// ring and a million-node win/move cycle, each one tie spanning the whole
+// graph.
 //
 // Standalone harness in the BENCH_engine.json style (shared scaffolding in
 // bench_util.h): emits BENCH_interpreters.json with per-workload wall
@@ -31,15 +32,17 @@
 namespace tiebreak {
 namespace {
 
-// Recorded nodes/sec measured on this container before the SCC-scheduler
-// PR, so the speedup column reports its delta. The headline entry is
-// wftb_negation_ring_1024: the old FindBottomTies materialized a LiveGraph
-// (nodes, edges, id maps) every interpreter round and ran the generic
-// Digraph Tarjan plus an unordered_map-based tie BFS over it, which capped
-// WFTB at ~9.5M nodes/sec against close's ~78M — the CSR-direct SCC/tie
-// passes (ground/ground_scc.h) remove the per-round materialization. The
-// *_400k entries are new at this PR (million-node multi-SCC boards, serial
-// reference baselines recorded below after first measurement).
+// Recorded nodes/sec, so the speedup column reports a delta. Most entries
+// were measured before the SCC-scheduler change: wftb_negation_ring_1024
+// then materialized a LiveGraph (nodes, edges, id maps) every interpreter
+// round and ran the generic Digraph Tarjan plus an unordered_map-based tie
+// BFS over it, which capped WFTB at ~9.5M nodes/sec against close's ~78M.
+// The *_400k entries are serial reference baselines for the million-node
+// multi-SCC boards. wftb_winmove_cycle_512k's baseline ran the tie pass
+// over the node-level live graph (atoms and rule nodes: one CSR Tarjan, a
+// condensation sweep and a Lemma-1 sweep), measured just before the pass
+// became one Tarjan over the live atoms (core/tie_breaking.cc,
+// FindBottomTies).
 constexpr benchutil::BaselineEntry kBaseline[] = {
     {"close_winmove_chain_8192", 77702366.0},
     {"wf_winmove_random_4096", 45679737.0},
@@ -48,6 +51,7 @@ constexpr benchutil::BaselineEntry kBaseline[] = {
     {"wftb_negation_ring_1024", 9531034.0},
     {"close_winmove_random_400k", 18089736.0},
     {"wf_winmove_random_400k", 16489333.0},
+    {"wftb_winmove_cycle_512k", 10139606.0},
 };
 
 struct Board {
@@ -168,6 +172,26 @@ int Main(int argc, char** argv) {
               TieBreaking(b.program, b.database, b.ground.graph,
                           TieBreakingMode::kWellFounded);
           TIEBREAK_CHECK(result.total);
+        },
+        3));
+  }
+
+  {
+    // One bottom tie spanning an even 2^19-position cycle: 524,288 win
+    // atoms and as many ground rules, all live when the tie pass runs, so
+    // the row is dominated by the tie pass and the close that follows.
+    Program program = WinMoveProgram();
+    Database database = *CycleDatabase(&program, "move", 1 << 19);
+    GroundingResult ground = Ground(program, database).value();
+    Board board{std::move(program), std::move(database), std::move(ground)};
+    results.push_back(Measure(
+        "wftb_winmove_cycle_512k", board,
+        [](const Board& b) {
+          const InterpreterResult result =
+              TieBreaking(b.program, b.database, b.ground.graph,
+                          TieBreakingMode::kWellFounded);
+          TIEBREAK_CHECK(result.total);
+          TIEBREAK_CHECK_EQ(result.ties_broken, 1);
         },
         3));
   }

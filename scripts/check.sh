@@ -3,10 +3,11 @@
 # errors) + full ctest suite + docs checks. Run from anywhere; builds into
 # build-check/.
 #
-#   scripts/check.sh [--bench]    --bench additionally runs bench_engine
-#                                 and bench_grounding and refreshes
-#                                 BENCH_engine.json and BENCH_grounding.json
-#                                 (grounding rows at 1 and 4 threads)
+#   scripts/check.sh [--bench]    --bench additionally runs bench_engine,
+#                                 bench_grounding and bench_interpreters and
+#                                 refreshes BENCH_engine.json,
+#                                 BENCH_grounding.json (grounding rows at 1
+#                                 and 4 threads) and BENCH_interpreters.json
 #   scripts/check.sh --tsan       builds everything with
 #                                 -DTIEBREAK_SANITIZE=thread into
 #                                 build-tsan/ and runs the whole ctest suite
@@ -60,7 +61,9 @@ check_docs() {
                 src/util/thread_pool.h src/lang/database.h \
                 src/ground/ground_graph.h src/ground/grounder.h \
                 src/core/query_plan.h src/lang/program.h \
-                src/lang/symbols.h; do
+                src/lang/symbols.h src/core/tie_breaking.h \
+                src/core/certificate.h src/ground/close.h \
+                src/ground/ground_scc.h; do
     if ! awk -v file="$header" '
       BEGIN { in_private = 0; prev_commented = 0; prev_decl = 0; bad = 0 }
       /^ *private:/ { in_private = 1 }
@@ -137,7 +140,8 @@ check_docs
 
 if [[ "${1:-}" == "--bench" ]]; then
   (cd "$repo" && "$build/bench_engine" BENCH_engine.json &&
-     "$build/bench_grounding" BENCH_grounding.json)
+     "$build/bench_grounding" BENCH_grounding.json &&
+     "$build/bench_interpreters" BENCH_interpreters.json)
 fi
 
 echo "check.sh: all green"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "ground/close.h"
 
@@ -12,6 +13,29 @@ namespace {
 
 std::string StepLabel(size_t index) {
   return "certificate step " + std::to_string(index);
+}
+
+// Rejects a step naming an atom outside [0, num_atoms) or naming one atom
+// twice, within a side or across both: replaying it would read past the
+// state or assign an atom twice.
+Status CheckStepAtoms(const CertificateStep& step, int32_t num_atoms,
+                      size_t index) {
+  std::vector<AtomId> atoms = step.made_true;
+  atoms.insert(atoms.end(), step.made_false.begin(), step.made_false.end());
+  for (AtomId a : atoms) {
+    if (a < 0 || a >= num_atoms) {
+      return Status::InvalidArgument(StepLabel(index) + ": atom id " +
+                                     std::to_string(a) + " is out of range");
+    }
+  }
+  std::sort(atoms.begin(), atoms.end());
+  const auto twice = std::adjacent_find(atoms.begin(), atoms.end());
+  if (twice != atoms.end()) {
+    return Status::InvalidArgument(StepLabel(index) + ": atom " +
+                                   std::to_string(*twice) +
+                                   " is listed twice");
+  }
+  return Status::Ok();
 }
 
 // Checks the paper's unfoundedness condition for `atoms` against the
@@ -92,6 +116,8 @@ Status VerifyCertificate(const Program& program, const Database& database,
   CloseState state(program, database, graph);
   for (size_t i = 0; i < certificate.steps.size(); ++i) {
     const CertificateStep& step = certificate.steps[i];
+    Status atoms = CheckStepAtoms(step, graph.num_atoms(), i);
+    if (!atoms.ok()) return atoms;
     switch (step.kind) {
       case CertificateStep::Kind::kUnfoundedSet: {
         if (mode == TieBreakingMode::kPure) {

@@ -32,7 +32,10 @@ namespace tiebreak {
 
 /// Replays `certificate` and checks every step plus the final model.
 /// Returns OK when the certificate proves `claimed_values`; an error status
-/// describing the first violation otherwise. `mode` decides which step
+/// describing the first violation otherwise. The certificate is untrusted
+/// input: a step naming an atom id outside the graph, or one atom twice
+/// (within a side or on both), is rejected with kInvalidArgument before it
+/// is replayed. `mode` decides which step
 /// kinds are admissible in which order (pure runs must not contain
 /// unfounded-set steps; well-founded runs must not break a tie while a
 /// nonempty unfounded set exists).

@@ -84,13 +84,32 @@ InterpreterResult TieBreaking(const Program& program, const Database& database,
                               Certificate* certificate = nullptr);
 
 /// The bottom ties of `state`'s live graph, atoms split by Lemma-1 side.
-/// Exposed for certificate verification and diagnostics. One Tarjan pass
-/// directly over the ground graph's CSR spans restricted to the live
-/// subgraph — no per-round graph materialization — yields the components
-/// and each node's DFS-tree sign parity; the condensation and one Lemma-1
-/// verification sweep per bottom component follow. Tie order and side
-/// orientation are identical to the historical materialized-live-graph
-/// implementation (see ground/ground_scc.h for why).
+/// Exposed for certificate verification and diagnostics.
+///
+/// The pass runs over the live atoms only. One sweep over the rules builds
+/// a CSR of signed edges body atom -> head (one per live body occurrence of
+/// a live rule with a live head); an iterative Tarjan over it labels each
+/// atom with the sign parity of its DFS-tree path, checks every edge that
+/// stays inside a component against that labeling (Lemma 1), and marks a
+/// component as not bottom when any edge enters it from outside. After the
+/// O(rules) sweep, time is O(live atoms + live edges); scratch is one
+/// 16-byte record per atom plus O(live edges).
+///
+/// The result is the tie list of the node-level live graph (atoms and rule
+/// nodes): ties in Tarjan completion order, each side in Tarjan pop order,
+/// side 0 holding the members with the parity of the node that graph's DFS
+/// discovered last. interpreter_parallel_test.cc checks it tie-for-tie
+/// against a materialized reference, so default-policy orientations never
+/// move.
+///
+/// Governance: with a context on `state`, the pass checkpoints under the
+/// tag "tie_pass", charging one step per live atom it visits in blocks of
+/// 256. On a trip it returns no ties, since a partial pass proves nothing
+/// about which components are bottom ties; callers read the trip from the
+/// context, as after an empty CloseState::LargestUnfoundedSet. It also
+/// returns none once the context has tripped: only a trip leaves the state
+/// half-propagated, and the pass relies on every live rule having a live
+/// body atom, which holds once close has run to its fixpoint.
 std::vector<TieView> FindBottomTies(const CloseState& state);
 
 /// Convenience overload: grounds (reduced mode) and interprets.

@@ -27,6 +27,8 @@
 
 namespace tiebreak {
 
+// Forward-declared (util/execution_context.h): the state only stores and
+// polls a pointer to it.
 class ExecutionContext;
 
 /// Persistent close(M, G) state over one ground graph.
@@ -70,6 +72,8 @@ class CloseState {
     Drain();
   }
 
+  /// The current value of `atom` (CHECKs the id), whether it is still in
+  /// the graph (undefined), and whether rule node `rule` is.
   Truth Value(AtomId atom) const {
     TIEBREAK_CHECK_GE(atom, 0);
     TIEBREAK_CHECK_LT(atom, graph_->num_atoms());
@@ -78,6 +82,7 @@ class CloseState {
   bool AtomLive(AtomId atom) const { return Value(atom) == Truth::kUndef; }
   bool RuleLive(int32_t rule) const { return rule_dead_[rule] == 0; }
 
+  /// Atoms still undefined; the state is total when none is left.
   int32_t num_live_atoms() const { return num_live_atoms_; }
   bool IsTotal() const { return num_live_atoms_ == 0; }
 
@@ -95,11 +100,17 @@ class CloseState {
   /// The full assignment so far (by AtomId).
   const std::vector<Truth>& values() const { return value_; }
 
-  /// Per-rule deleted flags (1 = node removed from the graph). Borrowed by
-  /// GroundLiveness to restrict SCC/tie passes to the live subgraph.
+  /// Per-rule deleted flags (1 = node removed from the graph). The tie pass
+  /// (core/tie_breaking.h, FindBottomTies) reads them with values() to
+  /// sweep the live rules.
   const std::vector<char>& rule_dead() const { return rule_dead_; }
 
+  /// The ground graph this state closes over.
   const GroundGraph& graph() const { return *graph_; }
+
+  /// The governing context (null = ungoverned). Passes over the state that
+  /// live outside this class, such as the tie pass, checkpoint on it too.
+  ExecutionContext* context() const { return exec_; }
 
  private:
   void Assign(AtomId atom, Truth value);

@@ -23,9 +23,10 @@
 //    as three CSR adjacency structures in one counting pass each: count
 //    per-atom degrees, prefix-sum into offsets, then scatter the rule ids.
 //
-// Every algorithm of the paper reads the graph through these spans; an
-// explicit SignedDigraph over the *live* nodes is constructed by
-// ground/live_graph.h only when the tie-breaking interpreters need SCCs.
+// Every algorithm of the paper reads the graph through these spans; no
+// interpreter materializes a SignedDigraph of it. The tie pass
+// (core/tie_breaking.h, FindBottomTies) sweeps the rule arenas into its own
+// compact edge list over the live atoms.
 #ifndef TIEBREAK_GROUND_GROUND_GRAPH_H_
 #define TIEBREAK_GROUND_GROUND_GRAPH_H_
 

@@ -4,59 +4,14 @@
 
 namespace tiebreak {
 
-SccResult ComputeGroundScc(const GroundGraph& graph,
-                           const GroundLiveness& live) {
+SccResult ComputeGroundScc(const GroundGraph& graph) {
   TIEBREAK_CHECK(graph.finalized());
-  return ComputeSccOver(GroundAdjacency{&graph, live});
+  return ComputeSccOver(GroundAdjacency{&graph});
 }
 
-namespace {
-
-// Enumerates the live edges of the (restricted) ground graph once:
-// fn(from_node, to_node) per edge, rule nodes offset by num_atoms. Same
-// edge multiset as the materialized live graph (duplicate body occurrences
-// included), which keeps external_in_degree counts identical.
-template <typename Fn>
-void ForEachLiveEdge(const GroundGraph& graph, const GroundLiveness& live,
-                     Fn&& fn) {
-  const int32_t num_atoms = graph.num_atoms();
-  for (int32_t r = 0; r < graph.num_rules(); ++r) {
-    if (!live.RuleAlive(r)) continue;
-    const int32_t rule_node = num_atoms + r;
-    for (AtomId a : graph.PositiveBody(r)) {
-      if (live.AtomLive(a)) fn(a, rule_node);
-    }
-    for (AtomId a : graph.NegativeBody(r)) {
-      if (live.AtomLive(a)) fn(a, rule_node);
-    }
-    const AtomId head = graph.HeadOf(r);
-    if (live.AtomLive(head)) fn(rule_node, head);
-  }
-}
-
-}  // namespace
-
-Condensation CondenseGroundScc(const GroundGraph& graph, const SccResult& scc,
-                               const GroundLiveness& live) {
-  Condensation cond;
-  cond.external_in_degree.assign(scc.num_components, 0);
-  cond.has_internal_edge.assign(scc.num_components, 0);
-  ForEachLiveEdge(graph, live, [&](int32_t from, int32_t to) {
-    const int32_t from_comp = scc.component[from];
-    const int32_t to_comp = scc.component[to];
-    if (from_comp == to_comp) {
-      cond.has_internal_edge[to_comp] = 1;
-    } else {
-      ++cond.external_in_degree[to_comp];
-    }
-  });
-  return cond;
-}
-
-SccSchedule BuildSccSchedule(const GroundGraph& graph,
-                             const GroundLiveness& live) {
+SccSchedule BuildSccSchedule(const GroundGraph& graph) {
   SccSchedule schedule;
-  schedule.scc = ComputeGroundScc(graph, live);
+  schedule.scc = ComputeGroundScc(graph);
   const SccResult& scc = schedule.scc;
   schedule.wave.assign(scc.num_components, 0);
   if (scc.num_components == 0) {
@@ -71,14 +26,13 @@ SccSchedule BuildSccSchedule(const GroundGraph& graph,
   // successors-to-be. Cross edges only — internal edges stay inside one
   // wave by definition.
   int32_t num_waves = 1;
-  const GroundAdjacency adj{&graph, live};
+  const GroundAdjacency adj{&graph};
   for (int32_t comp = scc.num_components - 1; comp >= 0; --comp) {
     const int32_t next_wave = schedule.wave[comp] + 1;
     for (int32_t node : scc.Members(comp)) {
       GroundAdjacency::Cursor cursor = adj.FirstEdge(node);
-      bool negative = false;
       int32_t w;
-      while ((w = adj.NextNeighbor(node, cursor, &negative)) >= 0) {
+      while ((w = adj.NextNeighbor(node, cursor)) >= 0) {
         const int32_t to_comp = scc.component[w];
         if (to_comp == comp) continue;
         if (schedule.wave[to_comp] < next_wave) {
@@ -105,31 +59,6 @@ SccSchedule BuildSccSchedule(const GroundGraph& graph,
     schedule.order[cursor[schedule.wave[comp]]++] = comp;
   }
   return schedule;
-}
-
-bool CheckGroundTie(const GroundGraph& graph, const SccResult& scc,
-                    int32_t comp) {
-  // Dead nodes carry component -1, so a same-component test also filters
-  // liveness.
-  const int32_t num_atoms = graph.num_atoms();
-  const std::vector<int32_t>& component = scc.component;
-  const std::vector<char>& parity = scc.parity;
-  for (int32_t v : scc.Members(comp)) {
-    if (v < num_atoms) {
-      for (int32_t r : graph.PositiveConsumers(v)) {
-        const int32_t w = num_atoms + r;
-        if (component[w] == comp && parity[w] != parity[v]) return false;
-      }
-      for (int32_t r : graph.NegativeConsumers(v)) {
-        const int32_t w = num_atoms + r;
-        if (component[w] == comp && parity[w] == parity[v]) return false;
-      }
-    } else {
-      const AtomId head = graph.HeadOf(v - num_atoms);
-      if (component[head] == comp && parity[head] != parity[v]) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace tiebreak

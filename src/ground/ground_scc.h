@@ -1,27 +1,24 @@
-// SCC condensation, the Lemma-1 tie test and topological wave scheduling
-// directly over GroundGraph CSR spans — no SignedDigraph copy. This is what
-// lets the tie-breaking interpreters condense the live subgraph of
-// G(Π, Δ) at memory-bandwidth cost, and the perfect-model interpreter fan
-// independent components out over the thread pool.
+// SCCs and topological wave scheduling of the full ground graph G(Π, Δ),
+// directly over GroundGraph CSR spans with no SignedDigraph copy. The
+// perfect-model interpreter reads its components (and, in parallel, fans
+// independent ones out over the thread pool) from here. The tie-breaking
+// interpreters do not: their bottom-tie search runs over the live atoms
+// only (core/tie_breaking.h, FindBottomTies).
 //
 // Node space: atoms occupy ids [0, num_atoms), rule instance r is node
 // num_atoms + r. Edges follow the paper's ground graph: positive body atom
 // -> rule (positive), negated body atom -> rule (negative), rule -> head
-// (positive). A GroundLiveness restricts everything to the live subgraph
-// (undefined atoms, un-dead rules), exactly the graph ground/live_graph.h
-// used to materialize.
+// (positive).
 //
 // Equivalence contract: ComputeGroundScc reproduces ComputeScc over the
-// materialized graph *exactly* — same component ids, same member order —
-// because an atom's neighbors are enumerated by merging its positive and
-// negative consumer spans in ascending rule order with positive first on
-// ties, which is precisely the edge insertion order of live_graph.cc /
-// perfect_model's FullGraph (both consumer spans are ascending by
-// GroundGraph::Finalize construction) — and the same DFS tree, so the same
-// sign parities. The tie-breaking interpreters depend on this: Lemma-1
-// partition sides are labeled relative to members.front(), so a different
-// DFS order would silently flip default-policy tie orientations. interpreter_parallel_test.cc asserts the equivalence on
-// randomized programs.
+// materialized full graph *exactly* — same component ids, same member
+// order — because an atom's neighbors are enumerated by merging its
+// positive and negative consumer spans in ascending rule order with
+// positive first on ties, which is precisely the edge insertion order of
+// a digraph built rule by rule, positive body before negative body (both
+// consumer spans are ascending by GroundGraph::Finalize construction).
+// interpreter_parallel_test.cc asserts the equivalence on randomized
+// programs.
 #ifndef TIEBREAK_GROUND_GROUND_SCC_H_
 #define TIEBREAK_GROUND_GROUND_SCC_H_
 
@@ -30,32 +27,13 @@
 
 #include "graph/scc.h"
 #include "ground/ground_graph.h"
-#include "ground/truth.h"
 
 namespace tiebreak {
 
-/// Restriction of the ground graph to its live subgraph. Null pointers mean
-/// "everything live" (the full graph, as perfect_model uses it). The arrays
-/// are borrowed and must outlive every call they are passed to.
-struct GroundLiveness {
-  /// Per-atom truth; an atom is live iff kUndef. Null = all atoms live.
-  const Truth* atom_value = nullptr;
-  /// Per-rule dead flag; a rule is live iff 0. Null = all rules live.
-  const char* rule_dead = nullptr;
-
-  bool AtomLive(AtomId a) const {
-    return atom_value == nullptr || atom_value[a] == Truth::kUndef;
-  }
-  bool RuleAlive(int32_t r) const {
-    return rule_dead == nullptr || rule_dead[r] == 0;
-  }
-};
-
 /// Adjacency adapter feeding ComputeSccOver from the CSR spans; exposed so
-/// the schedule builder and tie check reuse the same neighbor enumeration.
+/// the schedule builder reuses the same neighbor enumeration.
 struct GroundAdjacency {
   const GroundGraph* graph;
-  GroundLiveness live;
 
   /// Merge positions into the positive/negative consumer spans of an atom
   /// (rule nodes use neither; their single head edge is tracked by `pos`).
@@ -64,56 +42,38 @@ struct GroundAdjacency {
     size_t neg = 0;
   };
 
+  /// Atoms plus rule nodes.
   int32_t num_nodes() const {
     return graph->num_atoms() + graph->num_rules();
   }
-  bool Alive(int32_t node) const {
-    return node < graph->num_atoms()
-               ? live.AtomLive(node)
-               : live.RuleAlive(node - graph->num_atoms());
-  }
+  /// A fresh cursor at the node's first out-edge.
   Cursor FirstEdge(int32_t) const { return Cursor{}; }
-  int32_t NextNeighbor(int32_t node, Cursor& cursor, bool* negative) const {
+  /// The next out-neighbor of `node`, or -1 when its edges are exhausted.
+  int32_t NextNeighbor(int32_t node, Cursor& cursor) const {
     const int32_t num_atoms = graph->num_atoms();
     if (node < num_atoms) {
       // Merged consumer walk: ascending rule id, positive before negative
-      // on ties — the live_graph.cc edge insertion order (see file
-      // comment). Dead rules carry no edges.
+      // on ties (see file comment).
       const IdSpan pos = graph->PositiveConsumers(node);
       const IdSpan neg = graph->NegativeConsumers(node);
-      while (cursor.pos < pos.size() || cursor.neg < neg.size()) {
-        int32_t r;
-        if (cursor.neg >= neg.size() ||
-            (cursor.pos < pos.size() && pos[cursor.pos] <= neg[cursor.neg])) {
-          r = pos[cursor.pos++];
-          *negative = false;
-        } else {
-          r = neg[cursor.neg++];
-          *negative = true;
-        }
-        if (live.RuleAlive(r)) return num_atoms + r;
+      if (cursor.neg >= neg.size() ||
+          (cursor.pos < pos.size() && pos[cursor.pos] <= neg[cursor.neg])) {
+        if (cursor.pos >= pos.size()) return -1;
+        return num_atoms + pos[cursor.pos++];
       }
-      return -1;
+      return num_atoms + neg[cursor.neg++];
     }
-    // Rule node: one positive head edge, present while the head is live.
+    // Rule node: one head edge.
     if (cursor.pos != 0) return -1;
     cursor.pos = 1;
-    *negative = false;
-    const AtomId head = graph->HeadOf(node - num_atoms);
-    return live.AtomLive(head) ? head : -1;
+    return graph->HeadOf(node - num_atoms);
   }
 };
 
-/// Tarjan directly over the CSR spans. Dead nodes get component -1 and
-/// appear in no member list. See the file comment for the equivalence
-/// guarantee against ComputeScc over the materialized live graph.
-SccResult ComputeGroundScc(const GroundGraph& graph,
-                           const GroundLiveness& live = {});
-
-/// Condensation facts (bottom test, internal-edge test) over the same node
-/// space, matching CondenseScc over the materialized graph.
-Condensation CondenseGroundScc(const GroundGraph& graph, const SccResult& scc,
-                               const GroundLiveness& live = {});
+/// Tarjan directly over the CSR spans of the full graph. See the file
+/// comment for the equivalence guarantee against ComputeScc over the
+/// materialized graph.
+SccResult ComputeGroundScc(const GroundGraph& graph);
 
 /// Topological wave schedule of the condensation: wave(c) is the longest
 /// dependency-path depth of component c, so every component's dependencies
@@ -132,27 +92,15 @@ struct SccSchedule {
   /// num_waves() + 1 offsets into `order`.
   std::vector<int32_t> wave_offset;
 
+  /// Number of waves (0 for an empty graph).
   int32_t num_waves() const {
     return static_cast<int32_t>(wave_offset.size()) - 1;
   }
 };
 
-/// Condenses the (live) ground graph and levels the condensation into
+/// Condenses the full ground graph and levels the condensation into
 /// waves. One SCC pass plus one descending-id relaxation sweep.
-SccSchedule BuildSccSchedule(const GroundGraph& graph,
-                             const GroundLiveness& live = {});
-
-/// Lemma-1 test on component `comp` of a ground SCC result: true iff the
-/// component is a tie. Tarjan's DFS tree spans the component with paths
-/// inside it, so `scc.parity` already labels each member with a side; the
-/// test is one sweep checking every internal edge against that labeling (a
-/// positive edge keeps the parity, a negative one flips it). A component
-/// with an odd cycle fails on some edge outside the tree. For a tie, the
-/// side of member v is scc.parity[v] ^ scc.parity[Members(comp).front()]:
-/// side 0 = same parity as the front, as in TieCheckResult, so tie
-/// orientations match the materialized route.
-bool CheckGroundTie(const GroundGraph& graph, const SccResult& scc,
-                    int32_t comp);
+SccSchedule BuildSccSchedule(const GroundGraph& graph);
 
 }  // namespace tiebreak
 

@@ -171,6 +171,80 @@ TEST(CertificateTest, WellFoundedOrderingEnforced) {
                   .ok());
 }
 
+// Tamperings that name a bad atom id: a duplicate, -1 and num_atoms + 5.
+std::vector<std::vector<AtomId>> TamperedSides(const std::vector<AtomId>& side,
+                                               int32_t num_atoms) {
+  std::vector<std::vector<AtomId>> out;
+  std::vector<AtomId> twice = side;
+  twice.push_back(side.front());
+  out.push_back(twice);
+  for (const AtomId bad : {-1, num_atoms + 5}) {
+    std::vector<AtomId> outside = side;
+    outside.push_back(bad);
+    out.push_back(outside);
+  }
+  return out;
+}
+
+TEST(CertificateTest, UnfoundedStepWithBadAtomIdsIsRejected) {
+  // {p} is unfounded (p's only rule consumes p), so the honest step
+  // verifies; every tampering must be rejected, not abort the replay.
+  Instance inst = ParseInstance("p :- p.");
+  const GroundingResult g = GroundOrDie(inst);
+  Certificate certificate;
+  const InterpreterResult result =
+      TieBreaking(inst.program, inst.database, g.graph,
+                  TieBreakingMode::kWellFounded, nullptr, &certificate);
+  ASSERT_EQ(certificate.steps.size(), 1u);
+  ASSERT_EQ(certificate.steps[0].kind, CertificateStep::Kind::kUnfoundedSet);
+  ASSERT_TRUE(VerifyCertificate(inst.program, inst.database, g.graph,
+                                TieBreakingMode::kWellFounded, certificate,
+                                result.values)
+                  .ok());
+  for (const std::vector<AtomId>& made_false :
+       TamperedSides(certificate.steps[0].made_false, g.graph.num_atoms())) {
+    Certificate tampered = certificate;
+    tampered.steps[0].made_false = made_false;
+    const Status s =
+        VerifyCertificate(inst.program, inst.database, g.graph,
+                          TieBreakingMode::kWellFounded, tampered,
+                          result.values);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  }
+}
+
+TEST(CertificateTest, TieStepWithBadAtomIdsIsRejected) {
+  Instance inst = ParseInstance("p :- not q.\nq :- not p.");
+  const GroundingResult g = GroundOrDie(inst);
+  Certificate certificate;
+  const InterpreterResult result =
+      TieBreaking(inst.program, inst.database, g.graph,
+                  TieBreakingMode::kWellFounded, nullptr, &certificate);
+  ASSERT_EQ(certificate.steps.size(), 1u);
+  const CertificateStep& step = certificate.steps[0];
+  ASSERT_EQ(step.kind, CertificateStep::Kind::kTieBreak);
+  std::vector<Certificate> tampered;
+  for (const std::vector<AtomId>& made_true :
+       TamperedSides(step.made_true, g.graph.num_atoms())) {
+    tampered.push_back(certificate);
+    tampered.back().steps[0].made_true = made_true;
+  }
+  for (const std::vector<AtomId>& made_false :
+       TamperedSides(step.made_false, g.graph.num_atoms())) {
+    tampered.push_back(certificate);
+    tampered.back().steps[0].made_false = made_false;
+  }
+  // One atom on both sides.
+  tampered.push_back(certificate);
+  tampered.back().steps[0].made_false.push_back(step.made_true.front());
+  for (const Certificate& c : tampered) {
+    const Status s = VerifyCertificate(inst.program, inst.database, g.graph,
+                                       TieBreakingMode::kWellFounded, c,
+                                       result.values);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  }
+}
+
 TEST(CertificateTest, RandomRunsAlwaysVerify) {
   Rng rng(0xCE87);
   for (int round = 0; round < 80; ++round) {

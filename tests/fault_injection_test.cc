@@ -6,10 +6,12 @@
 // agreement with a clean run afterwards. Run under ASan/UBSan by
 // scripts/check.sh to catch unwind-path leaks and UB.
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "core/completion.h"
 #include "core/query_plan.h"
+#include "core/tie_breaking.h"
 #include "core/well_founded.h"
 #include "ground/grounder.h"
 #include "gtest/gtest.h"
@@ -61,6 +63,82 @@ WfOutcome RunWellFoundedPipeline(ExecutionContext* context,
   outcome.truncation = wf.truncation;
   outcome.total = wf.total;
   return outcome;
+}
+
+// Grounds win/move over an even 1024-cycle and runs the well-founded
+// tie-breaking interpreter, all under `context`. The cycle is one bottom
+// tie of 1024 live atoms, so the tie pass checkpoints four times before
+// the break; `layer` receives the tag of the checkpoint that tripped.
+WfOutcome RunTieBreakingPipeline(ExecutionContext* context,
+                                 std::string* layer) {
+  Program program = WinMoveProgram();
+  Database database = *CycleDatabase(&program, "move", 1024);
+  GroundingOptions options;
+  options.context = context;
+  Result<GroundingResult> ground = Ground(program, database, options);
+  WfOutcome outcome;
+  if (ground.ok()) {
+    const InterpreterResult tb = TieBreaking(
+        program, database, ground->graph, TieBreakingMode::kWellFounded,
+        InterpreterOptions{1, context});
+    outcome.values = tb.values;
+    outcome.truncation = tb.truncation;
+    outcome.total = tb.total;
+  } else {
+    outcome.errored = true;
+    outcome.code = ground.status().code();
+  }
+  *layer = context->truncation().layer;
+  return outcome;
+}
+
+TEST(FaultInjectionTest, TieBreakingPipelineSurvivesTripAtEveryCheckpoint) {
+  fault_injection::CountCheckpoints();
+  ExecutionContext count_context;
+  std::string layer;
+  const WfOutcome clean = RunTieBreakingPipeline(&count_context, &layer);
+  const int64_t checkpoints = fault_injection::CheckpointsObserved();
+  fault_injection::Disarm();
+  ASSERT_FALSE(clean.errored);
+  ASSERT_TRUE(clean.truncation.ok());
+  ASSERT_TRUE(clean.total);  // the tie was broken
+  ASSERT_GT(checkpoints, 0);
+
+  int64_t tie_pass_trips = 0;
+  for (int64_t n = 0; n < checkpoints; ++n) {
+    fault_injection::TripAtCheckpoint(n);
+    ExecutionContext context;
+    const WfOutcome tripped = RunTieBreakingPipeline(&context, &layer);
+    fault_injection::Disarm();
+    ASSERT_TRUE(context.stopped()) << "checkpoint " << n;
+    EXPECT_EQ(context.status().code(), StatusCode::kCancelled)
+        << "checkpoint " << n;
+    if (layer == "tie_pass") ++tie_pass_trips;
+    if (tripped.errored) {
+      EXPECT_EQ(tripped.code, StatusCode::kCancelled) << "checkpoint " << n;
+      continue;
+    }
+    // A trip in the tie pass reports no tie, so nothing is broken and the
+    // run stops with a sound prefix of the default-policy run.
+    ASSERT_FALSE(tripped.truncation.ok()) << "checkpoint " << n;
+    EXPECT_EQ(tripped.truncation.code(), StatusCode::kCancelled)
+        << "checkpoint " << n;
+    EXPECT_FALSE(tripped.total) << "checkpoint " << n;
+    ASSERT_EQ(tripped.values.size(), clean.values.size())
+        << "checkpoint " << n;
+    for (size_t a = 0; a < tripped.values.size(); ++a) {
+      if (tripped.values[a] == Truth::kUndef) continue;
+      EXPECT_EQ(tripped.values[a], clean.values[a])
+          << "checkpoint " << n << " atom " << a;
+    }
+  }
+  EXPECT_GT(tie_pass_trips, 0);
+
+  ExecutionContext rerun_context;
+  const WfOutcome rerun = RunTieBreakingPipeline(&rerun_context, &layer);
+  ASSERT_FALSE(rerun.errored);
+  EXPECT_TRUE(rerun.truncation.ok());
+  EXPECT_EQ(rerun.values, clean.values);
 }
 
 // Stable-model search under `context`: completion SAT search plus the

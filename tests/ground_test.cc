@@ -9,10 +9,10 @@
 #include "graph/tie.h"
 #include "ground/close.h"
 #include "ground/grounder.h"
-#include "ground/live_graph.h"
 #include "gtest/gtest.h"
 #include "lang/parser.h"
 #include "lang/printer.h"
+#include "live_graph.h"
 #include "util/random.h"
 
 namespace tiebreak {

@@ -4,13 +4,13 @@
 // fixpoint run wave- or rule-block-parallel; WellFounded and TieBreaking
 // always close serially, so their rows guard that the thread count never
 // changes a model), over curated programs, workload families and
-// randomized programs. Also locks down the structural contracts the tie
-// pass rests on: the CSR Tarjan reproduces the materialized-digraph Tarjan
-// exactly (component ids, member order, DFS-tree parities), the tie pass
-// reproduces the materialized reference tie-for-tie at every state a run
-// passes through, the wave schedule is a valid topological leveling with
-// every node in exactly one component, and truncated runs only move atoms
-// to kUndef relative to the full model.
+// randomized programs. Also locks down the structural contracts: the CSR
+// Tarjan reproduces the materialized-digraph Tarjan exactly (component ids,
+// member order), the atom-level tie pass reproduces the materialized
+// reference tie-for-tie at every state a run passes through, the wave
+// schedule is a valid topological leveling with every node in exactly one
+// component, and truncated runs only move atoms to kUndef relative to the
+// full model.
 #include <algorithm>
 #include <span>
 #include <string>
@@ -27,8 +27,8 @@
 #include "graph/tie.h"
 #include "ground/close.h"
 #include "ground/ground_scc.h"
-#include "ground/live_graph.h"
 #include "gtest/gtest.h"
+#include "live_graph.h"
 #include "test_util.h"
 #include "util/execution_context.h"
 #include "util/random.h"
@@ -75,6 +75,12 @@ std::vector<Instance> CuratedInstances() {
   // labeled relative to the front to keep the reference orientation.
   instances.push_back(ParseInstance(
       "a :- x.\nx :- a, not b.\nb :- not x.\nx :- a.", ""));
+  // Two ties, {a, b} and {c, d}, with an edge c -> b. The DFS from a pops
+  // {a, b} before the edge from c is seen, so only a later mark keeps
+  // {a, b} out of the bottom ties.
+  instances.push_back(ParseInstance(
+      "a :- not b.\nb :- not a.\nb :- not c.\nc :- not d.\nd :- not c.",
+      ""));
   return instances;
 }
 
@@ -121,8 +127,8 @@ SignedDigraph MaterializeFullGraph(const GroundGraph& graph) {
 }
 
 // The historical FindBottomTies: materialize the live graph, generic SCC +
-// CheckTie. Kept here verbatim as the reference implementation the CSR
-// route must reproduce tie-for-tie, side-for-side.
+// CheckTie. Kept here verbatim as the reference implementation the
+// atom-level tie pass must reproduce tie-for-tie, side-for-side.
 std::vector<TieView> ReferenceBottomTies(const CloseState& state) {
   std::vector<TieView> ties;
   const LiveGraph live = BuildLiveGraph(state);
@@ -323,8 +329,7 @@ void ExpectCsrPassesMatchReference(const Instance& inst) {
   const GroundingResult ground = GroundOrDie(inst);
   const GroundGraph& graph = ground.graph;
 
-  // Full graph: exact Tarjan equivalence — ids, member order and the DFS
-  // tree's sign parities.
+  // Full graph: exact Tarjan equivalence — ids and member order.
   const SccResult csr = ComputeGroundScc(graph);
   const SignedDigraph full = MaterializeFullGraph(graph);
   const SccResult reference = ComputeScc(full);
@@ -332,13 +337,12 @@ void ExpectCsrPassesMatchReference(const Instance& inst) {
   EXPECT_EQ(csr.component, reference.component);
   EXPECT_EQ(csr.member_offset, reference.member_offset);
   EXPECT_EQ(csr.members, reference.members);
-  EXPECT_EQ(csr.parity, reference.parity);
 
-  // Live subgraph: the tie pass drives default-policy choices, so the CSR
-  // route must reproduce the reference tie list exactly — same ties, same
-  // order, same Lemma-1 side orientation — at the initial close and at
-  // every later state of WFTB and pure-TB runs, under the default policy
-  // and a seeded random one.
+  // Live subgraph: the tie pass drives default-policy choices, so it must
+  // reproduce the reference tie list exactly — same ties, same order, same
+  // Lemma-1 side orientation — at the initial close and at every later
+  // state of WFTB and pure-TB runs, under the default policy and a seeded
+  // random one.
   for (const TieBreakingMode mode :
        {TieBreakingMode::kWellFounded, TieBreakingMode::kPure}) {
     SCOPED_TRACE(mode == TieBreakingMode::kPure ? "pure" : "wftb");
@@ -411,16 +415,12 @@ TEST(InterpreterParallelTest, CsrPassesMatchReferenceRandom) {
 TEST(InterpreterParallelTest, OddNegativeCycleIsNoTie) {
   // p, q, r and their rules form one bottom component. Its DFS tree
   // labels every member consistently, so the contradiction sits on the
-  // one non-tree edge back to the root, and the verification sweep must
-  // reject the component.
+  // one non-tree edge back to the root, and the tie pass must reject the
+  // component.
   const Instance inst = ParseInstance(kOddNegativeCycle, "");
   const GroundingResult ground = GroundOrDie(inst);
   CloseState state(inst.program, inst.database, ground.graph);
   ASSERT_EQ(state.num_live_atoms(), 3);
-  const GroundLiveness live{state.values().data(), state.rule_dead().data()};
-  const SccResult scc = ComputeGroundScc(ground.graph, live);
-  ASSERT_EQ(scc.num_components, 1);
-  EXPECT_FALSE(CheckGroundTie(ground.graph, scc, 0));
   EXPECT_TRUE(FindBottomTies(state).empty());
   EXPECT_TRUE(ReferenceBottomTies(state).empty());
 }

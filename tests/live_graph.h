@@ -1,8 +1,39 @@
-#include "ground/live_graph.h"
+// Test-only reference: materializes the *live* part of a CloseState's
+// ground graph as a SignedDigraph, so the generic SCC / tie machinery
+// (graph/) can run on it. Nodes are the still-undefined atoms plus the
+// still-alive rule nodes; edges follow the paper's ground-graph definition
+// restricted to live endpoints, inserted rule by rule with the positive
+// body before the negative body. interpreter_parallel_test.cc derives the
+// reference tie list from it; the production tie pass
+// (core/tie_breaking.h, FindBottomTies) never builds it.
+#ifndef TIEBREAK_TESTS_LIVE_GRAPH_H_
+#define TIEBREAK_TESTS_LIVE_GRAPH_H_
+
+#include <cstdint>
+#include <vector>
+
+#include "graph/digraph.h"
+#include "ground/close.h"
 
 namespace tiebreak {
 
-LiveGraph BuildLiveGraph(const CloseState& state) {
+/// The live subgraph with node <-> atom/rule mappings.
+struct LiveGraph {
+  SignedDigraph graph;
+  /// node -> AtomId, or -1 for rule nodes.
+  std::vector<int32_t> node_atom;
+  /// node -> rule-instance id, or -1 for atom nodes.
+  std::vector<int32_t> node_rule;
+  /// AtomId -> node id, or -1 when the atom is not live.
+  std::vector<int32_t> atom_node;
+
+  int32_t num_atom_nodes = 0;
+};
+
+/// Builds the live subgraph of `state`'s ground graph: live atoms first
+/// (ascending id), then live rules (ascending id). The returned graph is
+/// finalized.
+inline LiveGraph BuildLiveGraph(const CloseState& state) {
   const GroundGraph& ground = state.graph();
   LiveGraph live;
   live.atom_node.assign(ground.num_atoms(), -1);
@@ -50,3 +81,5 @@ LiveGraph BuildLiveGraph(const CloseState& state) {
 }
 
 }  // namespace tiebreak
+
+#endif  // TIEBREAK_TESTS_LIVE_GRAPH_H_
