@@ -75,7 +75,6 @@ int RunKernelAblation(JoinKernel kernel, const char* kernel_name, int reps,
     if (!selected(factory.name)) continue;
     const benchutil::EngineWorkload workload = factory.build();
     EngineOptions options;
-    options.num_threads = 1;  // isolate the kernel, not the fan-out
     options.kernel = kernel;
     double best = 1e100;
     EngineStats stats;

@@ -7,10 +7,10 @@
 // materialization) measured on this container; docs/benchmarks.md keeps
 // the PR 1 → PR 2 → PR 3 trajectory table.
 //
-// Usage: bench_engine [output.json] [--threads N] [--workload NAME]
-//                     [--reps N] [--json PATH] [--kernel row|vector|merge]
-//   --threads N    EngineOptions::num_threads for measured runs
-//                  (0 = hardware concurrency; default 0)
+// The engine evaluates on one thread, so every row records num_threads 1.
+//
+// Usage: bench_engine [output.json] [--workload NAME] [--reps N]
+//                     [--json PATH] [--kernel row|vector|merge]
 //   --workload S   only run workloads whose name contains S (may repeat);
 //                  skips writing JSON unless an output path was given
 //   --reps N       repetitions per workload (best-of; default 3)
@@ -25,7 +25,6 @@
 #include "bench_util.h"
 #include "engine_workloads.h"
 #include "engine/evaluation.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace tiebreak {
@@ -41,13 +40,12 @@ constexpr benchutil::BaselineEntry kBaseline[] = {
 };
 
 benchutil::Row Measure(const benchutil::EngineWorkload& workload, int reps,
-                       int32_t num_threads, JoinKernel kernel) {
+                       JoinKernel kernel) {
   benchutil::Row out;
   out.name = workload.name;
   EngineOptions options;
-  options.num_threads = num_threads;
   options.kernel = kernel;
-  out.num_threads = ThreadPool::EffectiveThreads(num_threads);
+  out.num_threads = 1;
   // Warm-up (and correctness sanity) run.
   {
     EngineStats stats;
@@ -79,7 +77,6 @@ int Main(int argc, char** argv) {
   bool json_path_explicit = false;
   std::vector<std::string> name_filters;
   int reps = 3;
-  int32_t num_threads = 0;  // hardware concurrency
   JoinKernel kernel = JoinKernel::kVector;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -87,9 +84,7 @@ int Main(int argc, char** argv) {
       TIEBREAK_CHECK_LT(i + 1, argc) << arg << " needs a value";
       return argv[++i];
     };
-    if (arg == "--threads") {
-      num_threads = std::atoi(next_value());
-    } else if (arg == "--workload") {
+    if (arg == "--workload") {
       name_filters.push_back(next_value());
     } else if (arg == "--reps") {
       reps = std::atoi(next_value());
@@ -122,7 +117,7 @@ int Main(int argc, char** argv) {
        benchutil::kEngineWorkloads) {
     if (!selected(factory.name)) continue;
     const benchutil::EngineWorkload workload = factory.build();
-    results.push_back(Measure(workload, reps, num_threads, kernel));
+    results.push_back(Measure(workload, reps, kernel));
   }
   if (results.empty()) {
     std::fprintf(stderr, "no workload matches the --workload filters\n");

@@ -21,8 +21,9 @@
 // same workload, so the speedup column reads as demand-vs-full directly.
 //
 // Usage: bench_query [output.json] [--threads N] [--reps N]
-//   --threads N   QueryOptions::num_threads for every request (default 1 —
-//                 the committed JSON records the serial reference path)
+//   --threads N   QueryOptions::num_threads for every request, i.e. the
+//                 grounding threads (the engine and the interpreter run
+//                 serially); default 1, which the committed JSON records
 //   --reps N      repetitions per row (best-of; default 2)
 #include <algorithm>
 #include <cstdio>

@@ -10,6 +10,7 @@
 //   wftb       well-founded tie-breaking model    [--seed=N]
 //   fixpoints  enumerate fixpoints                [--limit=N]
 //   stable     enumerate stable models            [--limit=N]
+//              (at most N, default 20; --limit=0 lists them all)
 //   witness    Theorem 2/3 witnesses (when the program is not structurally
 //              total) with an UNSAT confirmation
 //   query      evaluate a pattern against the WFTB model
@@ -18,11 +19,16 @@
 //              is given) to stdout
 //
 // Program/database files use the Datalog¬ text format of lang/parser.h.
+// --seed and --limit take non-negative decimal integers; any other value
+// exits 2 with the usage line.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "core/completion.h"
@@ -50,6 +56,16 @@ int Usage() {
                "witness|dot> <program-file> [database-file] [--seed=N] "
                "[--limit=N]\n");
   return 2;
+}
+
+// Parses all of `text` as a non-negative decimal integer: no sign, no
+// spaces, no trailing characters, no overflow.
+template <typename Int>
+bool ParseCount(std::string_view text, Int* out) {
+  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, *out);
+  return error == std::errc() && stop == end;
 }
 
 bool ReadFile(const std::string& path, std::string* out) {
@@ -96,9 +112,9 @@ int main(int argc, char** argv) {
   std::string pattern;
   for (int i = 3; i < argc; ++i) {
     if (StartsWith(argv[i], "--seed=")) {
-      seed = std::strtoull(argv[i] + 7, nullptr, 10);
+      if (!ParseCount(argv[i] + 7, &seed)) return Usage();
     } else if (StartsWith(argv[i], "--limit=")) {
-      limit = std::strtoll(argv[i] + 8, nullptr, 10);
+      if (!ParseCount(argv[i] + 8, &limit)) return Usage();
     } else if (StartsWith(argv[i], "--pattern=")) {
       pattern = argv[i] + 10;
     } else if (database_path.empty()) {
@@ -267,7 +283,7 @@ int main(int argc, char** argv) {
   if (command == "fixpoints" || command == "stable") {
     FixpointSearch search(program, database, ground->graph);
     int64_t shown = 0;
-    while (shown < limit) {
+    while (limit == 0 || shown < limit) {
       auto model = search.Next();
       if (!model.has_value()) break;
       if (command == "stable" &&

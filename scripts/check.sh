@@ -63,7 +63,9 @@ check_docs() {
                 src/core/query_plan.h src/lang/program.h \
                 src/lang/symbols.h src/core/tie_breaking.h \
                 src/core/certificate.h src/ground/close.h \
-                src/ground/ground_scc.h; do
+                src/ground/ground_scc.h src/core/interpreter_options.h \
+                src/core/completion.h src/core/perfect_model.h \
+                src/core/alternating.h; do
     if ! awk -v file="$header" '
       BEGIN { in_private = 0; prev_commented = 0; prev_decl = 0; bad = 0 }
       /^ *private:/ { in_private = 1 }

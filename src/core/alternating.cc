@@ -1,13 +1,9 @@
 #include "core/alternating.h"
 
-#include <algorithm>
-#include <atomic>
-#include <memory>
 #include <utility>
 #include <vector>
 
 #include "util/execution_context.h"
-#include "util/thread_pool.h"
 
 namespace tiebreak {
 
@@ -58,85 +54,16 @@ std::vector<char> LeastModelAgainst(const GroundGraph& graph,
   return in;
 }
 
-// Rule instances per ParallelFor task in the parallel sweeps: large enough
-// that claim overhead vanishes, small enough to balance skewed rule costs.
-constexpr int32_t kAlternatingRuleBlock = 4096;
+}  // namespace
 
-// The same least fixpoint with each sweep fanned out over rule blocks.
-// Derivations publish through per-atom atomic flags: a sweep may observe
-// another block's fresh derivations (just like the serial in-sweep reads),
-// which only accelerates convergence toward the same unique fixpoint.
-// Same per-sweep checkpoint and same trip contract as the serial version.
-std::vector<char> ParallelLeastModelAgainst(const GroundGraph& graph,
-                                            const std::vector<char>& base,
-                                            const std::vector<char>& anti,
-                                            ExecutionContext* exec,
-                                            ThreadPool* pool) {
-  const int32_t n = graph.num_atoms();
-  const int32_t num_rules = graph.num_rules();
-  auto in = std::make_unique<std::atomic<char>[]>(n);
-  for (AtomId a = 0; a < n; ++a) {
-    in[a].store(base[a], std::memory_order_relaxed);
-  }
-  const int32_t num_blocks =
-      (num_rules + kAlternatingRuleBlock - 1) / kAlternatingRuleBlock;
-  std::atomic<char> changed{1};
-  while (changed.load(std::memory_order_relaxed)) {
-    if (exec != nullptr &&
-        !exec->Checkpoint("alternating", num_rules).ok()) {
-      break;
-    }
-    changed.store(0, std::memory_order_relaxed);
-    pool->ParallelFor(
-        num_blocks,
-        [&](int32_t block, int32_t) {
-          const int32_t begin = block * kAlternatingRuleBlock;
-          const int32_t end =
-              std::min(num_rules, begin + kAlternatingRuleBlock);
-          bool local_changed = false;
-          for (int32_t r = begin; r < end; ++r) {
-            const AtomId head = graph.HeadOf(r);
-            if (in[head].load(std::memory_order_relaxed)) continue;
-            bool body = true;
-            for (AtomId a : graph.PositiveBody(r)) {
-              if (!in[a].load(std::memory_order_relaxed)) {
-                body = false;
-                break;
-              }
-            }
-            if (body) {
-              for (AtomId a : graph.NegativeBody(r)) {
-                if (anti[a]) {
-                  body = false;
-                  break;
-                }
-              }
-            }
-            if (body) {
-              in[head].store(1, std::memory_order_relaxed);
-              local_changed = true;
-            }
-          }
-          if (local_changed) {
-            changed.store(1, std::memory_order_relaxed);
-          }
-        },
-        exec);
-  }
-  std::vector<char> out(n);
-  for (AtomId a = 0; a < n; ++a) {
-    out[a] = in[a].load(std::memory_order_relaxed);
-  }
-  return out;
-}
-
-// The alternation driver, parameterized over the inner least-fixpoint
-// evaluator so the serial and parallel paths share the loop (the A_k/B_k
-// sequence is identical either way — each T_J fixpoint is unique).
-template <typename Lfp>
-InterpreterResult RunAlternating(const GroundGraph& graph,
-                                 const Database& database,
-                                 ExecutionContext* context, Lfp&& lfp) {
+InterpreterResult AlternatingFixpointWellFounded(const Program& program,
+                                                 const Database& database,
+                                                 const GroundGraph& graph,
+                                                 ExecutionContext* context) {
+  // `program` is part of the interpreter signature for symmetry; the
+  // alternating fixpoint needs only Δ (EDB atoms without rules can never be
+  // derived, so the base covers them).
+  (void)program;
   const int32_t n = graph.num_atoms();
   // Base facts: Δ atoms are unconditionally true. EDB atoms not in Δ can
   // never be derived (no rules), so the base covers all their truth. Built
@@ -158,10 +85,12 @@ InterpreterResult RunAlternating(const GroundGraph& graph,
     // discard it and report the last completed alternation boundary, where
     // A_k underestimates the true atoms and B_k overestimates them at
     // every k (the ascending/descending invariant).
-    std::vector<char> next_over = lfp(base, under);
+    std::vector<char> next_over =
+        LeastModelAgainst(graph, base, under, context);
     if (context != nullptr && context->stopped()) break;
     over = std::move(next_over);
-    std::vector<char> next_under = lfp(base, over);
+    std::vector<char> next_under =
+        LeastModelAgainst(graph, base, over, context);
     if (context != nullptr && context->stopped()) break;
     if (next_under == under) break;
     under = std::move(next_under);
@@ -182,41 +111,6 @@ InterpreterResult RunAlternating(const GroundGraph& graph,
     result.total = result.CountUndefined() == 0;
   }
   return result;
-}
-
-}  // namespace
-
-InterpreterResult AlternatingFixpointWellFounded(const Program& program,
-                                                 const Database& database,
-                                                 const GroundGraph& graph,
-                                                 ExecutionContext* context) {
-  // `program` is part of the interpreter signature for symmetry; the
-  // alternating fixpoint needs only Δ (EDB atoms without rules can never be
-  // derived, so the base covers them).
-  (void)program;
-  return RunAlternating(
-      graph, database, context,
-      [&](const std::vector<char>& base, const std::vector<char>& anti) {
-        return LeastModelAgainst(graph, base, anti, context);
-      });
-}
-
-InterpreterResult AlternatingFixpointWellFounded(
-    const Program& program, const Database& database, const GroundGraph& graph,
-    const InterpreterOptions& options) {
-  const int32_t threads = ThreadPool::EffectiveThreads(options.num_threads);
-  if (threads == 1) {
-    return AlternatingFixpointWellFounded(program, database, graph,
-                                          options.context);
-  }
-  (void)program;
-  ThreadPool pool(threads);
-  return RunAlternating(
-      graph, database, options.context,
-      [&](const std::vector<char>& base, const std::vector<char>& anti) {
-        return ParallelLeastModelAgainst(graph, base, anti, options.context,
-                                         &pool);
-      });
 }
 
 }  // namespace tiebreak

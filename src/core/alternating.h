@@ -11,7 +11,6 @@
 #ifndef TIEBREAK_CORE_ALTERNATING_H_
 #define TIEBREAK_CORE_ALTERNATING_H_
 
-#include "core/interpreter_options.h"
 #include "core/interpreter_result.h"
 #include "ground/ground_graph.h"
 #include "lang/database.h"
@@ -19,6 +18,7 @@
 
 namespace tiebreak {
 
+// Forward-declared; see util/execution_context.h.
 class ExecutionContext;
 
 /// Computes the well-founded model by alternating fixpoints. Semantically
@@ -33,15 +33,6 @@ class ExecutionContext;
 InterpreterResult AlternatingFixpointWellFounded(
     const Program& program, const Database& database, const GroundGraph& graph,
     ExecutionContext* context = nullptr);
-
-/// Options overload: with `options.num_threads > 1` every inner fixpoint
-/// sweep fans rule blocks out across a thread pool (derivations publish
-/// through atomic flags). Each T_J least fixpoint is unique, so the
-/// alternation sequence — and therefore the model — is identical for every
-/// thread count; only the per-sweep derivation order differs.
-InterpreterResult AlternatingFixpointWellFounded(
-    const Program& program, const Database& database, const GroundGraph& graph,
-    const InterpreterOptions& options);
 
 }  // namespace tiebreak
 

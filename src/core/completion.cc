@@ -1,31 +1,15 @@
 #include "core/completion.h"
 
-#include <algorithm>
-
 #include "core/stable.h"
 #include "util/execution_context.h"
-#include "util/thread_pool.h"
 
 namespace tiebreak {
-
-namespace {
-// Rule instances per parallel encoding task; blocks are replayed in order,
-// so the block size affects scheduling only, never the clause database.
-constexpr int32_t kEncodeRuleBlock = 4096;
-}  // namespace
 
 FixpointSearch::FixpointSearch(const Program& program,
                                const Database& database,
                                const GroundGraph& graph,
                                ExecutionContext* context)
-    : FixpointSearch(program, database, graph,
-                     InterpreterOptions{1, context}) {}
-
-FixpointSearch::FixpointSearch(const Program& program,
-                               const Database& database,
-                               const GroundGraph& graph,
-                               const InterpreterOptions& options)
-    : graph_(&graph), context_(options.context) {
+    : graph_(&graph), context_(context) {
   solver_.SetExecutionContext(context_);
   TIEBREAK_CHECK(graph.finalized());
   solver_.Reserve(graph.num_atoms() + graph.num_rules());
@@ -42,55 +26,20 @@ FixpointSearch::FixpointSearch(const Program& program,
   for (int32_t r = 0; r < graph.num_rules(); ++r) {
     body_var[r] = solver_.NewVar();
   }
-  const int32_t threads = ThreadPool::EffectiveThreads(options.num_threads);
-  if (threads == 1) {
-    std::vector<SatLit> back;  // reused across rules — no per-rule allocation
-    for (int32_t r = 0; r < graph.num_rules(); ++r) {
-      const int32_t d = body_var[r];
-      back.clear();
-      back.push_back(PosLit(d));  // (l1 & ... & lk) -> d
-      for (AtomId a : graph.PositiveBody(r)) {
-        solver_.AddBinary(NegLit(d), PosLit(atom_var_[a]));  // d -> a
-        back.push_back(NegLit(atom_var_[a]));
-      }
-      for (AtomId a : graph.NegativeBody(r)) {
-        solver_.AddBinary(NegLit(d), NegLit(atom_var_[a]));  // d -> !a
-        back.push_back(PosLit(atom_var_[a]));
-      }
-      solver_.AddLits(back.data(), back.size());
+  std::vector<SatLit> back;  // reused across rules — no per-rule allocation
+  for (int32_t r = 0; r < graph.num_rules(); ++r) {
+    const int32_t d = body_var[r];
+    back.clear();
+    back.push_back(PosLit(d));  // (l1 & ... & lk) -> d
+    for (AtomId a : graph.PositiveBody(r)) {
+      solver_.AddBinary(NegLit(d), PosLit(atom_var_[a]));  // d -> a
+      back.push_back(NegLit(atom_var_[a]));
     }
-  } else {
-    // Parallel build: each block buffers its clauses in rule order, the
-    // replay walks blocks in order — the clause sequence is bit-identical
-    // to the serial branch (AddBinary is AddClause of two literals).
-    const int32_t num_rules = graph.num_rules();
-    const int32_t num_blocks =
-        (num_rules + kEncodeRuleBlock - 1) / kEncodeRuleBlock;
-    std::vector<std::vector<std::vector<SatLit>>> block_clauses(num_blocks);
-    ThreadPool pool(threads);
-    pool.ParallelFor(num_blocks, [&](int32_t block, int32_t) {
-      const int32_t begin = block * kEncodeRuleBlock;
-      const int32_t end = std::min(num_rules, begin + kEncodeRuleBlock);
-      std::vector<std::vector<SatLit>>& out = block_clauses[block];
-      for (int32_t r = begin; r < end; ++r) {
-        const int32_t d = body_var[r];
-        std::vector<SatLit> back{PosLit(d)};
-        for (AtomId a : graph.PositiveBody(r)) {
-          out.push_back({NegLit(d), PosLit(atom_var_[a])});
-          back.push_back(NegLit(atom_var_[a]));
-        }
-        for (AtomId a : graph.NegativeBody(r)) {
-          out.push_back({NegLit(d), NegLit(atom_var_[a])});
-          back.push_back(PosLit(atom_var_[a]));
-        }
-        out.push_back(std::move(back));
-      }
-    });
-    for (std::vector<std::vector<SatLit>>& clauses : block_clauses) {
-      for (std::vector<SatLit>& clause : clauses) {
-        solver_.AddClause(std::move(clause));
-      }
+    for (AtomId a : graph.NegativeBody(r)) {
+      solver_.AddBinary(NegLit(d), NegLit(atom_var_[a]));  // d -> !a
+      back.push_back(PosLit(atom_var_[a]));
     }
+    solver_.AddLits(back.data(), back.size());
   }
   // Per-atom completion.
   const std::vector<char> delta_mask = DeltaAtomMask(database, graph.atoms());
@@ -162,7 +111,7 @@ bool FixpointSearch::HasFixpoint() {
 
 int64_t FixpointSearch::Count(int64_t limit) {
   int64_t count = 0;
-  while ((limit == 0 || count < limit) && Next().has_value()) ++count;
+  while ((limit <= 0 || count < limit) && Next().has_value()) ++count;
   return count;
 }
 
@@ -177,7 +126,7 @@ bool HasStableModel(const Program& program, const Database& database,
                     ExecutionContext* context) {
   FixpointSearch search(program, database, graph, context);
   int64_t inspected = 0;
-  while (limit == 0 || inspected < limit) {
+  while (limit <= 0 || inspected < limit) {
     std::optional<std::vector<Truth>> model = search.Next();
     if (!model.has_value()) return false;
     ++inspected;

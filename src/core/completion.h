@@ -15,7 +15,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/interpreter_options.h"
 #include "ground/ground_graph.h"
 #include "ground/truth.h"
 #include "lang/database.h"
@@ -25,6 +24,7 @@
 
 namespace tiebreak {
 
+// Forward-declared; see util/execution_context.h.
 class ExecutionContext;
 
 /// SAT-backed search over the fixpoints of one ground instance.
@@ -39,14 +39,6 @@ class FixpointSearch {
                  const GroundGraph& graph,
                  ExecutionContext* context = nullptr);
 
-  /// Options overload: `num_threads > 1` builds the per-rule body-variable
-  /// clauses in parallel rule blocks and replays the buffered clauses in
-  /// block order, producing a clause database bit-identical to the serial
-  /// build (variable numbering is fixed up front; AddBinary is AddClause).
-  /// Solving itself stays serial.
-  FixpointSearch(const Program& program, const Database& database,
-                 const GroundGraph& graph, const InterpreterOptions& options);
-
   /// Returns the next fixpoint (total model, Truth per AtomId) or nullopt
   /// when all fixpoints have been enumerated. Each call adds a blocking
   /// clause, so successive calls yield distinct models.
@@ -56,7 +48,8 @@ class FixpointSearch {
   /// following Next() returns the witnessing model.
   bool HasFixpoint();
 
-  /// Counts fixpoints up to `limit` (enumeration with blocking clauses).
+  /// Counts fixpoints up to `limit` (enumeration with blocking clauses);
+  /// `limit <= 0` counts them all.
   int64_t Count(int64_t limit);
 
   /// OK unless the governing context tripped mid-search; then the trip
@@ -88,16 +81,17 @@ bool HasFixpoint(const Program& program, const Database& database,
 
 /// One-shot convenience: is there a *stable* model? Enumerates fixpoints and
 /// filters through the stability check; `limit` caps the number of fixpoint
-/// candidates inspected (0 = unbounded). With a non-null tripped `context`
-/// the answer `false` means "none found before the trip" — check the
-/// context's status before reading it semantically.
+/// candidates inspected (`limit <= 0` = no cap). With a non-null tripped
+/// `context` the answer `false` means "none found before the trip" — check
+/// the context's status before reading it semantically.
 bool HasStableModel(const Program& program, const Database& database,
                     const GroundGraph& graph, int64_t limit = 0,
                     ExecutionContext* context = nullptr);
 
-/// Enumerates up to `limit` stable models (0 = all). With a non-null
-/// tripped `context` the list is a sound prefix — every returned model is
-/// stable, but later ones may be missing; check the context's status.
+/// Enumerates up to `limit` stable models (`limit <= 0` = all). With a
+/// non-null tripped `context` the list is a sound prefix — every returned
+/// model is stable, but later ones may be missing; check the context's
+/// status.
 std::vector<std::vector<Truth>> EnumerateStableModels(
     const Program& program, const Database& database, const GroundGraph& graph,
     int64_t limit = 0, ExecutionContext* context = nullptr);

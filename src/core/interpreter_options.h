@@ -6,18 +6,15 @@
 
 namespace tiebreak {
 
+// Forward-declared; see util/execution_context.h.
 class ExecutionContext;
 
-/// Options accepted by every interpreter entry point that evaluates a
-/// ground graph. `num_threads == 1` (the default) runs the serial path;
-/// `> 1` lets the perfect-model interpreter run the waves of its SCC
-/// schedule on a thread pool, and the alternating fixpoint and the
-/// completion encoder split rule blocks across one; `<= 0` means hardware
-/// concurrency. WellFounded and TieBreaking always run serially and ignore
-/// the count. Every thread count computes the same model. The context, when
-/// non-null, governs the run through amortized checkpoints — the truncation
-/// contract (decided atoms agree with the full model, the rest are kUndef)
-/// is thread-count independent.
+/// Options taken by the WellFounded and TieBreaking overloads that accept
+/// them. Every interpreter runs serially on the calling thread, so
+/// `num_threads` is accepted and ignored: a caller may pass the thread
+/// count it grounds with. The context, when non-null, governs the run
+/// through amortized checkpoints; a truncated run's decided atoms agree
+/// with the full model and the rest are kUndef.
 struct InterpreterOptions {
   int32_t num_threads = 1;
   ExecutionContext* context = nullptr;

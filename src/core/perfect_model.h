@@ -11,7 +11,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/interpreter_options.h"
 #include "core/interpreter_result.h"
 #include "ground/ground_graph.h"
 #include "ground/truth.h"
@@ -20,6 +19,7 @@
 
 namespace tiebreak {
 
+// Forward-declared; see util/execution_context.h.
 class ExecutionContext;
 
 /// True iff no SCC of the ground graph contains a negative edge. (On
@@ -54,17 +54,6 @@ Result<InterpreterResult> PerfectModelGoverned(const Program& program,
                                                const Database& database,
                                                const GroundGraph& graph,
                                                ExecutionContext* context);
-
-/// Options overload: `num_threads > 1` evaluates the per-SCC fixpoints
-/// wave-parallel (components of one topological wave are mutually
-/// independent, so their fixpoints commute — identical model at every
-/// thread count). On a trip, components that finished keep their final
-/// values; atoms of unfinished or unreached components keep kTrue only
-/// when already derived and are otherwise kUndef.
-Result<InterpreterResult> PerfectModelGoverned(const Program& program,
-                                               const Database& database,
-                                               const GroundGraph& graph,
-                                               const InterpreterOptions& options);
 
 }  // namespace tiebreak
 

@@ -173,7 +173,6 @@ Result<QueryResult> QueryPlanner::ExecuteDemand(CachedPlan* plan,
   }
   spans[t.seed] = FactSpan{seed.data(), 1};
   EngineOptions engine_options;
-  engine_options.num_threads = options.num_threads;
   engine_options.materialize_edb = false;
   engine_options.context = options.context;
   engine_options.edb = &edb_;
@@ -239,11 +238,8 @@ Result<QueryResult> QueryPlanner::ExecuteDemand(CachedPlan* plan,
     return ground.status();
   }
 
-  InterpreterOptions interp_options;
-  interp_options.num_threads = options.num_threads;
-  interp_options.context = options.context;
-  const InterpreterResult wf =
-      WellFounded(t.guarded, *plan->prepared, ground->graph, interp_options);
+  const InterpreterResult wf = WellFounded(t.guarded, *plan->prepared,
+                                           ground->graph, options.context);
 
   Result<QueryResult> answer = EvaluateQuery(
       &program_, ground->graph, wf.values, pattern, options.context);
@@ -268,11 +264,8 @@ Result<QueryResult> QueryPlanner::ExecuteFull(const AtomPattern& atom,
     return ground.status();
   }
 
-  InterpreterOptions interp_options;
-  interp_options.num_threads = options.num_threads;
-  interp_options.context = options.context;
   const InterpreterResult wf =
-      WellFounded(program_, *database_, ground->graph, interp_options);
+      WellFounded(program_, *database_, ground->graph, options.context);
 
   Result<QueryResult> answer = EvaluateQuery(&program_, ground->graph,
                                              wf.values, pattern,

@@ -89,8 +89,9 @@ enum class QueryMode : uint8_t {
 /// unsound ones).
 struct QueryOptions {
   QueryMode mode = QueryMode::kDemand;
-  /// Threads for the engine evaluation, grounding and interpretation of
-  /// this request (1 = serial reference, 0 = hardware concurrency).
+  /// Grounding threads for this request (GroundingOptions::num_threads:
+  /// 1 = serial reference, 0 = hardware concurrency). The engine and the
+  /// well-founded interpreter always run on the calling thread.
   int32_t num_threads = 1;
   /// Resource governance for this request (not owned; null = none).
   ExecutionContext* context = nullptr;
@@ -112,8 +113,8 @@ struct QueryPlannerStats {
 /// borrows the database, which must outlive the planner and stay unmutated
 /// — the planner keeps engine relations built from Δ and its cached plans
 /// snapshot Δ arenas per plan. Not thread-safe: one planner per serving
-/// loop (internal phases still parallelize via QueryOptions::num_threads);
-/// two planners over one database keep separate relations.
+/// loop (grounding still parallelizes via QueryOptions::num_threads); two
+/// planners over one database keep separate relations.
 class QueryPlanner {
  public:
   /// See the class comment; `database` is borrowed and must be shaped by

@@ -1,7 +1,6 @@
 #include "engine/evaluation.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <memory>
 #include <utility>
@@ -9,7 +8,6 @@
 #include "core/stratification.h"
 #include "util/execution_context.h"
 #include "util/function_view.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace tiebreak {
@@ -130,13 +128,12 @@ struct KeySource {
 
 /// One rule body compiled to a flat join plan for a fixed delta literal.
 /// The delta literal (when present) is always the first join step — it is
-/// the novelty driver of a semi-naive round, is typically the smallest
-/// input, and putting it outermost is what makes the scan shardable. The
-/// remaining positive literals are greedily reordered by selectivity (most
-/// bound argument positions first; ties go to the smaller relation), and
-/// each literal is lowered to a JoinStep whose argument actions (constant
-/// check / bound-variable check / fresh-variable bind) live in one flat
-/// action array.
+/// the novelty driver of a semi-naive round and is typically the smallest
+/// input. The remaining positive literals are greedily reordered by
+/// selectivity (most bound argument positions first; ties go to the
+/// smaller relation), and each literal is lowered to a JoinStep whose
+/// argument actions (constant check / bound-variable check / fresh-variable
+/// bind) live in one flat action array.
 struct CompiledPlan {
   std::vector<ArgAction> actions;
   std::vector<JoinStep> steps;
@@ -146,9 +143,7 @@ struct CompiledPlan {
   size_t max_arity = 0;
   /// True when the first join step has an empty probe mask: it is then
   /// executed as a direct column scan (descending row order — identical to
-  /// the newest-first probe order — with no index materialization), and
-  /// the scan can be sharded into row ranges for data parallelism within
-  /// one (rule, delta-literal) job.
+  /// the newest-first probe order — with no index materialization).
   bool direct_scan = false;
   // Vectorized-kernel metadata for the direct scan (see the Scan* types).
   std::vector<ScanEq> scan_eqs;
@@ -165,8 +160,7 @@ struct CompiledPlan {
 /// (rule, delta-literal). A cached plan is reused until some joined
 /// relation's cardinality drifts past `plan_refresh_drift` of the snapshot
 /// taken when the plan was compiled; then the selectivity reordering is
-/// re-run. All cache mutation happens on the coordinating thread between
-/// parallel fan-outs, so workers only ever see finished plans.
+/// re-run.
 class PlanCache {
  public:
   PlanCache(const Program& program,
@@ -431,10 +425,8 @@ class PlanCache {
 };
 
 /// Executes CompiledPlans: the backtracking join over one rule body. One
-/// instance per worker thread — all mutable state (bindings, probe pattern,
-/// block scratch, ground-atom scratch) is private to the instance, and
-/// during parallel rounds the shared relations are only read (Probe /
-/// ProbeSorted on pre-materialized indexes, Contains on the dedupe table).
+/// instance serves a whole evaluation; its bindings, probe pattern and
+/// block scratch are reused across executions.
 class RuleEvaluator {
  public:
   using Sink = FunctionView<void(const ConstId*)>;
@@ -449,29 +441,27 @@ class RuleEvaluator {
   ///
   /// `range_begin`/`range_end` restrict the *first* join step to rows
   /// [range_begin, range_end) of its source relation (-1 = unbounded on
-  /// that side). This one mechanism carries both semi-naive deltas (the
-  /// range of rows published last round; index chains are newest-first, so
-  /// a probe filters by row id) and shard-level data parallelism (a slice
-  /// of a direct scan). A full direct scan with range_end = -1 is bounded
-  /// at entry, so rows inserted by this very execution are not rescanned —
-  /// the same snapshot semantics Probe gives.
+  /// that side): the semi-naive delta, i.e. the range of rows published
+  /// last round (index chains are newest-first, so a probe filters by row
+  /// id). A full direct scan with range_end = -1 is bounded at entry, so
+  /// rows inserted by this very execution are not rescanned — the same
+  /// snapshot semantics Probe gives.
   /// `stop` is the cooperative abort for the tuple budget: when it becomes
-  /// true (set by a sink that detected overflow, possibly on another
-  /// worker), the join stops matching rows, bounding how far past the
-  /// budget any single job can run.
+  /// true (set by a sink that detected overflow), the join stops matching
+  /// rows, bounding how far past the budget any single job can run.
   ///
   /// Both kernels visit the rows of every step in the identical order
   /// (blocks iterate descending, and within a block rows resolve highest-
   /// first), so kernel choice cannot change visit-order-dependent
   /// iteration counts.
   /// `inner_static` promises that no relation read by steps ≥ 1 gains rows
-  /// during this execution (no feedback; parallel fan-outs are always
-  /// static). The vectorized kernel then resolves a whole block's chain
-  /// heads before walking any chain, deepening the prefetch pipeline.
+  /// during this execution (no feedback). The vectorized kernel then
+  /// resolves a whole block's chain heads before walking any chain,
+  /// deepening the prefetch pipeline.
   void Execute(const CompiledPlan& plan, JoinKernel kernel,
                const Relation* delta_relation, int32_t range_begin,
                int32_t range_end, bool inner_static, Sink sink,
-               int64_t* applications, const std::atomic<bool>* stop,
+               int64_t* applications, const bool* stop,
                ExecutionContext* ctx = nullptr) {
     plan_ = &plan;
     inner_static_ = inner_static;
@@ -685,7 +675,7 @@ class RuleEvaluator {
         for (uint64_t bits = sel; bits != 0;) {
           const int32_t i = 63 - std::countl_zero(bits);
           bits &= ~(uint64_t{1} << i);
-          if (stop_->load(std::memory_order_relaxed)) return;
+          if (*stop_) return;
           for (size_t slot = 0; slot < num_binds; ++slot) {
             binding_[plan_->scan_binds[slot].var] =
                 block_binds_[slot * kBlock + i];
@@ -728,7 +718,7 @@ class RuleEvaluator {
   /// statically owned by the step that binds them, so unconditionally
   /// unbinding the step's kBindVar set is exact.
   void MatchRow(const JoinStep& step, const Relation& relation, int32_t row) {
-    if (stop_->load(std::memory_order_relaxed)) return;
+    if (*stop_) return;
     const size_t depth = static_cast<size_t>(&step - plan_->steps.data());
     bool match = true;
     int32_t column = 0;
@@ -765,7 +755,7 @@ class RuleEvaluator {
   int32_t range_end_ = -1;
   const Sink* sink_ = nullptr;
   int64_t* applications_ = nullptr;
-  const std::atomic<bool>* stop_ = nullptr;
+  const bool* stop_ = nullptr;
   ExecutionContext* ctx_ = nullptr;
 
   // Hot-path scratch: variable bindings, probe pattern, ground-atom buffer,
@@ -779,51 +769,19 @@ class RuleEvaluator {
   bool inner_static_ = false;
 };
 
-/// One (rule, delta-literal) evaluation of a fixpoint round. Jobs within a
-/// round are independent (they only read the published relations) and are
-/// what the thread pool fans out.
+/// One (rule, delta-literal) evaluation of a fixpoint round.
 struct RoundJob {
   int32_t rule = -1;
   int32_t delta_literal = -1;
-  // Resolved at dispatch time in parallel mode (plans must be finished and
-  // their probe indexes materialized before the fan-out); left null in
-  // serial mode, where the plan is resolved at execution time so its
-  // selectivity snapshot sees the tuples earlier jobs of the same round
-  // already published (e.g. round 0 of transitive closure compiles the
-  // recursive rule after the base rule filled the head relation — the
-  // order that lets a chain close in one pass).
-  const CompiledPlan* plan = nullptr;
   PredId head = -1;
   // The delta literal's source relation (deltas are row ranges of the
   // global relation, never copies); null for full-evaluation jobs.
   const Relation* delta_relation = nullptr;
   // Step-0 row range this job covers: the delta range for delta jobs,
-  // a shard of the outer scan for sharded jobs, (-1, -1) = everything.
-  // Direct-scan jobs over large row ranges are split into one job per
-  // shard, which is what parallelizes rounds dominated by a single rule
-  // (the transitive-closure shape: one recursive rule, one big delta).
+  // (-1, -1) = everything.
   int32_t range_begin = -1;
   int32_t range_end = -1;
 };
-
-/// Materializes every index `plan` will touch (hash indexes for chained
-/// probes, sorted-key indexes for merge steps) so the parallel fan-out
-/// performs no lazy index construction (Relation::Probe / ProbeSorted
-/// would otherwise mutate the shared relation from worker threads). A
-/// direct-scan plan's first step reads the columns, not an index.
-void PrewarmPlanIndexes(const CompiledPlan& plan,
-                        const Relation* delta_relation) {
-  for (size_t i = plan.direct_scan ? 1 : 0; i < plan.steps.size(); ++i) {
-    const JoinStep& step = plan.steps[i];
-    const Relation* relation =
-        step.relation != nullptr ? step.relation : delta_relation;
-    if (step.merge) {
-      relation->EnsureSortedIndex(step.mask);
-    } else {
-      relation->EnsureProbeIndex(step.mask);
-    }
-  }
-}
 
 /// True when some non-first join step of `plan` reads `head` — i.e. tuples
 /// this rule derives can feed its own join within one execution (the
@@ -900,15 +858,9 @@ Result<Database> EvaluateStratified(const Program& program,
     relations[p] = &owned[p];
   }
 
-  const int32_t num_threads = ThreadPool::EffectiveThreads(options.num_threads);
-  stats->threads_used = num_threads;
-  const bool parallel = num_threads > 1;
-  std::unique_ptr<ThreadPool> pool;
-  if (parallel) pool = std::make_unique<ThreadPool>(num_threads);
-
   // Resource governance: the entry checkpoint makes an already-tripped
   // context (pre-cancelled, pre-expired deadline) fail here, before any
-  // work, identically for every thread count.
+  // work.
   ExecutionContext* const ctx = options.context;
   if (ctx != nullptr) {
     Status entry = ctx->Checkpoint("engine", 1);
@@ -919,8 +871,6 @@ Result<Database> EvaluateStratified(const Program& program,
   // kept relation already holds. The source spans are sorted and
   // duplicate-free, so the uniqueness-exploiting bulk path applies (no
   // membership checks, prefetch-pipelined fingerprint stores).
-  // Per-predicate loads are independent — with a pool they fan out as one
-  // task per predicate.
   EdbRelations* const edb = options.edb;
   std::vector<char> kept(num_preds, 0);
   std::vector<PredId> to_load;
@@ -934,32 +884,25 @@ Result<Database> EvaluateStratified(const Program& program,
       to_load.push_back(p);
     }
   }
-  auto load_predicate = [&](PredId p) {
+  for (const PredId p : to_load) {
     const int64_t rows = facts[p].rows;
     Relation& relation = owned[p];
     relation.Reserve(rows);
-    if (rows == 0) return;
+    if (rows == 0) continue;
     if (program.predicate(p).arity == 0) {
       TIEBREAK_CHECK_EQ(rows, 1) << "arity-0 span with more than one row";
       const Tuple empty;
       relation.Insert(empty);
-      return;
+      continue;
     }
     // The span rows are already one flat, sorted, duplicate-free row-major
     // arena — exactly the uniqueness-exploiting bulk path's input format,
     // with no flattening copy.
     relation.InsertUniqueBulk(facts[p].data, rows);
-  };
-  if (parallel) {
-    pool->ParallelFor(
-        static_cast<int32_t>(to_load.size()),
-        [&](int32_t task, int32_t) { load_predicate(to_load[task]); }, ctx);
-  } else {
-    for (const PredId p : to_load) load_predicate(p);
   }
-  // A tripped pool abandons unclaimed loads; a context that never stopped
-  // saw every load finish, so the kept relations built here are whole and
-  // can be published.
+  // A Cancel() from another thread may have stopped the context during the
+  // loads; otherwise the kept relations built here are whole and can be
+  // published.
   if (ctx != nullptr && ctx->stopped()) return ctx->status();
   for (const PredId p : to_load) {
     if (!kept[p]) continue;
@@ -1003,58 +946,25 @@ Result<Database> EvaluateStratified(const Program& program,
   std::vector<int64_t> delta_end(num_preds, 0);
 
   PlanCache plans(program, relations, options);
-  RuleEvaluator serial_evaluator(relations);
-
-  // Parallel-mode state: one evaluator + one per-predicate staging bank +
-  // one sink buffer per worker, and per-worker counters merged at
-  // barriers.
-  std::vector<RuleEvaluator> worker_evaluators;
-  std::vector<std::vector<Relation>> staging;
-  std::vector<int64_t> worker_applications;
-  std::vector<int64_t> worker_staged;  // staged rows this round, per worker
-  std::vector<double> worker_busy_seconds;
-  std::vector<std::vector<ConstId>> worker_sink_buffers;
-  std::vector<std::vector<uint64_t>> worker_fp_buffers;
-  if (parallel) {
-    worker_evaluators.reserve(num_threads);
-    for (int32_t w = 0; w < num_threads; ++w) {
-      worker_evaluators.emplace_back(relations);
-    }
-    staging.resize(num_threads);
-    for (int32_t w = 0; w < num_threads; ++w) {
-      staging[w].reserve(num_preds);
-      for (PredId p = 0; p < num_preds; ++p) {
-        staging[w].emplace_back(program.predicate(p).arity);
-      }
-    }
-    worker_applications.assign(num_threads, 0);
-    worker_staged.assign(num_threads, 0);
-    worker_busy_seconds.assign(num_threads, 0.0);
-    worker_sink_buffers.resize(num_threads);
-    worker_fp_buffers.resize(num_threads);
-  }
-  // Serial-mode batched-sink scratch (reused across jobs).
-  std::vector<ConstId> serial_sink_buffer;
+  RuleEvaluator evaluator(relations);
+  // Batched-sink scratch (reused across jobs).
+  std::vector<ConstId> sink_buffer;
 
   Status overflow = Status::Ok();
   // Cooperative abort for the tuple budget: sinks set it on overflow and
-  // every evaluator polls it, so no job (and in parallel mode no worker's
-  // staging bank) runs far past max_tuples before the round ends.
-  std::atomic<bool> stop{false};
+  // the evaluator polls it, so no job runs far past max_tuples.
+  bool stop = false;
 
   // Runs one round's jobs and publishes new tuples into `relations`; the
   // published rows land at the end of each relation's columns, which is
-  // what makes them the next round's delta ranges.
-  //
-  // Serial: derived tuples become visible to later jobs of the same round
-  // — immediately (per-tuple insert) for feedback plans, at the end of the
-  // producing job (batched flush) otherwise. Parallel: workers stage
-  // derivations privately while all shared relations stay read-only; at
-  // the barrier the coordinating thread merges each stage with
-  // Relation::BulkInsert, which re-checks every staged row against the
-  // fingerprint table (the cross-worker dedupe; the stage already
-  // pre-filtered against the published state) and extends every probe
-  // index once per merged stage. Both converge to the same least fixpoint.
+  // what makes them the next round's delta ranges. Derived tuples become
+  // visible to later jobs of the same round — immediately (per-tuple
+  // insert) for feedback plans, at the end of the producing job (batched
+  // flush) otherwise. Each job's plan is resolved when the job runs, so its
+  // selectivity snapshot sees the tuples earlier jobs of the same round
+  // already published (e.g. round 0 of transitive closure compiles the
+  // recursive rule after the base rule filled the head relation — the
+  // order that lets a chain close in one pass).
   auto run_round = [&](const std::vector<RoundJob>& jobs) -> Status {
     // Per-round checkpoint: catches trips between rounds (and charges the
     // round's dispatch overhead) even when every job is tiny.
@@ -1063,181 +973,68 @@ Result<Database> EvaluateStratified(const Program& program,
           ctx->Checkpoint("engine", 1 + static_cast<int64_t>(jobs.size()));
       if (!round_entry.ok()) return round_entry;
     }
-    if (!parallel) {
-      for (const RoundJob& job : jobs) {
-        const int64_t delta_size =
-            job.delta_relation != nullptr ? job.range_end - job.range_begin
-                                          : 0;
-        const CompiledPlan& plan =
-            plans.Get(job.rule, job.delta_literal, delta_size, stats);
-        Relation& head = owned[job.head];
-        const int32_t head_arity = head.arity();
-        const bool batch_sink = options.kernel != JoinKernel::kRow &&
-                                head_arity > 0 &&
-                                !PlanFeedsBack(plan, &head);
-        if (batch_sink) {
-          serial_sink_buffer.clear();
-          int64_t buffered = 0;
-          auto flush = [&] {
-            if (buffered == 0) return;
-            const int64_t added =
-                head.InsertBatch(serial_sink_buffer.data(), buffered);
-            stats->tuples_derived += added;
-            total_tuples += added;
-            if (total_tuples > options.max_tuples) {
-              overflow = Status::ResourceExhausted("tuple budget exceeded");
-              stop.store(true, std::memory_order_relaxed);
-            }
-            if (ctx != nullptr && added > 0) {
-              Status charge = ctx->ChargeBytes(
-                  "engine", added * head_arity *
-                                static_cast<int64_t>(sizeof(ConstId)));
-              if (!charge.ok()) stop.store(true, std::memory_order_relaxed);
-            }
-            serial_sink_buffer.clear();
-            buffered = 0;
-          };
-          auto sink = [&](const ConstId* values) {
-            serial_sink_buffer.insert(serial_sink_buffer.end(), values,
-                                      values + head_arity);
-            if (++buffered >= kSinkBlockRows) flush();
-          };
-          serial_evaluator.Execute(plan, options.kernel, job.delta_relation,
-                                   job.range_begin, job.range_end,
-                                   /*inner_static=*/true, sink,
-                                   &stats->rule_applications, &stop, ctx);
-          flush();
-        } else {
-          int64_t job_bytes = 0;
-          auto sink = [&](const ConstId* values) {
-            if (head.Insert(values)) {
-              ++stats->tuples_derived;
-              job_bytes += head_arity * static_cast<int64_t>(sizeof(ConstId));
-              if (++total_tuples > options.max_tuples) {
-                overflow = Status::ResourceExhausted("tuple budget exceeded");
-                stop.store(true, std::memory_order_relaxed);
-              }
-            }
-          };
-          serial_evaluator.Execute(plan, options.kernel, job.delta_relation,
-                                   job.range_begin, job.range_end,
-                                   !PlanFeedsBack(plan, &head), sink,
-                                   &stats->rule_applications, &stop, ctx);
-          if (ctx != nullptr && job_bytes > 0) {
-            Status charge = ctx->ChargeBytes("engine", job_bytes);
-            if (!charge.ok()) stop.store(true, std::memory_order_relaxed);
-          }
-        }
-        if (!overflow.ok()) return overflow;
-        if (ctx != nullptr && ctx->stopped()) return ctx->status();
-      }
-      return Status::Ok();
-    }
-    // Budget guard for the fan-out: a worker whose staged-row count alone
-    // would blow the remaining budget trips `stop`, and every worker polls
-    // it — so staging memory stays bounded by threads × remaining budget
-    // even for a single cross-product round. (Conservative: cross-worker
-    // duplicates could merge to fewer rows; the barrier re-checks the real
-    // total and is the authority.)
-    const int64_t round_budget =
-        std::max<int64_t>(options.max_tuples - total_tuples, 0);
-    std::fill(worker_staged.begin(), worker_staged.end(), 0);
-    auto body = [&](int32_t task, int32_t worker) {
-      const RoundJob& job = jobs[task];
-      WallTimer busy;
-      Relation& stage = staging[worker][job.head];
-      const Relation& published = owned[job.head];
-      int64_t& staged = worker_staged[worker];
-      const int32_t head_arity = published.arity();
-      // Stages a row: pre-filter against the published relation (read-only;
-      // dedupes most rediscoveries), then stage; the barrier merge is the
-      // authority on cross-worker duplicates. One fingerprint serves both
-      // tables.
-      auto stage_row = [&](const ConstId* values, uint64_t fingerprint) {
-        if (!published.Contains(values, fingerprint) &&
-            stage.Insert(values, fingerprint)) {
-          if (++staged > round_budget) {
-            stop.store(true, std::memory_order_relaxed);
-          }
-        }
-      };
-      if (options.kernel != JoinKernel::kRow && head_arity > 0) {
-        // Batched staging: buffer a block, hash it, prefetch the published
-        // dedupe slots, then stage — same visibility (none until the
-        // barrier), better pipelining.
-        std::vector<ConstId>& buffer = worker_sink_buffers[worker];
-        std::vector<uint64_t>& fps = worker_fp_buffers[worker];
-        buffer.clear();
+    for (const RoundJob& job : jobs) {
+      const int64_t delta_size =
+          job.delta_relation != nullptr ? job.range_end - job.range_begin : 0;
+      const CompiledPlan& plan =
+          plans.Get(job.rule, job.delta_literal, delta_size, stats);
+      Relation& head = owned[job.head];
+      const int32_t head_arity = head.arity();
+      const bool batch_sink = options.kernel != JoinKernel::kRow &&
+                              head_arity > 0 && !PlanFeedsBack(plan, &head);
+      if (batch_sink) {
+        sink_buffer.clear();
         int64_t buffered = 0;
         auto flush = [&] {
           if (buffered == 0) return;
-          fps.resize(static_cast<size_t>(buffered));
-          for (int64_t r = 0; r < buffered; ++r) {
-            fps[r] =
-                published.TupleFingerprint(buffer.data() + r * head_arity);
+          const int64_t added = head.InsertBatch(sink_buffer.data(), buffered);
+          stats->tuples_derived += added;
+          total_tuples += added;
+          if (total_tuples > options.max_tuples) {
+            overflow = Status::ResourceExhausted("tuple budget exceeded");
+            stop = true;
           }
-          for (int64_t r = 0; r < buffered; ++r) {
-            if (r + 8 < buffered) published.PrefetchDedupe(fps[r + 8]);
-            stage_row(buffer.data() + r * head_arity, fps[r]);
+          if (ctx != nullptr && added > 0) {
+            Status charge = ctx->ChargeBytes(
+                "engine", added * head_arity *
+                              static_cast<int64_t>(sizeof(ConstId)));
+            if (!charge.ok()) stop = true;
           }
-          buffer.clear();
+          sink_buffer.clear();
           buffered = 0;
         };
         auto sink = [&](const ConstId* values) {
-          buffer.insert(buffer.end(), values, values + head_arity);
+          sink_buffer.insert(sink_buffer.end(), values, values + head_arity);
           if (++buffered >= kSinkBlockRows) flush();
         };
-        worker_evaluators[worker].Execute(
-            *job.plan, options.kernel, job.delta_relation, job.range_begin,
-            job.range_end, /*inner_static=*/true, sink,
-            &worker_applications[worker], &stop, ctx);
+        evaluator.Execute(plan, options.kernel, job.delta_relation,
+                          job.range_begin, job.range_end,
+                          /*inner_static=*/true, sink,
+                          &stats->rule_applications, &stop, ctx);
         flush();
       } else {
+        int64_t job_bytes = 0;
         auto sink = [&](const ConstId* values) {
-          stage_row(values, published.TupleFingerprint(values));
+          if (head.Insert(values)) {
+            ++stats->tuples_derived;
+            job_bytes += head_arity * static_cast<int64_t>(sizeof(ConstId));
+            if (++total_tuples > options.max_tuples) {
+              overflow = Status::ResourceExhausted("tuple budget exceeded");
+              stop = true;
+            }
+          }
         };
-        worker_evaluators[worker].Execute(
-            *job.plan, options.kernel, job.delta_relation, job.range_begin,
-            job.range_end, /*inner_static=*/true, sink,
-            &worker_applications[worker], &stop, ctx);
+        evaluator.Execute(plan, options.kernel, job.delta_relation,
+                          job.range_begin, job.range_end,
+                          !PlanFeedsBack(plan, &head), sink,
+                          &stats->rule_applications, &stop, ctx);
+        if (ctx != nullptr && job_bytes > 0) {
+          Status charge = ctx->ChargeBytes("engine", job_bytes);
+          if (!charge.ok()) stop = true;
+        }
       }
-      worker_busy_seconds[worker] += busy.Seconds();
-    };
-    pool->ParallelFor(static_cast<int32_t>(jobs.size()), body, ctx);
-    for (int32_t w = 0; w < num_threads; ++w) {
-      stats->rule_applications += worker_applications[w];
-      worker_applications[w] = 0;
-    }
-    // Barrier merge, on the coordinating thread: one BulkInsert per
-    // non-empty worker stage (so up to num_threads merges — and index
-    // passes — per predicate per round).
-    int64_t merged_bytes = 0;
-    for (PredId p = 0; p < num_preds; ++p) {
-      for (int32_t w = 0; w < num_threads; ++w) {
-        Relation& stage = staging[w][p];
-        if (stage.empty()) continue;
-        const int64_t added = owned[p].BulkInsert(stage);
-        stats->tuples_derived += added;
-        total_tuples += added;
-        merged_bytes += added * owned[p].arity() *
-                        static_cast<int64_t>(sizeof(ConstId));
-        stage.Clear();
-      }
-    }
-    if (total_tuples > options.max_tuples) {
-      return Status::ResourceExhausted("tuple budget exceeded");
-    }
-    // Byte accounting at the barrier: every worker stage has been merged
-    // (the relations are in a valid published state), so a trip here
-    // unwinds cleanly between rounds. Charging only merged (deduplicated)
-    // rows keeps the charge equal across thread counts — the least
-    // fixpoint is a set, so its byte total is schedule-independent.
-    if (ctx != nullptr) {
-      if (merged_bytes > 0) {
-        Status charge = ctx->ChargeBytes("engine", merged_bytes);
-        if (!charge.ok()) return charge;
-      }
-      if (ctx->stopped()) return ctx->status();
+      if (!overflow.ok()) return overflow;
+      if (ctx != nullptr && ctx->stopped()) return ctx->status();
     }
     return Status::Ok();
   };
@@ -1254,9 +1051,6 @@ Result<Database> EvaluateStratified(const Program& program,
     WallTimer stratum_timer;
     const int64_t stratum_tuples_before = stats->tuples_derived;
     const int32_t stratum_iterations_before = stats->iterations;
-    if (parallel) {
-      std::fill(worker_busy_seconds.begin(), worker_busy_seconds.end(), 0.0);
-    }
 
     // Which body literals are recursive (positive, IDB, same stratum)?
     auto recursive_literals = [&](const Rule& rule) {
@@ -1272,52 +1066,12 @@ Result<Database> EvaluateStratified(const Program& program,
     };
 
     std::vector<RoundJob> jobs;
-    // Builds the jobs for one (rule, delta-literal) evaluation. Parallel
-    // mode compiles/refreshes the plan now, pre-materializes the indexes
-    // it will read, and splits direct-scan plans with a large step-0 row
-    // range into one job per shard; serial mode defers plan resolution to
-    // execution time (see RoundJob::plan).
-    constexpr int32_t kMinRowsPerShard = 1024;
     auto push_job = [&](int32_t r, int32_t delta_literal,
                         const Relation* delta_relation, int64_t range_begin,
                         int64_t range_end) {
-      RoundJob job;
-      job.rule = r;
-      job.delta_literal = delta_literal;
-      job.head = program.rule(r).head.predicate;
-      job.delta_relation = delta_relation;
-      job.range_begin = static_cast<int32_t>(range_begin);
-      job.range_end = static_cast<int32_t>(range_end);
-      if (parallel) {
-        const int64_t delta_size =
-            delta_relation != nullptr ? range_end - range_begin : 0;
-        job.plan = &plans.Get(r, delta_literal, delta_size, stats);
-        PrewarmPlanIndexes(*job.plan, delta_relation);
-        if (job.plan->direct_scan) {
-          const JoinStep& outer = job.plan->steps.front();
-          const int64_t begin = range_begin >= 0 ? range_begin : 0;
-          const int64_t end =
-              range_end >= 0
-                  ? range_end
-                  : (outer.relation != nullptr ? outer.relation->size()
-                                               : delta_relation->size());
-          const int64_t rows = end - begin;
-          // 2x threads many shards (capped by a minimum shard size): the
-          // pool's atomic task claiming then rebalances uneven shards.
-          const int64_t shards =
-              std::min<int64_t>(2 * num_threads, rows / kMinRowsPerShard);
-          if (shards > 1) {
-            for (int64_t s = 0; s < shards; ++s) {
-              job.range_begin = static_cast<int32_t>(begin + s * rows / shards);
-              job.range_end =
-                  static_cast<int32_t>(begin + (s + 1) * rows / shards);
-              jobs.push_back(job);
-            }
-            return;
-          }
-        }
-      }
-      jobs.push_back(job);
+      jobs.push_back(RoundJob{r, delta_literal, program.rule(r).head.predicate,
+                              delta_relation, static_cast<int32_t>(range_begin),
+                              static_cast<int32_t>(range_end)});
     };
 
     // The stratum starts with empty deltas; every round barrier advances
@@ -1376,12 +1130,6 @@ Result<Database> EvaluateStratified(const Program& program,
     stratum_stats.tuples_derived =
         stats->tuples_derived - stratum_tuples_before;
     stratum_stats.seconds = stratum_timer.Seconds();
-    if (parallel && stratum_stats.seconds > 0) {
-      double busy = 0;
-      for (double b : worker_busy_seconds) busy += b;
-      stratum_stats.utilization =
-          busy / (stratum_stats.seconds * num_threads);
-    }
     stats->per_stratum.push_back(stratum_stats);
   }
 

@@ -51,32 +51,14 @@
 //    bindings, selection blocks and derived tuples live in reusable
 //    per-evaluator scratch, and derived head tuples are handed to an
 //    internal FunctionView sink as spans into that scratch.
-//  * With num_threads > 1, each fixpoint round's independent
-//    (rule, delta-literal) jobs are fanned out over a ThreadPool, and a
-//    job whose plan starts with a direct scan is split further into row
-//    shards — the data parallelism that covers the one-big-recursive-rule
-//    shape (transitive closure) where rule-level parallelism alone is a
-//    two-way split. During the fan-out all global relations are strictly
-//    read-only (plans, probe indexes and sorted indexes are
-//    pre-materialized), each worker stages its derivations in a private
-//    per-predicate staging relation, and at the round barrier the owning
-//    thread merges the stages with Relation::BulkInsert (each staged row
-//    is re-checked against the fingerprint table — the stage pre-filtered
-//    against the published state, so publish is the second check, the one
-//    that catches cross-worker duplicates — then every probe index is
-//    extended once per merged stage) — which lands the new rows
-//    contiguously, making them the next round's delta ranges for free.
-//    The initial EDB load also goes through the pool: per-predicate loads
-//    are independent and stream each database relation into its columns
+//  * Evaluation runs on the calling thread. Within a round, jobs run in
+//    rule order over the relations as earlier jobs left them, and a plan
+//    that reads its own head relation sees its own derivations at once.
+//    The initial EDB load streams each database relation into its columns
 //    via the uniqueness-exploiting bulk path.
-//  * Parallel and serial evaluation produce the *identical* database (set
-//    semantics: the least fixpoint is unique, and Database stores sorted
-//    sets), enforced by the serial-vs-parallel agreement tests, and all
-//    three kernels produce the identical database too (kernel-agreement
-//    tests). Iteration and rule-application counts may differ between
-//    serial and parallel: the serial path lets later jobs in a round see
-//    earlier jobs' derivations immediately, while the parallel path
-//    publishes them at the barrier.
+//  * All three kernels produce the identical database (set semantics: the
+//    least fixpoint is unique, and Database stores sorted sets), enforced
+//    by the kernel-agreement tests.
 #ifndef TIEBREAK_ENGINE_EVALUATION_H_
 #define TIEBREAK_ENGINE_EVALUATION_H_
 
@@ -168,11 +150,6 @@ struct EngineOptions {
   bool semi_naive = true;
   /// Abort with RESOURCE_EXHAUSTED beyond this many derived tuples.
   int64_t max_tuples = 50'000'000;
-  /// Worker threads for rule-level parallelism inside each fixpoint round.
-  /// 1 = the serial reference path (derivations visible immediately),
-  /// 0 = std::thread::hardware_concurrency(), n > 1 = staged parallel
-  /// evaluation with a barrier merge per round.
-  int32_t num_threads = 1;
   /// Re-run a cached plan's selectivity reordering when some joined
   /// relation's size grew or shrank by this factor versus the snapshot
   /// taken at compile time (small sizes are floored so early rounds don't
@@ -194,8 +171,8 @@ struct EngineOptions {
   bool materialize_edb = true;
   /// Resource governance for this evaluation (not owned; null = none).
   /// Checkpoints fire per 64-row kernel block and per fixpoint round;
-  /// derived rows charge the byte budget at flush/merge barriers. On a
-  /// trip the evaluation unwinds from the next round barrier and returns
+  /// derived rows charge the byte budget per sink flush or job. On a
+  /// trip the evaluation unwinds at the end of the running job and returns
   /// the context's Status (kResourceExhausted / kDeadlineExceeded /
   /// kCancelled) instead of a database. The context's step/byte charges
   /// and EngineOptions::max_tuples are independent limits; both apply.
@@ -211,10 +188,6 @@ struct StratumStats {
   int32_t iterations = 0;       // fixpoint rounds in this stratum
   int64_t tuples_derived = 0;   // new tuples this stratum contributed
   double seconds = 0;           // wall time of this stratum
-  /// Busy-time utilization of the fan-out: sum of per-worker seconds spent
-  /// inside rule evaluation divided by (wall seconds × threads). 1.0 means
-  /// perfectly balanced workers; the serial path reports 1.0 by definition.
-  double utilization = 1.0;
 };
 
 /// Statistics of one evaluation.
@@ -223,7 +196,6 @@ struct EngineStats {
   int64_t rule_applications = 0;
   int32_t strata = 0;
   int32_t iterations = 0;  // total fixpoint rounds across strata
-  int32_t threads_used = 0;     // effective thread count (>= 1)
   int64_t plans_compiled = 0;   // join-plan compilations (incl. refreshes)
   int64_t plan_cache_hits = 0;  // evaluations served by a cached plan
   int64_t merge_join_steps = 0;  // join steps compiled onto the merge path

@@ -155,75 +155,6 @@ void Relation::Reserve(int64_t num_rows) {
   if (dedupe_.size() < wanted) RehashDedupe(wanted);
 }
 
-int64_t Relation::BulkInsert(const Relation& staged) {
-  TIEBREAK_CHECK_EQ(staged.arity_, arity_);
-  const int32_t first_new = num_rows_;
-  // One capacity decision for the whole batch: size the arena and dedupe
-  // table for the worst case (every staged row new) so the scan never
-  // regrows mid-stream.
-  if (num_rows_ + staged.num_rows_ > capacity_) {
-    GrowArena(num_rows_ + staged.num_rows_);
-  }
-  const size_t wanted = PowerOfTwoAtLeast(
-      static_cast<size_t>(num_rows_ + staged.num_rows_ + 1) * 2);
-  if (dedupe_.size() < wanted) RehashDedupe(wanted);
-  const size_t slot_mask = dedupe_.size() - 1;
-  // Hash the whole stage up front so the probe loop can prefetch the slot
-  // line a few rows before it lands on it. For the dominant arities the
-  // fingerprints come straight off the column blocks (sequential reads);
-  // wider tuples gather row-wise.
-  std::vector<uint64_t> fps(static_cast<size_t>(staged.num_rows_));
-  std::vector<ConstId> row_buf(static_cast<size_t>(arity_));
-  if (arity_ == 1) {
-    const ConstId* c0 = staged.ColumnData(0);
-    for (int32_t r = 0; r < staged.num_rows_; ++r) {
-      fps[r] = static_cast<uint64_t>(c0[r]);
-    }
-  } else if (arity_ == 2) {
-    const ConstId* c0 = staged.ColumnData(0);
-    const ConstId* c1 = staged.ColumnData(1);
-    for (int32_t r = 0; r < staged.num_rows_; ++r) {
-      fps[r] = static_cast<uint64_t>(c0[r]) << 32 |
-               static_cast<uint32_t>(c1[r]);
-    }
-  } else {
-    for (int32_t r = 0; r < staged.num_rows_; ++r) {
-      staged.CopyRow(r, row_buf.data());
-      fps[r] = FingerprintOf(row_buf.data(), arity_);
-    }
-  }
-  for (int32_t r = 0; r < staged.num_rows_; ++r) {
-    if (r + kPrefetchAhead < staged.num_rows_) {
-      PrefetchDedupe(fps[r + kPrefetchAhead]);
-    }
-    staged.CopyRow(r, row_buf.data());
-    size_t slot = MixSlot(fps[r]) & slot_mask;
-    bool duplicate = false;
-    while (dedupe_[slot] >= 0) {
-      if (RowEquals(dedupe_[slot], row_buf.data())) {
-        duplicate = true;
-        break;
-      }
-      slot = (slot + 1) & slot_mask;
-    }
-    if (duplicate) continue;
-    AppendRow(row_buf.data());
-    dedupe_[slot] = num_rows_++;
-  }
-  // Publish to the probe indexes: each index is extended once with the
-  // whole batch of new rows (not per tuple). Chains only ever prepend at
-  // slot heads, so MatchRange walks opened before this publish are
-  // unaffected. Note this is one pass per index *per BulkInsert call* —
-  // the round barrier calls BulkInsert once per non-empty worker stage.
-  for (ProbeIndex& index : indexes_) {
-    index.next.reserve(num_rows_);
-    for (int32_t row = first_new; row < num_rows_; ++row) {
-      AppendToIndex(&index, row);
-    }
-  }
-  return num_rows_ - first_new;
-}
-
 void Relation::InsertUniqueBulk(const ConstId* rows, int64_t count) {
   if (count <= 0) return;
   if (arity_ == 0) {
@@ -297,26 +228,6 @@ int64_t Relation::InsertBatch(const ConstId* rows, int64_t count) {
     if (Insert(rows + r * arity_, fps[r])) ++inserted;
   }
   return inserted;
-}
-
-void Relation::Clear() {
-  num_rows_ = 0;
-  std::fill(dedupe_.begin(), dedupe_.end(), -1);
-  // Keep the arena and the materialized index shells (mask + slot/link
-  // capacity): recycled staging relations re-probe the same masks every
-  // fixpoint round, and retaining the shells keeps those rounds
-  // allocation-free steady-state.
-  for (ProbeIndex& index : indexes_) {
-    index.next.clear();
-    std::fill(index.slots.begin(), index.slots.end(), Slot{});
-    index.used_slots = 0;
-  }
-  for (SortedIndex& sorted : sorted_indexes_) {
-    sorted.keys.clear();
-    sorted.rows.clear();
-    sorted.built_rows = 0;
-    sorted.distinct_keys = 0;
-  }
 }
 
 void Relation::GrowIndexSlots(ProbeIndex* index) {
@@ -444,10 +355,6 @@ void Relation::RefreshSorted(SortedIndex* sorted) const {
       ++sorted->distinct_keys;
     }
   }
-}
-
-void Relation::EnsureSortedIndex(uint32_t mask) const {
-  RefreshSorted(&EnsureSorted(mask));
 }
 
 Relation::SortedRun Relation::ProbeSorted(uint32_t mask,

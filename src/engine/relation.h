@@ -52,15 +52,11 @@
 // a contiguous run — the sort-merge access path the evaluator selects when
 // a mask's selectivity estimate crosses EngineOptions::merge_join_
 // selectivity. Sorted indexes absorb appended rows by sorting the new tail
-// and merging it in at the next probe (or at EnsureSortedIndex); see
-// ProbeSorted for the invalidation contract.
+// and merging it in at the next probe; see ProbeSorted for the
+// invalidation contract.
 //
-// Thread safety. A Relation is not internally synchronized. The engine's
-// parallel rounds follow a strict publish protocol: during a fan-out all
-// shared relations are read-only (probe indexes and sorted indexes are
-// pre-materialized via EnsureProbeIndex / EnsureSortedIndex, so Probe and
-// ProbeSorted perform no lazy construction), and all mutation happens on
-// the coordinating thread between fan-outs (Insert, BulkInsert, Clear).
+// Thread safety. A Relation is not thread-safe: even Probe and ProbeSorted
+// build indexes lazily.
 #ifndef TIEBREAK_ENGINE_RELATION_H_
 #define TIEBREAK_ENGINE_RELATION_H_
 
@@ -74,8 +70,7 @@
 namespace tiebreak {
 
 /// A set of same-arity tuples in column-major storage, with probe indexes.
-/// Not internally synchronized — see the thread-safety section of the file
-/// comment for the read-only fan-out / coordinated-mutation protocol.
+/// Not thread-safe; see the file comment.
 class Relation {
  public:
   /// An empty relation of `arity` columns (arity 0 = propositions).
@@ -91,44 +86,22 @@ class Relation {
   bool empty() const { return num_rows_ == 0; }
 
   /// Inserts the tuple at `values` (arity() consecutive ids); returns true
-  /// when it was new. Appends to all materialized probe indexes. The
-  /// two-argument form takes a precomputed TupleFingerprint so hot paths
-  /// that both Contains and Insert the same tuple hash it once. Mutation:
-  /// requires exclusive access (no concurrent reads or writes).
+  /// when it was new. Appends to all materialized probe indexes.
   bool Insert(const ConstId* values) {
     return Insert(values, TupleFingerprint(values));
   }
-  bool Insert(const ConstId* values, uint64_t fingerprint);
   bool Insert(const Tuple& tuple) {
     TIEBREAK_CHECK_EQ(static_cast<int32_t>(tuple.size()), arity_);
     return Insert(tuple.data());
   }
 
-  /// True iff the tuple at `values` is present. Pure read; safe to call
-  /// concurrently with other reads (but not with mutation).
+  /// True iff the tuple at `values` is present.
   bool Contains(const ConstId* values) const {
     return FindRow(values, TupleFingerprint(values)) >= 0;
-  }
-  bool Contains(const ConstId* values, uint64_t fingerprint) const {
-    return FindRow(values, fingerprint) >= 0;
   }
   bool Contains(const Tuple& tuple) const {
     TIEBREAK_CHECK_EQ(static_cast<int32_t>(tuple.size()), arity_);
     return Contains(tuple.data());
-  }
-
-  /// The dedupe hash of the arity() ids at `values` (relation-independent
-  /// apart from the arity).
-  uint64_t TupleFingerprint(const ConstId* values) const {
-    return FingerprintOf(values, arity_);
-  }
-
-  /// Prefetches the dedupe slot line for `fingerprint`: batch inserters
-  /// hash a few tuples ahead and prefetch before probing. Advisory only.
-  void PrefetchDedupe(uint64_t fingerprint) const {
-    if (!dedupe_.empty()) {
-      __builtin_prefetch(&dedupe_[MixSlot(fingerprint) & (dedupe_.size() - 1)]);
-    }
   }
 
   /// Pointer to column `column`'s contiguous values (one per row). Valid
@@ -152,35 +125,9 @@ class Relation {
     return tuple;
   }
 
-  /// Drops all rows and indexes but keeps allocated capacity (for reusing
-  /// per-worker staging relations across fixpoint rounds).
-  void Clear();
-
   /// Pre-sizes the columns and dedupe table for `num_rows` total rows (bulk
   /// EDB loads know their size up front).
   void Reserve(int64_t num_rows);
-
-  /// Materializes the probe index for `mask` if it does not exist yet.
-  /// Parallel evaluation calls this for every mask a compiled plan probes
-  /// *before* fanning out, so that concurrent Probe() calls are pure reads
-  /// (lazy materialization inside Probe would race).
-  void EnsureProbeIndex(uint32_t mask) const { EnsureIndex(mask); }
-
-  /// Bulk-appends every tuple of `staged` (same arity) that is not already
-  /// present; returns the number of new rows. This is the staged-publish
-  /// half of the parallel round barrier: the columns and dedupe table are
-  /// extended in one scan over `staged` (each staged row is re-checked
-  /// against this relation's fingerprint table — the stage was deduped
-  /// against the published state when it was built, so this is the second
-  /// membership check each surviving tuple pays, the one that catches
-  /// cross-worker duplicates), then each materialized probe index is
-  /// extended once with all new rows (one pass per index *per call*; a
-  /// round that merges several worker stages performs one pass per stage).
-  /// The new rows land contiguously at the end of the columns (their row
-  /// range is [size-before, size-after)). Probe ranges opened before the
-  /// publish remain valid and do not observe the new rows; ranges opened
-  /// after observe all of them.
-  int64_t BulkInsert(const Relation& staged);
 
   /// Appends `count` rows given row-major at `rows` (count × arity ids)
   /// under the guarantee that they are pairwise distinct AND none is
@@ -317,11 +264,6 @@ class Relation {
     bool empty() const { return begin_ == end_; }
   };
 
-  /// Materializes (or refreshes to cover all current rows) the sorted-key
-  /// index for `mask`. Parallel evaluation calls this before fanning out so
-  /// worker-side ProbeSorted calls are pure reads.
-  void EnsureSortedIndex(uint32_t mask) const;
-
   /// Binary-searches the sorted-key index for rows matching `pattern`
   /// under `mask`. Rows appended since the last refresh are absorbed first
   /// (sort the tail, merge) — which invalidates SortedRuns handed out
@@ -391,6 +333,19 @@ class Relation {
     high = (high ^ (high >> 30)) * 0xBF58476D1CE4E5B9ULL;
     high = (high ^ (high >> 27)) * 0x94D049BB133111EBULL;
     return (high ^ (high >> 31)) + (x & 0xFFFFFFFFULL) * 431;
+  }
+  // The dedupe hash of the arity() ids at `values`.
+  uint64_t TupleFingerprint(const ConstId* values) const {
+    return FingerprintOf(values, arity_);
+  }
+  // Insert with the tuple's precomputed TupleFingerprint: the batch
+  // inserters hash a block of tuples before probing any of them.
+  bool Insert(const ConstId* values, uint64_t fingerprint);
+  // Prefetches the dedupe slot line for `fingerprint`. Advisory only.
+  void PrefetchDedupe(uint64_t fingerprint) const {
+    if (!dedupe_.empty()) {
+      __builtin_prefetch(&dedupe_[MixSlot(fingerprint) & (dedupe_.size() - 1)]);
+    }
   }
   int32_t FindRow(const ConstId* values, uint64_t fingerprint) const;
   bool RowEquals(int32_t row, const ConstId* values) const {

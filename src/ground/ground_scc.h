@@ -1,9 +1,9 @@
 // SCCs and topological wave scheduling of the full ground graph G(Π, Δ),
 // directly over GroundGraph CSR spans with no SignedDigraph copy. The
-// perfect-model interpreter reads its components (and, in parallel, fans
-// independent ones out over the thread pool) from here. The tie-breaking
-// interpreters do not: their bottom-tie search runs over the live atoms
-// only (core/tie_breaking.h, FindBottomTies).
+// perfect-model interpreter reads its components from here. The
+// tie-breaking interpreters do not: their bottom-tie search runs over the
+// live atoms only (core/tie_breaking.h, FindBottomTies). The wave schedule
+// has no production user; it measures the condensation's depth and width.
 //
 // Node space: atoms occupy ids [0, num_atoms), rule instance r is node
 // num_atoms + r. Edges follow the paper's ground graph: positive body atom
@@ -78,7 +78,7 @@ SccResult ComputeGroundScc(const GroundGraph& graph);
 /// Topological wave schedule of the condensation: wave(c) is the longest
 /// dependency-path depth of component c, so every component's dependencies
 /// sit in strictly earlier waves and all components of one wave are
-/// mutually edge-free — they may evaluate concurrently. Within a wave,
+/// mutually edge-free. Within a wave,
 /// `order` lists components in descending id (the serial reference order:
 /// Tarjan ids are reverse-topological, and the serial interpreters process
 /// them descending).

@@ -500,9 +500,9 @@ class GrounderImpl {
   // constant table is shared, not copied), and one engine run evaluates
   // them all. Δ's arenas of the generator predicates are borrowed as
   // FactSpans (or read from options_.edb's kept relations); join plans are
-  // compiled and cached per rule, and the vectorized kernels fan out over
-  // the engine's own pool when num_threads > 1. On success those plans'
-  // rows point into *result. With no such plan the engine does not run.
+  // compiled and cached per rule, and the engine runs on this thread. On
+  // success those plans' rows point into *result. With no such plan the
+  // engine does not run.
   Status RunBindingEngine(std::vector<BindPlan>* plans,
                           std::optional<Database>* result) {
     bool engine_eligible = true;
@@ -562,7 +562,6 @@ class GrounderImpl {
     // The engine's tuple budget counts the loaded EDB too; charge only
     // the derived binding rows against the grounding budget.
     engine_options.max_tuples = options_.max_instances + edb_facts;
-    engine_options.num_threads = num_threads_;
     // Only the $bind relations are read back; don't copy the EDB into
     // the result.
     engine_options.materialize_edb = false;

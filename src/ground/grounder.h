@@ -92,15 +92,13 @@ struct GroundingOptions {
   /// seed's backtracking join for every rule, kept as the agreement-test
   /// reference.
   bool engine_bindings = true;
-  /// Worker threads for reduced-mode grounding: the engine evaluation of
-  /// the engine-route binding rules and instance emission both fan out.
-  /// The engine constructs its own pool for the evaluation phase, and only
-  /// when some rule takes the engine route; emission uses the grounder's.
-  /// The phases are sequential, so at most one set of workers is running.
-  /// Emission parallelizes as per-rule jobs (large binding relations of
-  /// either route additionally split into row shards); each worker emits
-  /// into a private GroundGraph shard with no synchronization, and the
-  /// shards merge into the final CSR arenas with an atom-id remap
+  /// Worker threads for reduced-mode instance emission and the graph's
+  /// finalization; the engine evaluation of the engine-route binding rules
+  /// runs on the calling thread before emission starts. Emission
+  /// parallelizes as per-rule jobs (large binding relations of either
+  /// route additionally split into row shards); each worker emits into a
+  /// private GroundGraph shard with no synchronization, and the shards
+  /// merge into the final CSR arenas with an atom-id remap
   /// (GroundGraph::MergeFrom). 1 = the serial reference (the arenas it
   /// produces are bit-identical to pre-parallel grounding; parallel runs
   /// agree on atom sets and rule-instance multisets but may order them

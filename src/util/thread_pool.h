@@ -1,15 +1,11 @@
 // A small fixed-size worker pool for fork/join parallelism: a caller
 // dispatches a batch of independent tasks, blocks at a barrier, and merges
-// the results on the calling thread. The engine's fixpoint rounds fan out
-// (rule, delta-literal) evaluations this way, the grounder fans out
-// per-rule instance-emission jobs into per-worker graph shards plus the
-// three CSR index builds of GroundGraph::Finalize, and the perfect-model
-// interpreter fans out the SCC components of one topological wave
-// (core/perfect_model.cc), the alternating fixpoint the rule blocks of one
-// sweep (core/alternating.cc). Tasks are distributed
-// by an atomic claim counter (the cheap half of work stealing: idle
-// workers pull the next unclaimed task instead of owning a fixed slice),
-// so uneven task costs self-balance without per-task queues.
+// the results on the calling thread. Grounding is its only user: the
+// grounder fans out per-rule instance-emission jobs into per-worker graph
+// shards, and GroundGraph::Finalize the three CSR index builds. Tasks are
+// distributed by an atomic claim counter (the cheap half of work stealing:
+// idle workers pull the next unclaimed task instead of owning a fixed
+// slice), so uneven task costs self-balance without per-task queues.
 //
 // Threading contract: ParallelFor publishes the batch under a mutex and
 // joins on a condition variable, so everything written by the caller

@@ -389,6 +389,13 @@ TEST(CompletionTest, MutualNegationHasTwoFixpointsBothStable) {
   EXPECT_EQ(search.Count(0), 2);
   EXPECT_EQ(
       EnumerateStableModels(inst.program, inst.database, g.graph).size(), 2u);
+  // Every limit <= 0 means "no cap".
+  FixpointSearch uncapped(inst.program, inst.database, g.graph);
+  EXPECT_EQ(uncapped.Count(-1), 2);
+  EXPECT_TRUE(HasStableModel(inst.program, inst.database, g.graph, -1));
+  EXPECT_EQ(
+      EnumerateStableModels(inst.program, inst.database, g.graph, -1).size(),
+      2u);
 }
 
 TEST(CompletionTest, PositiveLoopHasUnstableFixpoint) {
@@ -402,6 +409,9 @@ TEST(CompletionTest, PositiveLoopHasUnstableFixpoint) {
                                             g.graph);
   ASSERT_EQ(stable.size(), 1u);
   EXPECT_EQ(TruthOf(inst, g, stable[0], "p"), Truth::kFalse);
+  FixpointSearch uncapped(inst.program, inst.database, g.graph);
+  EXPECT_EQ(uncapped.Count(-1), 2);
+  EXPECT_TRUE(HasStableModel(inst.program, inst.database, g.graph, -1));
 }
 
 TEST(CompletionTest, OddLoopHasNoFixpoint) {

@@ -1,11 +1,8 @@
 // Kernel-agreement tests: the row (tuple-at-a-time reference), vector
 // (batch kernels + prefetch) and merge (forced sort-merge joins) kernels
-// must produce the *identical* database — on every named workload family,
-// on randomized stratified programs, serially and under the staged
-// parallel path (×{1, 8} threads). Run under ThreadSanitizer by
-// scripts/check.sh --tsan (the vectorized paths pre-materialize indexes
-// before fan-outs exactly like the scalar ones; this suite is what holds
-// them to it).
+// must produce the *identical* database and the identical derived-tuple
+// count — on every named workload family and on randomized stratified
+// programs.
 #include <string>
 #include <vector>
 
@@ -21,7 +18,6 @@ namespace {
 
 constexpr JoinKernel kKernels[] = {JoinKernel::kRow, JoinKernel::kVector,
                                    JoinKernel::kMerge};
-constexpr int32_t kThreadCounts[] = {1, 8};
 
 const char* KernelName(JoinKernel kernel) {
   switch (kernel) {
@@ -90,7 +86,7 @@ std::vector<NamedWorkload> AllWorkloads() {
   return workloads;
 }
 
-TEST(KernelAgreementTest, AllWorkloadsAllKernelsAllThreadCounts) {
+TEST(KernelAgreementTest, AllWorkloadsAllKernels) {
   for (NamedWorkload& workload : AllWorkloads()) {
     EngineOptions reference_options;  // serial row kernel
     reference_options.kernel = JoinKernel::kRow;
@@ -101,23 +97,18 @@ TEST(KernelAgreementTest, AllWorkloadsAllKernelsAllThreadCounts) {
     ASSERT_TRUE(reference.ok())
         << workload.name << ": " << reference.status().ToString();
     for (const JoinKernel kernel : kKernels) {
-      for (const int32_t threads : kThreadCounts) {
-        EngineOptions options;
-        options.kernel = kernel;
-        options.num_threads = threads;
-        EngineStats stats;
-        Result<Database> result = EvaluateStratified(
-            workload.program, workload.database, options, &stats);
-        ASSERT_TRUE(result.ok())
-            << workload.name << " kernel=" << KernelName(kernel)
-            << " threads=" << threads << ": " << result.status().ToString();
-        EXPECT_TRUE(*result == *reference)
-            << workload.name << " kernel=" << KernelName(kernel)
-            << " threads=" << threads;
-        EXPECT_EQ(stats.tuples_derived, reference_stats.tuples_derived)
-            << workload.name << " kernel=" << KernelName(kernel)
-            << " threads=" << threads;
-      }
+      EngineOptions options;
+      options.kernel = kernel;
+      EngineStats stats;
+      Result<Database> result = EvaluateStratified(
+          workload.program, workload.database, options, &stats);
+      ASSERT_TRUE(result.ok()) << workload.name
+                               << " kernel=" << KernelName(kernel) << ": "
+                               << result.status().ToString();
+      EXPECT_TRUE(*result == *reference)
+          << workload.name << " kernel=" << KernelName(kernel);
+      EXPECT_EQ(stats.tuples_derived, reference_stats.tuples_derived)
+          << workload.name << " kernel=" << KernelName(kernel);
     }
   }
 }
@@ -189,23 +180,18 @@ TEST(KernelAgreementTest, RandomStratifiedPrograms) {
         program, db, reference_options, &reference_stats);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     for (const JoinKernel kernel : kKernels) {
-      for (const int32_t threads : kThreadCounts) {
-        EngineOptions run_options;
-        run_options.kernel = kernel;
-        run_options.num_threads = threads;
-        EngineStats stats;
-        Result<Database> result =
-            EvaluateStratified(program, db, run_options, &stats);
-        ASSERT_TRUE(result.ok())
-            << "round " << round << " kernel=" << KernelName(kernel)
-            << " threads=" << threads << ": " << result.status().ToString();
-        EXPECT_TRUE(*result == *reference)
-            << "round " << round << " kernel=" << KernelName(kernel)
-            << " threads=" << threads;
-        EXPECT_EQ(stats.tuples_derived, reference_stats.tuples_derived)
-            << "round " << round << " kernel=" << KernelName(kernel)
-            << " threads=" << threads;
-      }
+      EngineOptions run_options;
+      run_options.kernel = kernel;
+      EngineStats stats;
+      Result<Database> result =
+          EvaluateStratified(program, db, run_options, &stats);
+      ASSERT_TRUE(result.ok())
+          << "round " << round << " kernel=" << KernelName(kernel) << ": "
+          << result.status().ToString();
+      EXPECT_TRUE(*result == *reference)
+          << "round " << round << " kernel=" << KernelName(kernel);
+      EXPECT_EQ(stats.tuples_derived, reference_stats.tuples_derived)
+          << "round " << round << " kernel=" << KernelName(kernel);
     }
     ++evaluated;
   }

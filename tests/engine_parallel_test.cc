@@ -1,25 +1,17 @@
-// Tests for the engine's concurrency surface: the ThreadPool primitive,
-// serial-vs-parallel agreement (the determinism contract: evaluation with
-// any thread count must produce the identical database) across the named
-// workload families and randomized stratified programs, plan-cache
-// behavior, and the per-stratum stats. Run under ThreadSanitizer by
-// scripts/check.sh --tsan.
+// Tests for the ThreadPool primitive behind grounding's parallel emission,
+// and for the engine's plan cache and per-stratum stats. Run under
+// ThreadSanitizer by scripts/check.sh --tsan.
 #include <atomic>
-#include <string>
 #include <vector>
 
-#include "core/stratification.h"
 #include "engine/evaluation.h"
 #include "gtest/gtest.h"
-#include "util/random.h"
 #include "util/thread_pool.h"
 #include "workload/databases.h"
 #include "workload/programs.h"
 
 namespace tiebreak {
 namespace {
-
-constexpr int32_t kThreadCounts[] = {1, 2, 8};
 
 // ---------------------------------------------------------------------------
 // ThreadPool.
@@ -77,159 +69,6 @@ TEST(ThreadPoolTest, EffectiveThreadsResolvesZeroToHardware) {
 }
 
 // ---------------------------------------------------------------------------
-// Serial vs parallel agreement on the named workload families.
-// ---------------------------------------------------------------------------
-
-struct NamedWorkload {
-  std::string name;
-  Program program;
-  Database database;
-};
-
-std::vector<NamedWorkload> AllWorkloads() {
-  std::vector<NamedWorkload> workloads;
-  {
-    Program program = TransitiveClosureProgram();
-    Database db = *ChainDatabase(&program, "e", 64);
-    workloads.push_back({"tc_chain", std::move(program), std::move(db)});
-  }
-  {
-    Program program = TransitiveClosureProgram();
-    Database db = *CycleDatabase(&program, "e", 48);
-    workloads.push_back({"tc_cycle", std::move(program), std::move(db)});
-  }
-  {
-    Program program = TransitiveClosureProgram();
-    Rng rng(7);
-    Database db = *RandomDigraphDatabase(&program, "e", 48, 144, &rng);
-    workloads.push_back({"tc_random", std::move(program), std::move(db)});
-  }
-  {
-    Program program = TransitiveClosureProgram();
-    Database db = *GridDatabase(&program, "e", 8, 8);
-    workloads.push_back({"tc_grid", std::move(program), std::move(db)});
-  }
-  {
-    Program program = TransitiveClosureProgram();
-    Database db = *WideGridDatabase(&program, "e", 32, 3);
-    workloads.push_back({"tc_wide_grid", std::move(program), std::move(db)});
-  }
-  {
-    Program program = ReachabilityProgram();
-    Rng rng(11);
-    Database db = *LargeRandomDigraphDatabase(&program, "e", 500, 2000, &rng);
-    const PredId start = program.LookupPredicate("start");
-    const ConstId n0 = program.LookupConstant("n0");
-    db.Insert(start, {n0});
-    workloads.push_back({"reach_random", std::move(program), std::move(db)});
-  }
-  {
-    Program program = SameGenerationProgram();
-    Database db = *BalancedTreeDatabase(&program, 5);
-    workloads.push_back({"same_generation", std::move(program), std::move(db)});
-  }
-  {
-    Program program = StratifiedTowerProgram(8);
-    Database db = *UnarySetDatabase(&program, "e", 48);
-    workloads.push_back({"stratified_tower", std::move(program),
-                         std::move(db)});
-  }
-  return workloads;
-}
-
-TEST(ParallelAgreementTest, AllWorkloadsAllThreadCounts) {
-  for (NamedWorkload& workload : AllWorkloads()) {
-    EngineOptions serial;  // num_threads = 1
-    EngineStats serial_stats;
-    Result<Database> reference = EvaluateStratified(
-        workload.program, workload.database, serial, &serial_stats);
-    ASSERT_TRUE(reference.ok())
-        << workload.name << ": " << reference.status().ToString();
-    for (int32_t threads : kThreadCounts) {
-      EngineOptions options;
-      options.num_threads = threads;
-      EngineStats stats;
-      Result<Database> result = EvaluateStratified(
-          workload.program, workload.database, options, &stats);
-      ASSERT_TRUE(result.ok())
-          << workload.name << " threads=" << threads << ": "
-          << result.status().ToString();
-      EXPECT_TRUE(*result == *reference)
-          << workload.name << " threads=" << threads;
-      EXPECT_EQ(stats.tuples_derived, serial_stats.tuples_derived)
-          << workload.name << " threads=" << threads;
-      EXPECT_EQ(stats.threads_used, threads);
-    }
-  }
-}
-
-TEST(ParallelAgreementTest, NaiveModeAgreesAcrossThreadCounts) {
-  for (NamedWorkload& workload : AllWorkloads()) {
-    EngineOptions serial;
-    serial.semi_naive = false;
-    Result<Database> reference =
-        EvaluateStratified(workload.program, workload.database, serial);
-    ASSERT_TRUE(reference.ok()) << workload.name;
-    for (int32_t threads : kThreadCounts) {
-      EngineOptions options;
-      options.semi_naive = false;
-      options.num_threads = threads;
-      Result<Database> result =
-          EvaluateStratified(workload.program, workload.database, options);
-      ASSERT_TRUE(result.ok()) << workload.name << " threads=" << threads;
-      EXPECT_TRUE(*result == *reference)
-          << workload.name << " threads=" << threads;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Serial vs parallel agreement on randomized stratified programs.
-// ---------------------------------------------------------------------------
-
-TEST(ParallelAgreementTest, RandomStratifiedPrograms) {
-  Rng rng(0x9A8A11E1);
-  int evaluated = 0;
-  for (int round = 0; round < 60; ++round) {
-    RandomProgramOptions options;
-    options.num_idb = 2 + static_cast<int>(rng.Below(3));
-    options.num_edb = 1 + static_cast<int>(rng.Below(3));
-    options.num_rules = 2 + static_cast<int>(rng.Below(8));
-    options.max_body = 1 + static_cast<int>(rng.Below(3));
-    options.negation_probability = rng.Unit() * 0.5;
-    options.arity = 1 + static_cast<int>(rng.Below(2));
-    Program program = RandomProgram(&rng, options);
-    ASSERT_TRUE(program.Validate().ok());
-    if (!CheckSafety(program).ok()) continue;
-    if (!ComputeStrata(program).has_value()) continue;
-
-    Database db = *RandomEdbDatabase(&program, 4, 0.4, &rng);
-    EngineOptions serial;
-    EngineStats serial_stats;
-    Result<Database> reference =
-        EvaluateStratified(program, db, serial, &serial_stats);
-    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
-    for (int32_t threads : kThreadCounts) {
-      EngineOptions parallel;
-      parallel.num_threads = threads;
-      EngineStats stats;
-      Result<Database> result =
-          EvaluateStratified(program, db, parallel, &stats);
-      ASSERT_TRUE(result.ok())
-          << "round " << round << " threads=" << threads << ": "
-          << result.status().ToString();
-      EXPECT_TRUE(*result == *reference)
-          << "round " << round << " threads=" << threads;
-      EXPECT_EQ(stats.tuples_derived, serial_stats.tuples_derived)
-          << "round " << round << " threads=" << threads;
-    }
-    ++evaluated;
-  }
-  // The generator must actually exercise the engine, not skip everything.
-  EXPECT_GT(evaluated, 15);
-}
-
-// ---------------------------------------------------------------------------
 // Plan cache and stats.
 // ---------------------------------------------------------------------------
 
@@ -264,37 +103,19 @@ TEST(PlanCacheTest, ZeroDriftRecompilesEveryEvaluation) {
 TEST(EngineStatsTest, PerStratumTimingsCoverAllStrata) {
   Program program = StratifiedTowerProgram(6);
   Database db = *UnarySetDatabase(&program, "e", 32);
-  for (int32_t threads : kThreadCounts) {
-    EngineOptions options;
-    options.num_threads = threads;
-    EngineStats stats;
-    ASSERT_TRUE(EvaluateStratified(program, db, options, &stats).ok());
-    EXPECT_EQ(stats.strata, 7);  // level0..level6 + EDB stratum layering
-    ASSERT_FALSE(stats.per_stratum.empty());
-    int64_t tuples = 0;
-    int32_t iterations = 0;
-    for (const StratumStats& s : stats.per_stratum) {
-      EXPECT_GE(s.seconds, 0.0);
-      EXPECT_GE(s.utilization, 0.0);
-      EXPECT_LE(s.utilization, 1.5);  // timer jitter tolerance
-      tuples += s.tuples_derived;
-      iterations += s.iterations;
-    }
-    EXPECT_EQ(tuples, stats.tuples_derived);
-    EXPECT_EQ(iterations, stats.iterations);
+  EngineStats stats;
+  ASSERT_TRUE(EvaluateStratified(program, db, EngineOptions{}, &stats).ok());
+  EXPECT_EQ(stats.strata, 7);  // level0..level6 + EDB stratum layering
+  ASSERT_FALSE(stats.per_stratum.empty());
+  int64_t tuples = 0;
+  int32_t iterations = 0;
+  for (const StratumStats& s : stats.per_stratum) {
+    EXPECT_GE(s.seconds, 0.0);
+    tuples += s.tuples_derived;
+    iterations += s.iterations;
   }
-}
-
-TEST(EngineOptionsTest, TupleBudgetEnforcedInParallelMode) {
-  Program program = TransitiveClosureProgram();
-  Rng rng(5);
-  Database db = *RandomDigraphDatabase(&program, "e", 30, 200, &rng);
-  EngineOptions options;
-  options.max_tuples = 50;
-  options.num_threads = 4;
-  Result<Database> result = EvaluateStratified(program, db, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(tuples, stats.tuples_derived);
+  EXPECT_EQ(iterations, stats.iterations);
 }
 
 }  // namespace

@@ -111,109 +111,6 @@ TEST(RelationTest, InsertDuringProbeIterationIsSafe) {
   EXPECT_EQ(ProbeSet(rel, 0b01, {1, 0}).size(), 64u);
 }
 
-TEST(RelationTest, ClearKeepsArityAndReusesCapacity) {
-  Relation rel(2);
-  for (int32_t i = 0; i < 100; ++i) rel.Insert({i, i});
-  EXPECT_FALSE(ProbeSet(rel, 0b01, {4, 0}).empty());
-  rel.Clear();
-  EXPECT_TRUE(rel.empty());
-  EXPECT_FALSE(rel.Contains({4, 4}));
-  EXPECT_TRUE(ProbeSet(rel, 0b01, {4, 0}).empty());
-  EXPECT_TRUE(rel.Insert({4, 4}));
-  EXPECT_TRUE(ProbeSet(rel, 0b01, {4, 0}).contains(Tuple{4, 4}));
-}
-
-TEST(RelationTest, BulkInsertDedupesWithinAndAcrossBatches) {
-  Relation rel(2);
-  rel.Insert({1, 2});
-  rel.Insert({3, 4});
-
-  Relation staged(2);
-  staged.Insert({1, 2});  // duplicate of existing
-  staged.Insert({5, 6});  // new
-  staged.Insert({3, 4});  // duplicate of existing
-  staged.Insert({7, 8});  // new
-
-  EXPECT_EQ(rel.BulkInsert(staged), 2);
-  EXPECT_EQ(rel.size(), 4);
-  // New rows land contiguously after the pre-existing ones, staged order.
-  EXPECT_EQ(rel.TupleAt(2), (Tuple{5, 6}));
-  EXPECT_EQ(rel.TupleAt(3), (Tuple{7, 8}));
-  EXPECT_TRUE(rel.Contains({5, 6}));
-  EXPECT_TRUE(rel.Contains({7, 8}));
-
-  // Re-publishing the same stage adds nothing (cross-batch dedupe).
-  EXPECT_EQ(rel.BulkInsert(staged), 0);
-  EXPECT_EQ(rel.size(), 4);
-}
-
-TEST(RelationTest, BulkInsertExtendsMaterializedIndexes) {
-  Relation rel(2);
-  for (int32_t i = 0; i < 50; ++i) rel.Insert({i % 5, i});
-  // Materialize two indexes before the bulk publish.
-  EXPECT_EQ(ProbeSet(rel, 0b01, {2, 0}).size(), 10u);
-  EXPECT_EQ(ProbeSet(rel, 0b10, {0, 7}).size(), 1u);
-
-  Relation staged(2);
-  for (int32_t i = 50; i < 300; ++i) staged.Insert({i % 5, i});
-  EXPECT_EQ(rel.BulkInsert(staged), 250);
-
-  // Both previously materialized indexes observe every published row, and
-  // a fresh mask materialized after the publish sees them too.
-  EXPECT_EQ(ProbeSet(rel, 0b01, {2, 0}).size(), 60u);
-  EXPECT_TRUE(ProbeSet(rel, 0b10, {0, 257}).contains(Tuple{257 % 5, 257}));
-  EXPECT_EQ(ProbeSet(rel, 0b11, {3, 153}).size(), 1u);
-}
-
-TEST(RelationTest, StagedPublishesInterleavedWithProbes) {
-  // The round-barrier protocol: probes open against the published state,
-  // bulk publishes land between probes, and every probe observes exactly
-  // the rows published before it — including a probe range held open
-  // across a publish of rows with the *same* probe key (they prepend at
-  // the chain head the walk already passed, so the open range keeps
-  // yielding the pre-publish snapshot; the next probe sees everything).
-  Relation rel(2);
-  Relation staged(2);
-  int32_t next = 0;
-  for (int32_t round = 0; round < 8; ++round) {
-    staged.Clear();
-    // All rows share first column 1 — the key the probes below use — plus
-    // a duplicate of an already-published row after round 0.
-    for (int32_t i = 0; i < 16; ++i) staged.Insert({1, next++});
-    if (round > 0) staged.Insert({1, 0});
-    if (round == 0) {
-      EXPECT_EQ(rel.BulkInsert(staged), 16);
-    } else {
-      // Hold a probe range open across the publish: it must yield exactly
-      // the rows published before it, even though the publish grows the
-      // very chain being walked.
-      int32_t seen = 0;
-      for (int32_t row : rel.Probe(0b01, {1, 0})) {
-        EXPECT_LT(rel.At(row, 1), round * 16);
-        if (seen == 0) {
-          EXPECT_EQ(rel.BulkInsert(staged), 16);
-        }
-        ++seen;
-      }
-      EXPECT_EQ(seen, round * 16);
-    }
-    // A fresh probe observes every published row.
-    EXPECT_EQ(ProbeSet(rel, 0b01, {1, 0}).size(),
-              static_cast<size_t>((round + 1) * 16));
-    EXPECT_EQ(rel.size(), (round + 1) * 16);
-  }
-}
-
-TEST(RelationTest, BulkInsertZeroArityAndEmptyStage) {
-  Relation rel(0);
-  Relation staged(0);
-  EXPECT_EQ(rel.BulkInsert(staged), 0);  // empty stage is a no-op
-  staged.Insert(Tuple{});
-  EXPECT_EQ(rel.BulkInsert(staged), 1);
-  EXPECT_EQ(rel.BulkInsert(staged), 0);
-  EXPECT_EQ(rel.size(), 1);
-}
-
 TEST(RelationTest, ReserveKeepsContentsAndDedupe) {
   Relation rel(2);
   rel.Insert({1, 2});
@@ -297,8 +194,8 @@ TEST(EngineTest, TransitiveClosureMatchesFloydWarshall) {
 
 // Kept EDB relations: the first evaluation lent an EdbRelations publishes
 // the EDB relations it loads, later ones borrow the same objects, and every
-// result equals the per-call load, at every thread count. IDB relations
-// (even with Δ facts) and EDB spans passed empty are never kept.
+// result equals the per-call load. IDB relations (even with Δ facts) and
+// EDB spans passed empty are never kept.
 TEST(EngineTest, KeptEdbRelationsMatchPerCallLoads) {
   Instance inst = ParseInstance(
       "t(X, Y) :- e(X, Y).\nt(X, Z) :- e(X, Y), t(Y, Z).\n"
@@ -313,14 +210,13 @@ TEST(EngineTest, KeptEdbRelationsMatchPerCallLoads) {
 
   EdbRelations edb(inst.database.num_predicates());
   const Relation* kept_e = nullptr;
-  for (const int32_t threads : {1, 4, 1, 4}) {
+  for (int call = 0; call < 3; ++call) {
     EngineOptions options;
-    options.num_threads = threads;
     options.edb = &edb;
     const Result<Database> result =
         EvaluateStratified(inst.program, inst.database, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_TRUE(*result == *reference) << threads << " threads";
+    EXPECT_TRUE(*result == *reference) << "call " << call;
     if (kept_e == nullptr) kept_e = edb.Find(e);
     ASSERT_NE(kept_e, nullptr);
     EXPECT_EQ(edb.Find(e), kept_e);
@@ -680,33 +576,27 @@ TEST(WorkloadTest, DatabaseGenerators) {
 // Resource-governed evaluation.
 // ---------------------------------------------------------------------------
 
-TEST(EngineGovernanceTest, StepBudgetTripsDeterministicallyAcrossThreads) {
+TEST(EngineGovernanceTest, StepBudgetTrips) {
   // The engine's step total (rows scanned per round) is fixed by set
-  // semantics, so a too-small budget trips at every thread count.
+  // semantics, so a too-small budget trips.
   Program program = TransitiveClosureProgram();
   Rng rng(21);
   Database db = *RandomDigraphDatabase(&program, "e", 64, 256, &rng);
-  for (const int32_t threads : {1, 2, 8}) {
-    ResourceLimits limits;
-    limits.max_steps = 50;
-    ExecutionContext context(limits);
-    EngineOptions options;
-    options.num_threads = threads;
-    options.context = &context;
-    Result<Database> result = EvaluateStratified(program, db, options);
-    ASSERT_FALSE(result.ok()) << "threads=" << threads;
-    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
-        << "threads=" << threads;
-    EXPECT_EQ(context.truncation().code, StatusCode::kResourceExhausted)
-        << "threads=" << threads;
-  }
+  ResourceLimits limits;
+  limits.max_steps = 50;
+  ExecutionContext context(limits);
+  EngineOptions options;
+  options.context = &context;
+  Result<Database> result = EvaluateStratified(program, db, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(context.truncation().code, StatusCode::kResourceExhausted);
 }
 
-TEST(EngineGovernanceTest, ByteBudgetDecisionIsThreadCountInvariant) {
+TEST(EngineGovernanceTest, ByteBudgetTripsOnlyBelowTheTotal) {
   // The byte charge counts deduplicated derived rows only, so whether a
-  // byte budget trips is a property of the workload, not of the thread
-  // count: measure the total once, then check both sides of the line at
-  // every thread count.
+  // byte budget trips is a property of the workload: measure the total
+  // once, then check both sides of the line.
   Program program = TransitiveClosureProgram();
   Rng rng(22);
   Database db = *RandomDigraphDatabase(&program, "e", 48, 128, &rng);
@@ -716,53 +606,43 @@ TEST(EngineGovernanceTest, ByteBudgetDecisionIsThreadCountInvariant) {
   ASSERT_TRUE(EvaluateStratified(program, db, probe_options).ok());
   const int64_t total_bytes = probe.bytes_charged();
   ASSERT_GT(total_bytes, 0);
-  for (const int32_t threads : {1, 2, 8}) {
-    ResourceLimits tight;
-    tight.max_bytes = total_bytes / 2;
-    ExecutionContext tight_context(tight);
-    EngineOptions options;
-    options.num_threads = threads;
-    options.context = &tight_context;
-    Result<Database> tripped = EvaluateStratified(program, db, options);
-    ASSERT_FALSE(tripped.ok()) << "threads=" << threads;
-    EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted)
-        << "threads=" << threads;
+  ResourceLimits tight;
+  tight.max_bytes = total_bytes / 2;
+  ExecutionContext tight_context(tight);
+  EngineOptions options;
+  options.context = &tight_context;
+  Result<Database> tripped = EvaluateStratified(program, db, options);
+  ASSERT_FALSE(tripped.ok());
+  EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
 
-    ResourceLimits roomy;
-    roomy.max_bytes = total_bytes * 2;
-    ExecutionContext roomy_context(roomy);
-    options.context = &roomy_context;
-    Result<Database> complete = EvaluateStratified(program, db, options);
-    ASSERT_TRUE(complete.ok()) << "threads=" << threads;
-    EXPECT_EQ(roomy_context.bytes_charged(), total_bytes)
-        << "threads=" << threads;
-  }
+  ResourceLimits roomy;
+  roomy.max_bytes = total_bytes * 2;
+  ExecutionContext roomy_context(roomy);
+  options.context = &roomy_context;
+  Result<Database> complete = EvaluateStratified(program, db, options);
+  ASSERT_TRUE(complete.ok());
+  EXPECT_EQ(roomy_context.bytes_charged(), total_bytes);
 }
 
-TEST(EngineGovernanceTest, ExpiredDeadlineAndCancelTripAcrossThreads) {
+TEST(EngineGovernanceTest, ExpiredDeadlineAndCancelTrip) {
   Program program = TransitiveClosureProgram();
   Rng rng(23);
   Database db = *RandomDigraphDatabase(&program, "e", 32, 64, &rng);
-  for (const int32_t threads : {1, 2, 8}) {
-    ResourceLimits limits;
-    limits.deadline_seconds = 1e-9;
-    ExecutionContext expired(limits);
-    EngineOptions options;
-    options.num_threads = threads;
-    options.context = &expired;
-    Result<Database> late = EvaluateStratified(program, db, options);
-    ASSERT_FALSE(late.ok()) << "threads=" << threads;
-    EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded)
-        << "threads=" << threads;
+  ResourceLimits limits;
+  limits.deadline_seconds = 1e-9;
+  ExecutionContext expired(limits);
+  EngineOptions options;
+  options.context = &expired;
+  Result<Database> late = EvaluateStratified(program, db, options);
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
 
-    ExecutionContext cancelled;
-    cancelled.Cancel();
-    options.context = &cancelled;
-    Result<Database> stopped = EvaluateStratified(program, db, options);
-    ASSERT_FALSE(stopped.ok()) << "threads=" << threads;
-    EXPECT_EQ(stopped.status().code(), StatusCode::kCancelled)
-        << "threads=" << threads;
-  }
+  ExecutionContext cancelled;
+  cancelled.Cancel();
+  options.context = &cancelled;
+  Result<Database> stopped = EvaluateStratified(program, db, options);
+  ASSERT_FALSE(stopped.ok());
+  EXPECT_EQ(stopped.status().code(), StatusCode::kCancelled);
 }
 
 TEST(EngineGovernanceTest, GenerousContextDoesNotPerturbResults) {
