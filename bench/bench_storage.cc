@@ -7,6 +7,11 @@
 // CRCs, structural cross-checks, index rebuild) — that validation cost
 // is exactly what this harness exists to keep honest.
 //
+// Next to them, the text way in: parse_winmove_1m reads a ~1M-edge
+// random digraph, rendered as fact text, back through ParseProgram +
+// ParseDatabase. Its items are text bytes, so it reads in the same
+// bytes/sec column as the load rows.
+//
 // Standalone harness in the BENCH_engine.json style (shared scaffolding
 // in bench_util.h): emits BENCH_storage.json.
 //
@@ -20,6 +25,8 @@
 
 #include "bench_util.h"
 #include "ground/grounder.h"
+#include "lang/parser.h"
+#include "lang/printer.h"
 #include "reductions/cm_reduction.h"
 #include "reductions/counter_machine.h"
 #include "storage/snapshot.h"
@@ -31,11 +38,13 @@
 namespace tiebreak {
 namespace {
 
-// No recorded baseline yet: this harness lands with the storage layer
-// itself. The committed BENCH_storage.json is the reference for the next
-// PR that touches the codec.
+// The codec rows have no recorded baseline: the committed
+// BENCH_storage.json is the reference for the next change to the codec.
+// parse_winmove_1m's baseline is the token-vector parser's rate (median of
+// five runs, interleaved with runs of the streaming parser; see
+// docs/benchmarks.md).
 constexpr benchutil::BaselineEntry kBaseline[] = {
-    {"", 0.0},
+    {"parse_winmove_1m", 10467464.0},
 };
 
 void MeasureCodec(const std::string& name, const Program& program,
@@ -75,6 +84,28 @@ void MeasureCodec(const std::string& name, const Program& program,
   });
   load.items_per_sec = size / load.seconds;
   rows->push_back(load);
+}
+
+void MeasureParse(const std::string& name, const Program& program,
+                  const Database& database, int reps,
+                  std::vector<benchutil::Row>* rows) {
+  const std::string program_text = ProgramToString(program);
+  const std::string facts = DatabaseToString(program, database);
+  benchutil::Row parse;
+  parse.name = "parse_" + name;
+  parse.items = static_cast<int64_t>(program_text.size() + facts.size());
+  parse.seconds = benchutil::BestOfReps(reps, [&] {
+    WallTimer timer;
+    Result<Program> parsed = ParseProgram(program_text);
+    TIEBREAK_CHECK(parsed.ok()) << parsed.status().ToString();
+    Result<Database> db = ParseDatabase(facts, &*parsed);
+    const double seconds = timer.Seconds();
+    TIEBREAK_CHECK(db.ok()) << db.status().ToString();
+    TIEBREAK_CHECK_EQ(db->TotalFacts(), database.TotalFacts());
+    return seconds;
+  });
+  parse.items_per_sec = parse.items / parse.seconds;
+  rows->push_back(parse);
 }
 
 GroundGraph GroundGraphOf(const Program& program, const Database& database,
@@ -123,6 +154,14 @@ int Main(int argc, char** argv) {
         GroundGraphOf(reduction.program, db, options);
     MeasureCodec("theorem6_transfer_t64", reduction.program, db, graph,
                  reps, &rows);
+  }
+
+  {
+    Program program = WinMoveProgram();
+    Rng rng(5);
+    const Database db = *LargeRandomDigraphDatabase(&program, "move", 250'000,
+                                                    1'000'000, &rng);
+    MeasureParse("winmove_1m", program, db, reps, &rows);
   }
 
   benchutil::PrintTable(rows, kBaseline, "bytes");

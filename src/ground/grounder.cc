@@ -610,7 +610,29 @@ class GrounderImpl {
     std::vector<GroundGraph> shards(workers);
     std::vector<EmitContext> contexts(workers);
     std::vector<Status> statuses(workers, Status::Ok());
+    // Size each shard's arenas once, for an even share of the binding rows
+    // plus a quarter for uneven scheduling, and the merge target's atom
+    // arenas once for all shards. Grown by doubling, they would be copied
+    // and faulted in anew several times per grounding.
+    int64_t rows = 0;
+    int64_t body = 0;
+    int64_t atoms = 0;
+    int64_t args = 0;
+    for (const EmitJob& job : jobs) {
+      if (job.whole_rule) continue;
+      const EmitProgram prog = BuildEmitProgram(program_.rule(job.rule));
+      const int64_t n = job.row_end - job.row_begin;
+      rows += n;
+      body += n * (prog.num_intern - 1);
+      atoms += n * prog.num_intern;
+      args += n * prog.stride;
+    }
+    const auto share = [&](int64_t total) {
+      return (total + workers - 1) / workers * 5 / 4;
+    };
     for (int32_t w = 0; w < workers; ++w) {
+      shards[w].ReserveRules(share(rows), share(body));
+      shards[w].atoms().Reserve(share(atoms), share(args));
       contexts[w].graph = &shards[w];
       contexts[w].parallel = true;
     }
@@ -642,6 +664,13 @@ class GrounderImpl {
     // merge.
     if (exec_ != nullptr && exec_->stopped()) return exec_->status();
     if (work_ > options_.max_instances) return Exhausted();
+    int64_t merged_atoms = graph_.atoms().size();
+    int64_t merged_args = graph_.atoms().num_args();
+    for (const GroundGraph& shard : shards) {
+      merged_atoms += shard.atoms().size();
+      merged_args += shard.atoms().num_args();
+    }
+    graph_.atoms().Reserve(merged_atoms, merged_args);
     for (const GroundGraph& shard : shards) graph_.MergeFrom(shard);
     return Status::Ok();
   }

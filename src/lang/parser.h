@@ -18,6 +18,17 @@
 //
 // Facts may mention predicates unknown to the program; those are implicitly
 // declared (with the observed arity) and are EDB by construction.
+//
+// All three entry points read the text in one pass: a pull lexer hands
+// out tokens as views into the text, one at a time, to one grammar. Facts
+// go straight into per-predicate flat rows; no fact builds an Atom.
+//
+// Errors: every malformed text fails with INVALID_ARGUMENT and a message
+// that starts "line N: " (a query pattern that does not start with a
+// known predicate's name quotes the pattern instead). The first error in
+// reading order is the one reported: a lexical error (an unexpected
+// character, a ':' without '-') is reported where it stands, so a syntax
+// error earlier in the text wins over it.
 #ifndef TIEBREAK_LANG_PARSER_H_
 #define TIEBREAK_LANG_PARSER_H_
 
@@ -34,10 +45,13 @@ namespace tiebreak {
 Result<Program> ParseProgram(std::string_view text);
 
 /// Parses a database of ground facts against `program`, implicitly declaring
-/// unknown predicates (which therefore become EDB). `program` is mutated
-/// only by interning constants / declaring new predicates. Fact order and
-/// repetition do not matter: each predicate's facts load with one sort,
-/// O(n log n) for n facts.
+/// unknown predicates (which therefore become EDB) in first-use order once
+/// the whole text has parsed. `program` is mutated only by interning
+/// constants / declaring new predicates. On error no predicate is declared;
+/// constants interned before the error may remain in the constant table,
+/// but no database mentions them, so they do not enter the universe U.
+/// Fact order and repetition do not matter: each predicate's facts load
+/// with one sort, O(n log n) for n facts.
 Result<Database> ParseDatabase(std::string_view text, Program* program);
 
 /// A single parsed atom with variables, for queries (core/query.h).

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "ground/grounder.h"
 #include "gtest/gtest.h"
 #include "lang/database.h"
 #include "lang/parser.h"
@@ -157,6 +158,26 @@ TEST(DatabaseTest, ImplicitPredicateDeclaration) {
 TEST(DatabaseTest, VariablesInFactsRejected) {
   Program p = MustParse("p :- q.");
   EXPECT_FALSE(ParseDatabase("e(X).", &p).ok());
+}
+
+// A rejected text declares no predicate, so a database parsed earlier still
+// matches the program (Ground CHECKs that it does).
+TEST(DatabaseTest, RejectedTextDeclaresNoPredicate) {
+  Program p = MustParse("p(X) :- e(X).");
+  Result<Database> db1 = ParseDatabase("e(a).", &p);
+  ASSERT_TRUE(db1.ok());
+  const int32_t predicates = p.num_predicates();
+  for (const char* text : {"e(b). zz(c) e(d).", "e(b). zz(c). yy & e(d).",
+                           "zz(c). zz(c, d).", "zz(c). e(X)."}) {
+    Result<Database> bad = ParseDatabase(text, &p);
+    ASSERT_FALSE(bad.ok()) << text;
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument) << text;
+    ASSERT_EQ(p.num_predicates(), predicates) << text;
+  }
+  EXPECT_LT(p.LookupPredicate("zz"), 0);
+  Result<GroundingResult> ground = Ground(p, *db1);
+  ASSERT_TRUE(ground.ok()) << ground.status().ToString();
+  EXPECT_EQ(ground->graph.num_rules(), 1);
 }
 
 TEST(DatabaseTest, ZeroArityFacts) {
