@@ -7,8 +7,8 @@
 // Standalone harness in the BENCH_engine.json style: emits BENCH_sat.json
 // with per-workload wall time (BestOfReps), conflicts, propagations,
 // conflicts/sec, propagations/sec, the solver observability counters
-// (restarts, learnt, reduced, arena bytes) and the recorded seed-solver
-// baseline so every PR shows its wall-clock speedup.
+// (restarts, learnt, reduced, arena bytes) and a recorded baseline, so
+// each row shows its wall-clock speedup.
 //
 // Every workload is deterministic (fixed Rng seeds) and self-validating:
 // model counts and SAT/UNSAT answers are CHECKed, so the harness doubles as
@@ -17,6 +17,7 @@
 // Usage: bench_sat [output.json] (default BENCH_sat.json); any flag is
 // rejected with exit status 1.
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,27 +35,35 @@
 #include "util/function_view.h"
 #include "util/random.h"
 #include "util/timer.h"
+#include "workload/databases.h"
 #include "workload/programs.h"
 
 namespace tiebreak {
 namespace {
 
-// Recorded wall seconds for the seed CDCL solver (one heap vector per
-// clause, no blocking literals, no learnt-clause minimization or deletion,
-// geometric restarts) on this container, measured with this harness before
-// the arena rewrite. speedup = baseline_seconds / seconds.
+// Recorded wall seconds, measured with this harness.
+// speedup = baseline_seconds / seconds.
+//   - Completion rows (everything built on FixpointSearch): the full
+//     completion encoder (every atom, one auxiliary variable per rule
+//     instance, blocking on every atom) that the Kripke–Kleene residue
+//     encoding replaced; median of three runs interleaved with the new
+//     encoder's on a 4-core Xeon VM.
+//   - Direct CNF rows: the seed CDCL solver (one heap vector per clause,
+//     no blocking literals, no learnt-clause minimization or deletion,
+//     geometric restarts), measured before the arena rewrite.
 struct SatBaseline {
   const char* name;
   double seconds;
 };
 constexpr SatBaseline kBaseline[] = {
-    {"fixpoint_enum_pairs_s120", 0.035481},
-    {"fixpoint_enum_pairs_s360", 0.117783},
-    {"stable_enum_pairs_s200", 0.089584},
-    {"thm2_unary_ring_k20001", 0.016112},
-    {"thm3_binary_batch100", 0.001431},
-    {"thm6_uniform_counting_k4", 0.212469},
-    {"qbf_enum_x8_y40", 0.013171},
+    {"fixpoint_enum_pairs_s120", 0.046743},
+    {"fixpoint_enum_pairs_s360", 0.162759},
+    {"stable_enum_pairs_s200", 0.092997},
+    {"stable_enum_winmove_n2000", 0.005500},
+    {"thm2_unary_ring_k20001", 0.015880},
+    {"thm3_binary_batch100", 0.001325},
+    {"thm6_uniform_counting_k4", 0.131453},
+    {"qbf_enum_x8_y40", 0.014881},
     {"php_9_8", 0.651146},
     {"rand3sat_n170_m731", 0.100115},
     {"blocked_enum_rand3sat_n60", 0.012702},
@@ -282,6 +291,38 @@ int Main(int argc, char** argv) {
       TIEBREAK_CHECK_EQ(stable, 1000);
       Collect(search.solver(), row);
     }));
+  }
+
+  {
+    // Stable enumeration on win/move over a seeded 2000-position random
+    // digraph. The Kripke–Kleene close decides all but 124 atoms; the
+    // residue has 8 fixpoints, every one of them stable. (Random digraphs
+    // this dense mostly have an odd win cycle in the residue, hence the
+    // chosen seed.)
+    Program program = WinMoveProgram();
+    Rng rng(95);
+    Database database =
+        RandomDigraphDatabase(&program, "move", 2000, 4500, &rng).value();
+    GroundingResult ground = Ground(program, database).value();
+    const Board board{std::move(program), std::move(database),
+                      std::move(ground)};
+    results.push_back(
+        Measure("stable_enum_winmove_n2000", 10, [&](SatRow* row) {
+          FixpointSearch search(board.program, board.database,
+                                board.ground.graph);
+          int64_t fixpoints = 0;
+          int64_t stable = 0;
+          while (std::optional<std::vector<Truth>> model = search.Next()) {
+            ++fixpoints;
+            if (IsStable(board.program, board.database, board.ground.graph,
+                         *model)) {
+              ++stable;
+            }
+          }
+          TIEBREAK_CHECK_EQ(fixpoints, 8);
+          TIEBREAK_CHECK_EQ(stable, 8);
+          Collect(search.solver(), row);
+        }));
   }
 
   {

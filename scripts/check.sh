@@ -4,12 +4,12 @@
 # build-check/.
 #
 #   scripts/check.sh [--bench]    --bench additionally runs bench_engine,
-#                                 bench_grounding, bench_interpreters and
-#                                 bench_storage and refreshes
+#                                 bench_grounding, bench_interpreters,
+#                                 bench_storage and bench_sat and refreshes
 #                                 BENCH_engine.json, BENCH_grounding.json
 #                                 (grounding rows at 1 and 4 threads),
-#                                 BENCH_interpreters.json and
-#                                 BENCH_storage.json
+#                                 BENCH_interpreters.json,
+#                                 BENCH_storage.json and BENCH_sat.json
 #   scripts/check.sh --tsan       builds everything with
 #                                 -DTIEBREAK_SANITIZE=thread into
 #                                 build-tsan/ and runs the whole ctest suite
@@ -67,7 +67,8 @@ check_docs() {
                 src/core/certificate.h src/ground/close.h \
                 src/ground/ground_scc.h src/core/interpreter_options.h \
                 src/core/completion.h src/core/perfect_model.h \
-                src/core/alternating.h src/lang/parser.h; do
+                src/core/alternating.h src/lang/parser.h \
+                src/core/stable.h src/core/fixpoint.h; do
     if ! awk -v file="$header" '
       BEGIN { in_private = 0; prev_commented = 0; prev_decl = 0; bad = 0 }
       /^ *private:/ { in_private = 1 }
@@ -146,7 +147,8 @@ if [[ "${1:-}" == "--bench" ]]; then
   (cd "$repo" && "$build/bench_engine" BENCH_engine.json &&
      "$build/bench_grounding" BENCH_grounding.json &&
      "$build/bench_interpreters" BENCH_interpreters.json &&
-     "$build/bench_storage" BENCH_storage.json)
+     "$build/bench_storage" BENCH_storage.json &&
+     "$build/bench_sat" BENCH_sat.json)
 fi
 
 echo "check.sh: all green"

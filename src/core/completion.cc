@@ -1,6 +1,7 @@
 #include "core/completion.h"
 
 #include "core/stable.h"
+#include "ground/close.h"
 #include "util/execution_context.h"
 
 namespace tiebreak {
@@ -9,59 +10,58 @@ FixpointSearch::FixpointSearch(const Program& program,
                                const Database& database,
                                const GroundGraph& graph,
                                ExecutionContext* context)
-    : graph_(&graph), context_(context) {
+    : context_(context) {
   solver_.SetExecutionContext(context_);
-  TIEBREAK_CHECK(graph.finalized());
-  solver_.Reserve(graph.num_atoms() + graph.num_rules());
-  atom_var_.resize(graph.num_atoms());
+  // The Kripke–Kleene model: every fixpoint extends it.
+  const CloseState close(program, database, graph, context_);
+  if (context_ != nullptr && context_->stopped()) {
+    // A tripped close is partial; its live atoms are not the residue.
+    truncation_ = context_->status();
+    exhausted_ = true;
+    return;
+  }
+  kk_ = close.values();
+  int32_t live_rules = 0;
+  for (const char dead : close.rule_dead()) live_rules += dead == 0;
+  solver_.Reserve(close.num_live_atoms() + live_rules);
+  std::vector<int32_t> atom_var(graph.num_atoms(), -1);  // -1 = decided
+  live_atoms_.reserve(close.num_live_atoms());
   for (AtomId a = 0; a < graph.num_atoms(); ++a) {
-    atom_var_[a] = solver_.NewVar();
+    if (kk_[a] != Truth::kUndef) continue;
+    atom_var[a] = solver_.NewVar();
+    live_atoms_.push_back(a);
   }
-  // One auxiliary "body" variable per rule instance:
-  //   d_r <-> conjunction of body literals.
-  // All variables are numbered up front (atoms, then d_r = num_atoms + r),
-  // which matches the historical interleaved numbering exactly — clause
-  // additions never created variables.
-  std::vector<int32_t> body_var(graph.num_rules());
-  for (int32_t r = 0; r < graph.num_rules(); ++r) {
-    body_var[r] = solver_.NewVar();
-  }
-  std::vector<SatLit> back;  // reused across rules — no per-rule allocation
-  for (int32_t r = 0; r < graph.num_rules(); ++r) {
-    const int32_t d = body_var[r];
-    back.clear();
-    back.push_back(PosLit(d));  // (l1 & ... & lk) -> d
-    for (AtomId a : graph.PositiveBody(r)) {
-      solver_.AddBinary(NegLit(d), PosLit(atom_var_[a]));  // d -> a
-      back.push_back(NegLit(atom_var_[a]));
-    }
-    for (AtomId a : graph.NegativeBody(r)) {
-      solver_.AddBinary(NegLit(d), NegLit(atom_var_[a]));  // d -> !a
-      back.push_back(PosLit(atom_var_[a]));
-    }
-    solver_.AddLits(back.data(), back.size());
-  }
-  // Per-atom completion.
-  const std::vector<char> delta_mask = DeltaAtomMask(database, graph.atoms());
+  std::vector<SatLit> body;     // reused across rules
   std::vector<SatLit> forward;  // reused across atoms
-  for (AtomId a = 0; a < graph.num_atoms(); ++a) {
-    const PredId pred = graph.atoms().PredicateOf(a);
-    const bool in_delta = delta_mask[a] != 0;
-    if (in_delta) {
-      solver_.AddUnit(PosLit(atom_var_[a]));  // Δ atoms are true, supported
-      continue;
-    }
-    if (program.IsEdb(pred)) {
-      // EDB atoms exist as nodes only in faithful graphs; not in Δ => false.
-      solver_.AddUnit(NegLit(atom_var_[a]));
-      continue;
-    }
-    // a <-> ⋁ d_r over supporters.
+  for (const AtomId a : live_atoms_) {
+    const SatLit head = PosLit(atom_var[a]);
     forward.clear();
-    forward.push_back(NegLit(atom_var_[a]));
-    for (int32_t r : graph.Supporters(a)) {
-      solver_.AddBinary(NegLit(body_var[r]), PosLit(atom_var_[a]));  // d -> a
-      forward.push_back(PosLit(body_var[r]));
+    forward.push_back(Negate(head));
+    for (const int32_t r : graph.Supporters(a)) {
+      if (!close.RuleLive(r)) continue;
+      // The live literals; the decided ones are true, or r would be dead.
+      body.clear();
+      for (const AtomId b : graph.PositiveBody(r)) {
+        if (atom_var[b] >= 0) body.push_back(PosLit(atom_var[b]));
+      }
+      for (const AtomId b : graph.NegativeBody(r)) {
+        if (atom_var[b] >= 0) body.push_back(NegLit(atom_var[b]));
+      }
+      SatLit lit;
+      if (body.size() == 1) {
+        lit = body[0];
+      } else {
+        // d <-> (l1 & ... & lk).
+        lit = PosLit(solver_.NewVar());
+        for (SatLit& l : body) {
+          solver_.AddBinary(Negate(lit), l);  // d -> l
+          l = Negate(l);
+        }
+        body.push_back(lit);  // (l1 & ... & lk) -> d
+        solver_.AddLits(body.data(), body.size());
+      }
+      solver_.AddBinary(Negate(lit), head);  // body -> a
+      forward.push_back(lit);
     }
     solver_.AddLits(forward.data(), forward.size());  // a -> some body
   }
@@ -84,13 +84,18 @@ std::optional<std::vector<Truth>> FixpointSearch::SolveOne() {
     exhausted_ = true;
     return std::nullopt;
   }
-  std::vector<Truth> values(graph_->num_atoms(), Truth::kUndef);
-  for (AtomId a = 0; a < graph_->num_atoms(); ++a) {
-    values[a] = solver_.ModelValue(atom_var_[a]) ? Truth::kTrue : Truth::kFalse;
+  // Decided atoms keep their Kripke–Kleene values; the model fills the
+  // live ones and is blocked on them alone. With no live atom the blocking
+  // clause is empty, which leaves the instance UNSAT: one fixpoint.
+  std::vector<Truth> values = kk_;
+  block_.clear();
+  for (int32_t v = 0; v < static_cast<int32_t>(live_atoms_.size()); ++v) {
+    const bool value = solver_.ModelValue(v);
+    values[live_atoms_[v]] = value ? Truth::kTrue : Truth::kFalse;
+    block_.push_back(MakeLit(v, !value));
   }
-  // kSat is in hand, and atom_var_ entries are all live solver variables,
-  // so blocking cannot fail.
-  TIEBREAK_CHECK(solver_.BlockModel(atom_var_).ok());
+  // Every literal names a live atom variable, so blocking cannot fail.
+  TIEBREAK_CHECK(solver_.AddLits(block_.data(), block_.size()).ok());
   return values;
 }
 

@@ -8,6 +8,30 @@
 // model enumeration (with blocking clauses) and counting. This is the
 // workhorse behind the paper's negative results — Theorems 2/3/6 all claim
 // "no fixpoint whatsoever", which we verify as UNSAT answers.
+//
+// Only the Kripke–Kleene residue is encoded. The searcher first runs
+// CloseState's initial close, close(M0(Δ), G): Fitting's three-valued
+// operator iterated to its least fixpoint in the knowledge ordering, which
+// is the Kripke–Kleene model. Every fixpoint is a two-valued fixpoint of
+// that operator (a supported model: an atom is true iff Δ lists it or some
+// rule body is true), so it extends the Kripke–Kleene model — an induction
+// over the close's steps: each step is forced in every supported model
+// extending the values before it. The close therefore decides atoms for
+// every fixpoint at once, and the SAT instance holds only what it leaves
+// live:
+//
+//   - one variable per live (undefined) atom;
+//   - per live rule instance whose head is live, its body restricted to
+//     live atoms (its decided literals are all true, or the close would
+//     have killed the rule): a one-literal body is that literal, a longer
+//     one gets an auxiliary variable d <-> (l1 ∧ ... ∧ lk);
+//   - per live atom a: a <-> ⋁ of those bodies over its live supporters
+//     (dead supporters have a false literal in every fixpoint);
+//   - blocking clauses over the live atom variables only.
+//
+// Next() fills the decided atoms with their Kripke–Kleene values. When the
+// Kripke–Kleene model is total the instance has no variable and exactly
+// one fixpoint.
 #ifndef TIEBREAK_CORE_COMPLETION_H_
 #define TIEBREAK_CORE_COMPLETION_H_
 
@@ -30,11 +54,12 @@ class ExecutionContext;
 /// SAT-backed search over the fixpoints of one ground instance.
 class FixpointSearch {
  public:
-  /// Builds the completion encoding. Works on reduced or faithful graphs.
-  /// A non-null `context` governs every solver call: on a trip the search
-  /// stops (Next/HasFixpoint report exhaustion, Count stops counting) and
-  /// truncation() carries the trip Status — callers must consult it before
-  /// reading "no more fixpoints" as a semantic answer.
+  /// Closes M0(Δ) and encodes the completion of the residue. Works on
+  /// reduced or faithful graphs. A non-null `context` governs the close and
+  /// every solver call: on a trip the search stops (Next/HasFixpoint report
+  /// exhaustion, Count stops counting) and truncation() carries the trip
+  /// Status — callers must consult it before reading "no more fixpoints" as
+  /// a semantic answer. A trip inside the close leaves nothing encoded.
   FixpointSearch(const Program& program, const Database& database,
                  const GroundGraph& graph,
                  ExecutionContext* context = nullptr);
@@ -52,9 +77,9 @@ class FixpointSearch {
   /// `limit <= 0` counts them all.
   int64_t Count(int64_t limit);
 
-  /// OK unless the governing context tripped mid-search; then the trip
-  /// Status, and the enumeration so far is a (sound but possibly
-  /// incomplete) prefix of the fixpoint space.
+  /// OK unless the governing context tripped in the close or mid-search;
+  /// then the trip Status, and the enumeration so far is a (sound but
+  /// possibly incomplete) prefix of the fixpoint space.
   const Status& truncation() const { return truncation_; }
 
   /// Read-only view of the backing solver, for observability: the bench
@@ -66,10 +91,13 @@ class FixpointSearch {
   /// space is exhausted.
   std::optional<std::vector<Truth>> SolveOne();
 
-  const GroundGraph* graph_;
   SatSolver solver_;
   ExecutionContext* context_ = nullptr;  // not owned; null = ungoverned
-  std::vector<int32_t> atom_var_;        // AtomId -> SAT var
+  // The Kripke–Kleene model per AtomId; kUndef marks the live atoms.
+  std::vector<Truth> kk_;
+  // Live atoms in id order; SAT variable v is live_atoms_[v].
+  std::vector<AtomId> live_atoms_;
+  std::vector<SatLit> block_;  // blocking clause, reused across models
   bool exhausted_ = false;
   Status truncation_ = Status::Ok();
   std::optional<std::vector<Truth>> cached_;  // found but not yet returned

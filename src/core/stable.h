@@ -14,16 +14,19 @@
 
 namespace tiebreak {
 
+// Forward-declared; see util/execution_context.h.
 class ExecutionContext;
 
 /// True iff the total model `values` is a stable model of (program,
-/// database) over `graph`. CHECK-fails if `values` is not total.
+/// database) over `graph`. A model that is not total is not a fixpoint,
+/// so the answer for it is false.
 bool IsStable(const Program& program, const Database& database,
               const GroundGraph& graph, const std::vector<Truth>& values);
 
 /// Resource-governed stability check: close(M⁻, G) checkpoints through
 /// `context`, and a trip returns the context's Status instead of a
-/// (meaningless) verdict from a partial closure.
+/// (meaningless) verdict from a partial closure. A null `context` is
+/// ungoverned and always yields a verdict; IsStable is that call.
 Result<bool> IsStableGoverned(const Program& program, const Database& database,
                               const GroundGraph& graph,
                               const std::vector<Truth>& values,

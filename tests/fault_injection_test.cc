@@ -6,6 +6,7 @@
 // agreement with a clean run afterwards. Run under ASan/UBSan by
 // scripts/check.sh to catch unwind-path leaks and UB.
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -141,19 +142,6 @@ TEST(FaultInjectionTest, TieBreakingPipelineSurvivesTripAtEveryCheckpoint) {
   EXPECT_EQ(rerun.values, clean.values);
 }
 
-// Stable-model search under `context`: completion SAT search plus the
-// governed stability check (SAT solver, close, fixpoint scans).
-int64_t RunStableModelPipeline(ExecutionContext* context) {
-  Program program = NegationRingProgram(12);  // even ring: 2 stable models
-  Database database(program);
-  Result<GroundingResult> ground = Ground(program, database);
-  TIEBREAK_CHECK(ground.ok());
-  return static_cast<int64_t>(
-      EnumerateStableModels(program, database, ground->graph, /*limit=*/0,
-                            context)
-          .size());
-}
-
 TEST(FaultInjectionTest, WellFoundedPipelineSurvivesTripAtEveryCheckpoint) {
   // Count pass: no limits, hook counts checkpoints but never fires.
   fault_injection::CountCheckpoints();
@@ -260,28 +248,130 @@ TEST(FaultInjectionTest,
   EXPECT_EQ(rerun.values, clean.values);
 }
 
+// A ground instance for the stable-model sweeps.
+struct StableInstance {
+  Program program;
+  Database database;
+  GroundingResult ground;
+};
+
+// An even negation ring of 12 propositions: 2 stable models, and a close
+// too small to reach a checkpoint.
+StableInstance MakeRingInstance() {
+  Program program = NegationRingProgram(12);
+  Database database(program);
+  GroundingResult ground = Ground(program, database).value();
+  return StableInstance{std::move(program), std::move(database),
+                        std::move(ground)};
+}
+
+// win/move over a seeded 1000-position random digraph: the Kripke–Kleene
+// close decides about 700 atoms, so FixpointSearch's constructor
+// checkpoints inside it, and the live residue of about 300 atoms has 6
+// stable models.
+StableInstance MakeWinMoveInstance() {
+  Program program = WinMoveProgram();
+  Rng rng(37);
+  Database database =
+      *RandomDigraphDatabase(&program, "move", 1000, 2200, &rng);
+  GroundingResult ground = Ground(program, database).value();
+  return StableInstance{std::move(program), std::move(database),
+                        std::move(ground)};
+}
+
+// Stable-model search under `context`: completion SAT search plus the
+// governed stability check (close, SAT solver, fixpoint scans).
+std::vector<std::vector<Truth>> RunStableModelPipeline(
+    const StableInstance& inst, ExecutionContext* context) {
+  return EnumerateStableModels(inst.program, inst.database, inst.ground.graph,
+                               /*limit=*/0, context);
+}
+
 TEST(FaultInjectionTest, StableModelSearchSurvivesTripAtEveryCheckpoint) {
+  for (const StableInstance& inst :
+       {MakeRingInstance(), MakeWinMoveInstance()}) {
+    fault_injection::CountCheckpoints();
+    ExecutionContext count_context;
+    const std::vector<std::vector<Truth>> clean =
+        RunStableModelPipeline(inst, &count_context);
+    const int64_t checkpoints = fault_injection::CheckpointsObserved();
+    fault_injection::Disarm();
+    ASSERT_GT(checkpoints, 0);
+    ASSERT_FALSE(clean.empty());
+
+    for (int64_t n = 0; n < checkpoints; ++n) {
+      fault_injection::TripAtCheckpoint(n);
+      ExecutionContext context;
+      const std::vector<std::vector<Truth>> models =
+          RunStableModelPipeline(inst, &context);
+      fault_injection::Disarm();
+      ASSERT_TRUE(context.stopped()) << "checkpoint " << n;
+      EXPECT_EQ(context.status().code(), StatusCode::kCancelled)
+          << "checkpoint " << n;
+      // A tripped enumeration returns a sound prefix of the model list.
+      ASSERT_LE(models.size(), clean.size()) << "checkpoint " << n;
+      for (size_t i = 0; i < models.size(); ++i) {
+        EXPECT_EQ(models[i], clean[i]) << "checkpoint " << n;
+      }
+    }
+
+    ExecutionContext rerun_context;
+    EXPECT_EQ(RunStableModelPipeline(inst, &rerun_context), clean);
+  }
+}
+
+// FixpointSearch's constructor closes M0(Δ) under its context. A trip there
+// must leave nothing to enumerate and truncation() carrying the trip; a
+// trip in the search must end the enumeration the same way. Either way the
+// fixpoints found are a prefix of the clean run's.
+TEST(FaultInjectionTest, FixpointSearchSurvivesTripInsideTheClose) {
+  const StableInstance inst = MakeWinMoveInstance();
+  const auto enumerate = [&](ExecutionContext* context, bool* in_close) {
+    FixpointSearch search(inst.program, inst.database, inst.ground.graph,
+                          context);
+    *in_close = context->stopped();
+    std::vector<std::vector<Truth>> models;
+    while (std::optional<std::vector<Truth>> model = search.Next()) {
+      models.push_back(std::move(*model));
+    }
+    EXPECT_EQ(search.truncation().code(), context->status().code());
+    EXPECT_FALSE(search.Next().has_value());
+    return models;
+  };
   fault_injection::CountCheckpoints();
   ExecutionContext count_context;
-  const int64_t clean_models = RunStableModelPipeline(&count_context);
+  bool in_close = false;
+  const std::vector<std::vector<Truth>> clean =
+      enumerate(&count_context, &in_close);
   const int64_t checkpoints = fault_injection::CheckpointsObserved();
   fault_injection::Disarm();
-  ASSERT_GT(checkpoints, 0);
+  ASSERT_FALSE(in_close);
+  ASSERT_FALSE(clean.empty());
 
+  int64_t close_trips = 0;
   for (int64_t n = 0; n < checkpoints; ++n) {
     fault_injection::TripAtCheckpoint(n);
     ExecutionContext context;
-    const int64_t models = RunStableModelPipeline(&context);
+    const std::vector<std::vector<Truth>> models =
+        enumerate(&context, &in_close);
     fault_injection::Disarm();
     ASSERT_TRUE(context.stopped()) << "checkpoint " << n;
     EXPECT_EQ(context.status().code(), StatusCode::kCancelled)
         << "checkpoint " << n;
-    // A tripped enumeration returns a sound prefix of the model list.
-    EXPECT_LE(models, clean_models) << "checkpoint " << n;
+    if (in_close) {
+      ++close_trips;
+      EXPECT_EQ(context.truncation().layer, "close") << "checkpoint " << n;
+      EXPECT_TRUE(models.empty()) << "checkpoint " << n;
+    }
+    ASSERT_LE(models.size(), clean.size()) << "checkpoint " << n;
+    for (size_t i = 0; i < models.size(); ++i) {
+      EXPECT_EQ(models[i], clean[i]) << "checkpoint " << n;
+    }
   }
+  EXPECT_GT(close_trips, 0);
 
   ExecutionContext rerun_context;
-  EXPECT_EQ(RunStableModelPipeline(&rerun_context), clean_models);
+  EXPECT_EQ(enumerate(&rerun_context, &in_close), clean);
 }
 
 // Sorted bindings: demand and full grounding may report them in different
