@@ -20,10 +20,15 @@
 // served, queries/sec, and the recorded full-grounding baseline of the
 // same workload, so the speedup column reads as demand-vs-full directly.
 //
+// Every workload and mode is measured at 1 thread and at --threads N; the
+// two rows share a name and differ in num_threads, as in
+// BENCH_grounding.json.
+//
 // Usage: bench_query [output.json] [--threads N] [--reps N]
-//   --threads N   QueryOptions::num_threads for every request, i.e. the
-//                 grounding threads (the engine and the interpreter run
-//                 serially); default 1, which the committed JSON records
+//   --threads N   QueryOptions::num_threads of the second row of each
+//                 workload and mode, i.e. the grounding threads (the
+//                 engine and the interpreter run serially); default 4,
+//                 0 = hardware concurrency, 1 = serial rows only
 //   --reps N      repetitions per row (best-of; default 2)
 #include <algorithm>
 #include <cstdio>
@@ -37,6 +42,7 @@
 #include "lang/program.h"
 #include "reductions/cm_reduction.h"
 #include "reductions/counter_machine.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 #include "workload/databases.h"
 #include "workload/programs.h"
@@ -113,7 +119,7 @@ benchutil::Row MeasureQueries(const std::string& name, QueryPlanner* planner,
                               QueryMode mode, int reps, int32_t num_threads) {
   benchutil::Row out;
   out.name = name;
-  out.num_threads = num_threads > 0 ? num_threads : 0;
+  out.num_threads = ThreadPool::EffectiveThreads(num_threads);
   out.items = static_cast<int64_t>(patterns.size());
   QueryOptions options;
   options.mode = mode;
@@ -132,25 +138,35 @@ benchutil::Row MeasureQueries(const std::string& name, QueryPlanner* planner,
   return out;
 }
 
-// Appends the demand/full row pair for one (planner, pattern set) workload.
+// Appends the demand and full rows of one (planner, pattern set)
+// workload, each at 1 thread and, when `num_threads` resolves to more than
+// one thread, at `num_threads`.
 void MeasurePair(std::vector<benchutil::Row>* results,
                  const std::string& workload, QueryPlanner* planner,
                  const Program& program,
                  const std::vector<std::string>& patterns, int reps,
                  int32_t num_threads) {
-  CheckAgreement(planner, program, patterns, num_threads);
-  results->push_back(MeasureQueries("query_demand_" + workload, planner,
-                                    patterns, QueryMode::kDemand, reps,
-                                    num_threads));
-  results->push_back(MeasureQueries("query_full_" + workload, planner,
-                                    patterns, QueryMode::kFullGround, reps,
-                                    num_threads));
+  std::vector<int32_t> thread_counts = {1};
+  if (ThreadPool::EffectiveThreads(num_threads) > 1) {
+    thread_counts.push_back(num_threads);
+  }
+  for (const int32_t threads : thread_counts) {
+    CheckAgreement(planner, program, patterns, threads);
+  }
+  for (const auto& [prefix, mode] :
+       {std::pair{"query_demand_", QueryMode::kDemand},
+        std::pair{"query_full_", QueryMode::kFullGround}}) {
+    for (const int32_t threads : thread_counts) {
+      results->push_back(MeasureQueries(prefix + workload, planner, patterns,
+                                        mode, reps, threads));
+    }
+  }
 }
 
 int Main(int argc, char** argv) {
   std::string json_path = "BENCH_query.json";
   int reps = 2;
-  int32_t num_threads = 1;  // serial reference; see the usage comment
+  int32_t num_threads = 4;  // the second row; see the usage comment
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next_int = [&]() -> long {

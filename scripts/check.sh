@@ -5,11 +5,13 @@
 #
 #   scripts/check.sh [--bench]    --bench additionally runs bench_engine,
 #                                 bench_grounding, bench_interpreters,
-#                                 bench_storage and bench_sat and refreshes
-#                                 BENCH_engine.json, BENCH_grounding.json
-#                                 (grounding rows at 1 and 4 threads),
-#                                 BENCH_interpreters.json,
-#                                 BENCH_storage.json and BENCH_sat.json
+#                                 bench_storage, bench_sat and bench_query
+#                                 and refreshes BENCH_engine.json,
+#                                 BENCH_grounding.json (grounding rows at 1
+#                                 and 4 threads), BENCH_interpreters.json,
+#                                 BENCH_storage.json, BENCH_sat.json and
+#                                 BENCH_query.json (query rows at 1 and 4
+#                                 threads)
 #   scripts/check.sh --tsan       builds everything with
 #                                 -DTIEBREAK_SANITIZE=thread into
 #                                 build-tsan/ and runs the whole ctest suite
@@ -148,7 +150,8 @@ if [[ "${1:-}" == "--bench" ]]; then
      "$build/bench_grounding" BENCH_grounding.json &&
      "$build/bench_interpreters" BENCH_interpreters.json &&
      "$build/bench_storage" BENCH_storage.json &&
-     "$build/bench_sat" BENCH_sat.json)
+     "$build/bench_sat" BENCH_sat.json &&
+     "$build/bench_query" BENCH_query.json)
 fi
 
 echo "check.sh: all green"

@@ -1,6 +1,6 @@
 #include "core/stable.h"
 
-#include "core/fixpoint.h"
+#include "core/fixpoint_internal.h"
 #include "ground/close.h"
 #include "util/execution_context.h"
 
@@ -26,12 +26,15 @@ Result<bool> IsStableGoverned(const Program& program, const Database& database,
   // Every stable model is a fixpoint; rejecting non-fixpoints first also
   // guarantees close(M⁻, G) can never contradict a pre-assigned value (an
   // induction on closure steps shows the closure of M⁻ always agrees with a
-  // fixpoint M on the atoms it defines).
-  if (!IsFixpoint(program, database, graph, values)) return false;
+  // fixpoint M on the atoms it defines). The fixpoint check and M⁻ share
+  // one Δ mask.
+  const std::vector<char> in_delta = DeltaAtomMask(database, graph.atoms());
+  if (!internal::IsFixpointOverDelta(program, in_delta, graph, values)) {
+    return false;
+  }
   // Build M⁻: true IDB atoms outside Δ become undefined; everything else
   // keeps its value.
   std::vector<Truth> m_minus(values);
-  const std::vector<char> in_delta = DeltaAtomMask(database, graph.atoms());
   for (AtomId a = 0; a < graph.num_atoms(); ++a) {
     TIEBREAK_CHECK(values[a] != Truth::kUndef) << "IsStable needs a total model";
     if (values[a] != Truth::kTrue) continue;

@@ -23,17 +23,26 @@ uint64_t GroundAtomStore::KeyOf(const ConstId* args, int32_t arity) {
   return h;
 }
 
-void GroundAtomStore::GrowTable(PredTable* table) const {
-  const size_t new_capacity =
-      table->slots.empty() ? 16 : table->slots.size() * 2;
+void GroundAtomStore::Rehash(PredTable* table, size_t capacity) const {
   std::vector<Slot> old = std::move(table->slots);
-  table->slots.assign(new_capacity, Slot{});
-  const size_t mask = new_capacity - 1;
+  table->slots.assign(capacity, Slot{});
+  table->used = 0;
+  const size_t mask = capacity - 1;
   for (const Slot& slot : old) {
     if (slot.atom < 0) continue;
+    // Only a predicate with a dense table reads the atom's arguments: a
+    // plain hash-table growth touches the slots alone.
+    if (!table->dense.empty()) {
+      const ConstId* args = args_.data() + offset_[slot.atom];
+      if (InDenseRange(*table, args, ArityOf(slot.atom))) {
+        table->dense[args[0]] = slot.atom;
+        continue;
+      }
+    }
     size_t at = MixSlot(slot.key) & mask;
     while (table->slots[at].atom >= 0) at = (at + 1) & mask;
     table->slots[at] = slot;
+    ++table->used;
   }
 }
 
@@ -49,8 +58,13 @@ AtomId GroundAtomStore::InternHashed(PredId predicate, const ConstId* args,
     tables_.resize(predicate + 1);
   }
   PredTable& table = tables_[predicate];
+  if (InDenseRange(table, args, arity)) {
+    AtomId& entry = table.dense[args[0]];
+    if (entry < 0) entry = Append(predicate, args, arity);
+    return entry;
+  }
   if (table.used * 2 >= static_cast<int32_t>(table.slots.size())) {
-    GrowTable(&table);
+    Rehash(&table, table.slots.empty() ? 16 : table.slots.size() * 2);
   }
   const bool exact = ExactKeys(arity);
   const size_t mask = table.slots.size() - 1;
@@ -58,14 +72,10 @@ AtomId GroundAtomStore::InternHashed(PredId predicate, const ConstId* args,
   while (true) {
     Slot& slot = table.slots[at];
     if (slot.atom < 0) {
-      const AtomId id = size();
-      pred_.push_back(predicate);
-      args_.insert(args_.end(), args, args + arity);
-      offset_.push_back(static_cast<int64_t>(args_.size()));
       slot.key = key;
-      slot.atom = id;
+      slot.atom = Append(predicate, args, arity);
       ++table.used;
-      return id;
+      return slot.atom;
     }
     if (slot.key == key &&
         (exact ? ArityOf(slot.atom) == arity
@@ -81,6 +91,7 @@ AtomId GroundAtomStore::Lookup(PredId predicate, const ConstId* args,
   TIEBREAK_CHECK_GE(predicate, 0);
   if (predicate >= static_cast<PredId>(tables_.size())) return -1;
   const PredTable& table = tables_[predicate];
+  if (InDenseRange(table, args, arity)) return table.dense[args[0]];
   if (table.slots.empty()) return -1;
   const uint64_t key = KeyOf(args, arity);
   const bool exact = ExactKeys(arity);
@@ -124,6 +135,19 @@ void GroundAtomStore::Reserve(int64_t num_atoms, int64_t num_args) {
   pred_.reserve(static_cast<size_t>(num_atoms));
   offset_.reserve(static_cast<size_t>(num_atoms) + 1);
   args_.reserve(static_cast<size_t>(num_args));
+}
+
+void GroundAtomStore::ReserveDense(PredId predicate, int32_t range) {
+  TIEBREAK_CHECK_GE(predicate, 0);
+  if (predicate >= static_cast<PredId>(tables_.size())) {
+    tables_.resize(predicate + 1);
+  }
+  PredTable& table = tables_[predicate];
+  if (range <= static_cast<int32_t>(table.dense.size())) return;
+  table.dense.resize(static_cast<size_t>(range), -1);
+  // Unary atoms the hash table holds that now fall inside the range move
+  // to the dense table; the rest are re-placed at the same capacity.
+  if (table.used > 0) Rehash(&table, table.slots.size());
 }
 
 Result<GroundAtomStore> GroundAtomStore::FromArenas(Span<PredId> preds,

@@ -11,7 +11,12 @@
 //    whose 64-bit keys are the packed tuple itself for arity ≤ 2 (ConstIds
 //    are nonnegative 31-bit values, so one or two pack injectively; key
 //    equality then *is* tuple equality and candidate verification is
-//    skipped) and an FNV hash beyond.
+//    skipped) and an FNV hash beyond. A unary predicate may also get a
+//    dense table, one AtomId per ConstId: a unary predicate has one
+//    predicate node per constant of U, so its atoms intern and look up by
+//    one array index instead of a hash probe. The grounder reserves it
+//    for the unary IDB predicates its binding rows fill (see grounder.h);
+//    interning order, and so every arena, does not depend on it.
 //
 //  * Rule nodes live in CSR arenas: one contiguous body-atom array holding
 //    each instance's positive atoms followed by its negative atoms, with a
@@ -53,8 +58,13 @@ using AtomId = int32_t;
 using IdSpan = Span<int32_t>;
 
 /// Interns (predicate, argument tuple) pairs as dense AtomIds. Storage is
-/// one flat argument arena plus per-predicate open-addressing dedupe
-/// tables; see the file comment.
+/// one flat argument arena plus per-predicate dedupe tables: an
+/// open-addressing hash table, and for a predicate given one by
+/// ReserveDense, a dense AtomId array indexed by ConstId that holds its
+/// unary atoms over [0, range). Every other atom of such a predicate
+/// (another arity, a constant at or past the range) stays on the hash
+/// table. Which table holds an atom changes no id: ids are assigned in
+/// intern order either way. See the file comment.
 class GroundAtomStore {
  public:
   /// Returns the id of the ground atom whose arguments are the `arity`
@@ -74,13 +84,17 @@ class GroundAtomStore {
     return KeyOf(args, arity);
   }
 
-  /// Prefetches the dedupe slot line `key` maps to in `predicate`'s table
-  /// (`key` must come from InternKey). Advisory only; safe on predicates
-  /// without a table yet.
+  /// Prefetches the dedupe line `key` maps to in `predicate`'s tables
+  /// (`key` must come from InternKey): the dense entry when the key is a
+  /// constant inside the dense range (a unary atom's key is its constant),
+  /// the hash slot otherwise. Advisory only; safe on predicates without a
+  /// table yet.
   void PrefetchIntern(PredId predicate, uint64_t key) const {
     if (predicate < static_cast<PredId>(tables_.size())) {
       const PredTable& table = tables_[predicate];
-      if (!table.slots.empty()) {
+      if (key < table.dense.size()) {
+        __builtin_prefetch(&table.dense[key]);
+      } else if (!table.slots.empty()) {
         __builtin_prefetch(
             &table.slots[MixSlot(key) & (table.slots.size() - 1)]);
       }
@@ -165,6 +179,21 @@ class GroundAtomStore {
   /// arguments (advisory).
   void Reserve(int64_t num_atoms, int64_t num_args);
 
+  /// Gives `predicate` a dense table for its unary atoms over constants
+  /// in [0, range): one AtomId per constant, -1 = not interned. Those
+  /// atoms then intern and look up by one array index; unary atoms the
+  /// hash table already holds move over with their ids. A range no larger
+  /// than the current one changes nothing. The caller sizes `range` from
+  /// its own input (the grounder: the program's constant count).
+  void ReserveDense(PredId predicate, int32_t range);
+
+  /// Size of `predicate`'s dense table (0 = none).
+  int32_t dense_range(PredId predicate) const {
+    TIEBREAK_CHECK_GE(predicate, 0);
+    if (predicate >= static_cast<PredId>(tables_.size())) return 0;
+    return static_cast<int32_t>(tables_[predicate].dense.size());
+  }
+
   /// Storage dump views (src/storage/): the per-atom predicate array, the
   /// argument-arena offsets (size()+1 entries), and the flat argument
   /// arena itself. Valid until the next Intern.
@@ -185,9 +214,10 @@ class GroundAtomStore {
   /// monotone, ending exactly at the arena size; one offset per atom plus
   /// one), every PredId in [0, num_predicates) and every ConstId in
   /// [0, num_constants), then re-interns the atoms in id order — which
-  /// rebuilds the dedupe tables exactly as the original interning did and
-  /// detects duplicate atoms (kDataLoss) as a side effect. The returned
-  /// store is bit-identical, arena for arena, to the one that was dumped.
+  /// rebuilds the hash tables as the original interning did and detects
+  /// duplicate atoms (kDataLoss) as a side effect. The returned store is
+  /// bit-identical, arena for arena, to the one that was dumped; it has no
+  /// dense table, which changes no id or lookup.
   static Result<GroundAtomStore> FromArenas(Span<PredId> preds,
                                             Span<int64_t> offsets,
                                             Span<ConstId> args,
@@ -201,11 +231,13 @@ class GroundAtomStore {
     uint64_t key = 0;
     AtomId atom = -1;
   };
-  // Per-predicate dedupe table (power-of-two capacity, linear probing,
-  // load factor ≤ 1/2).
+  // Per-predicate dedupe tables: the hash table (power-of-two capacity,
+  // linear probing, load factor ≤ 1/2) and the dense table of unary atoms
+  // (empty unless ReserveDense ran).
   struct PredTable {
     std::vector<Slot> slots;
     int32_t used = 0;
+    std::vector<AtomId> dense;
   };
 
   void CheckAtom(AtomId atom) const {
@@ -233,7 +265,24 @@ class GroundAtomStore {
     }
     return true;
   }
-  void GrowTable(PredTable* table) const;
+  // True when (args, arity) is a unary atom over a constant inside
+  // `table`'s dense range; its entry is then table.dense[args[0]].
+  static bool InDenseRange(const PredTable& table, const ConstId* args,
+                           int32_t arity) {
+    return arity == 1 && static_cast<uint32_t>(args[0]) < table.dense.size();
+  }
+  // Appends a new atom to the arenas and returns its id.
+  AtomId Append(PredId predicate, const ConstId* args, int32_t arity) {
+    const AtomId id = size();
+    pred_.push_back(predicate);
+    args_.insert(args_.end(), args, args + arity);
+    offset_.push_back(static_cast<int64_t>(args_.size()));
+    return id;
+  }
+  // Re-places `table`'s live slots into a fresh hash table of `capacity`
+  // slots, handing each slot that names a unary atom inside the dense
+  // range to the dense table instead.
+  void Rehash(PredTable* table, size_t capacity) const;
 
   std::vector<PredId> pred_;        // per atom
   std::vector<int64_t> offset_{0};  // per atom + 1: argument arena offsets
@@ -294,8 +343,9 @@ class GroundGraph {
 
   /// Absorbs another (unfinalized) graph built over the same program and
   /// constant table: every shard atom is interned into this graph's store
-  /// (deduplicating against atoms already present) to build a shard-local
-  /// → global AtomId remap, then the shard's rule instances are appended
+  /// (deduplicating against atoms already present; an array index for a
+  /// predicate with a dense table) to build a shard-local → global AtomId
+  /// remap, then the shard's rule instances are appended
   /// wholesale with their head/body ids rewritten through the remap and
   /// their CSR offsets shifted by this graph's arena sizes. This is the
   /// merge half of parallel grounding's shard-and-merge: workers emit into
@@ -468,7 +518,8 @@ class GroundGraph {
 };
 
 /// Bulk Δ-membership: out[a] == 1 iff atom a of `atoms` is a fact of
-/// `database`. One scan over Δ with store hash lookups — the flat
+/// `database`. One scan over Δ with store lookups (an array index for a
+/// predicate with a dense table, a hash probe otherwise) — the flat
 /// replacement for calling Database::Contains once per atom with a freshly
 /// materialized Tuple (the pattern that regressed close-state
 /// construction). On an indexed store (has_predicate_index()) the scan

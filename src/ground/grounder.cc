@@ -91,7 +91,6 @@ class GrounderImpl {
       Status entry = exec_->Checkpoint("ground", 1);
       if (!entry.ok()) return entry;
     }
-    if (num_threads_ > 1) pool_ = std::make_unique<ThreadPool>(num_threads_);
     // U is an O(|Δ|) scan, so it is computed here, before emission fans
     // out, and only when something will enumerate over it.
     if (NeedsUniverse()) {
@@ -117,20 +116,25 @@ class GrounderImpl {
     if (options_.reduce_edb && options_.engine_bindings) {
       Status s = GroundReduced();
       if (!s.ok()) return s;
-    } else if (options_.reduce_edb && num_threads_ > 1) {
-      // Legacy bindings, parallel: one backtracking-join job per rule.
-      std::vector<EmitJob> jobs;
-      for (int32_t r = 0; r < program_.num_rules(); ++r) {
-        jobs.push_back(EmitJob{r, /*whole_rule=*/true, 0, 0});
-      }
-      Status s = EmitJobs(/*plans=*/nullptr, jobs);
-      if (!s.ok()) return s;
     } else {
-      for (int32_t r = 0; r < program_.num_rules(); ++r) {
-        Status s = options_.reduce_edb
-                       ? GroundRuleReducedLegacy(&root_ctx_, r)
-                       : GroundRuleFaithful(r);
+      // Legacy bindings: one backtracking-join job per rule, over the pool
+      // when the jobs fill it; faithful mode is always serial.
+      std::vector<EmitJob> jobs;
+      if (options_.reduce_edb && num_threads_ > 1) {
+        for (int32_t r = 0; r < program_.num_rules(); ++r) {
+          jobs.push_back(EmitJob{r, /*whole_rule=*/true, 0, 0});
+        }
+      }
+      if (FillsShards(jobs)) {
+        Status s = EmitJobs(/*plans=*/nullptr, jobs);
         if (!s.ok()) return s;
+      } else {
+        for (int32_t r = 0; r < program_.num_rules(); ++r) {
+          Status s = options_.reduce_edb
+                         ? GroundRuleReducedLegacy(&root_ctx_, r)
+                         : GroundRuleFaithful(r);
+          if (!s.ok()) return s;
+        }
       }
     }
     // Final deadline check before the CSR index builds; a trip during the
@@ -402,6 +406,8 @@ class GrounderImpl {
       total_body += rows * idb_literals;
     }
     if (total_rows > 0) graph_.ReserveRules(total_rows, total_body);
+    PlanDenseTables(plans);
+    ReserveDenseTables(&graph_, /*parts=*/1);
 
     if (num_threads_ > 1) {
       // Parallel emission: one job per legacy/free-var rule, one job per
@@ -424,7 +430,7 @@ class GrounderImpl {
                                  rows * (s + 1) / shards});
         }
       }
-      return EmitJobs(&plans, jobs);
+      if (FillsShards(jobs)) return EmitJobs(&plans, jobs);
     }
 
     // Serial emission, rule by rule in rule order (bindings iterate in
@@ -599,13 +605,75 @@ class GrounderImpl {
     return Status::Ok();
   }
 
-  // Runs `jobs` over the pool: each worker emits into a private GroundGraph
-  // shard (no shared mutable state during the fan-out — the program, Δ and
-  // the binding relations are read-only), then the shards merge into the
-  // final graph with an atom-id remap. Returns RESOURCE_EXHAUSTED when the
-  // combined work crossed the instance budget.
+  // Records, for each unary IDB predicate, the binding rows of the rules
+  // that name it, for ReserveDenseTables.
+  void PlanDenseTables(const std::vector<BindPlan>& plans) {
+    std::vector<int64_t> rows(program_.num_predicates(), 0);
+    std::vector<int32_t> counted_for(program_.num_predicates(), -1);
+    for (int32_t r = 0; r < program_.num_rules(); ++r) {
+      if (!plans[r].has_rows()) continue;
+      const Rule& rule = program_.rule(r);
+      auto count = [&](const Atom& atom) {
+        if (counted_for[atom.predicate] == r) return;  // once per rule
+        counted_for[atom.predicate] = r;
+        rows[atom.predicate] += plans[r].rows.rows;
+      };
+      count(rule.head);
+      for (const Literal& literal : rule.body) count(literal.atom);
+    }
+    for (PredId p = 0; p < program_.num_predicates(); ++p) {
+      if (program_.predicate(p).arity == 1 && !program_.IsEdb(p) &&
+          rows[p] > 0) {
+        dense_rows_.push_back({p, rows[p]});
+      }
+    }
+  }
+
+  // Reserves a dense atom table on `graph`, one of `parts` graphs that
+  // share the binding rows evenly (the serial graph is one of one, a shard
+  // one of the workers), for each unary IDB predicate whose share of its
+  // rows is at least num_constants / 8, decided from the pre-counted rows
+  // and the program's constant count only. A row that becomes a rule node
+  // appends at least 32 bytes of rule arenas and the table costs 4 bytes
+  // per constant, so a table costs no more than the rule arenas of the
+  // rows emitted into its graph; a demand request's cone over a large
+  // constant table, or a shard's thin share of a sparse one, stays on the
+  // hash table.
+  void ReserveDenseTables(GroundGraph* graph, int32_t parts) const {
+    const int32_t constants = program_.num_constants();
+    for (const auto& [pred, rows] : dense_rows_) {
+      if ((rows + parts - 1) / parts >= constants / 8) {
+        graph->atoms().ReserveDense(pred, constants);
+      }
+    }
+  }
+
+  // True when `jobs` are worth a pool: their binding rows fill at least
+  // two emission shards, each whole-rule job counting as one. Below that
+  // the workers' spawn and join cost more than the emission (a demand
+  // request grounds a cone of a few atoms), and the serial path, the
+  // bit-identical reference, runs instead.
+  static bool FillsShards(const std::vector<EmitJob>& jobs) {
+    int64_t rows = 0;
+    int64_t whole_rule = 0;
+    for (const EmitJob& job : jobs) {
+      if (job.whole_rule) {
+        ++whole_rule;
+      } else {
+        rows += job.row_end - job.row_begin;
+      }
+    }
+    return rows / kMinEmitShardRows + whole_rule >= 2;
+  }
+
+  // Runs `jobs` over a new pool: each worker emits into a private
+  // GroundGraph shard (no shared mutable state during the fan-out — the
+  // program, Δ and the binding relations are read-only), then the shards
+  // merge into the final graph with an atom-id remap. Returns
+  // RESOURCE_EXHAUSTED when the combined work crossed the instance budget.
   Status EmitJobs(const std::vector<BindPlan>* plans,
                   const std::vector<EmitJob>& jobs) {
+    pool_ = std::make_unique<ThreadPool>(num_threads_);
     const int32_t workers = pool_->num_threads();
     std::vector<GroundGraph> shards(workers);
     std::vector<EmitContext> contexts(workers);
@@ -633,6 +701,7 @@ class GrounderImpl {
     for (int32_t w = 0; w < workers; ++w) {
       shards[w].ReserveRules(share(rows), share(body));
       shards[w].atoms().Reserve(share(atoms), share(args));
+      ReserveDenseTables(&shards[w], workers);
       contexts[w].graph = &shards[w];
       contexts[w].parallel = true;
     }
@@ -1069,7 +1138,10 @@ class GrounderImpl {
   // Shared execution context (null = ungoverned); see GroundingOptions.
   ExecutionContext* const exec_;
   int32_t num_threads_ = 1;
+  // Created by EmitJobs, only for jobs that fill two shards (FillsShards).
   std::unique_ptr<ThreadPool> pool_;
+  // Unary IDB predicates and their binding rows (PlanDenseTables).
+  std::vector<std::pair<PredId, int64_t>> dense_rows_;
   // U, computed in Run() only when NeedsUniverse(); read-only afterwards.
   std::vector<ConstId> universe_;
   bool universe_ready_ = false;

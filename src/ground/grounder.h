@@ -49,11 +49,25 @@
 // touches them (the trick of Relation::InsertBatch), and with
 // num_threads > 1 per-rule emission jobs (row-sharded for large binding
 // relations) fan out over a thread pool into per-worker graph shards that
-// merge with an atom-id remap. The seed's tuple-at-a-time backtracking
-// join survives as the legacy path (engine_bindings = false) — it is the
-// reference implementation the CSR/route agreement tests compare against,
-// and the automatic fallback for engine-route rules whose bound-variable
-// count exceeds the engine's arity cap.
+// merge with an atom-id remap. The pool is created only when the binding
+// rows fill at least two emission shards (each whole-rule job counting as
+// one); smaller groundings, such as a demand request's cone, take the
+// serial path at any thread count.
+//
+// A unary IDB predicate whose rules have at least num_constants / 8
+// binding rows interns through a dense atom table (one AtomId per
+// ConstId; see GroundAtomStore::ReserveDense) on the serial graph and the
+// merge target, and on each emission shard whose even share of those rows
+// also reaches num_constants / 8; the tables are reserved once from the
+// pre-counted rows before emission starts. Emission, the merge's remap
+// and DeltaAtomMask then index an array where they would probe a hash
+// table; interning order, and so the serial graph, is unchanged.
+//
+// The seed's tuple-at-a-time backtracking join survives as the legacy
+// path (engine_bindings = false) — it is the reference implementation the
+// CSR/route agreement tests compare against, and the automatic fallback
+// for engine-route rules whose bound-variable count exceeds the engine's
+// arity cap.
 //
 // Per-call cost beyond the emitted instances: the universe U is an O(|Δ|)
 // scan, computed only when grounding enumerates over it (faithful mode,
@@ -102,8 +116,10 @@ struct GroundingOptions {
   /// (GroundGraph::MergeFrom). 1 = the serial reference (the arenas it
   /// produces are bit-identical to pre-parallel grounding; parallel runs
   /// agree on atom sets and rule-instance multisets but may order them
-  /// differently), 0 = hardware concurrency. Faithful mode ignores this
-  /// and always grounds serially.
+  /// differently), 0 = hardware concurrency. A grounding whose binding
+  /// rows fill fewer than two emission shards spawns no pool and takes
+  /// the serial path at any count. Faithful mode ignores this and always
+  /// grounds serially.
   int32_t num_threads = 1;
   /// Record each instance's variable binding in the graph
   /// (GroundGraph::BindingOf). Off by default: no interpreter reads

@@ -6,8 +6,10 @@
 // agreement with a clean run afterwards. Run under ASan/UBSan by
 // scripts/check.sh to catch unwind-path leaks and UB.
 #include <algorithm>
+#include <numeric>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/completion.h"
@@ -35,6 +37,12 @@ struct WfOutcome {
   bool total = false;
 };
 
+// A random digraph board: `nodes` positions, `moves` moves.
+struct Board {
+  int32_t nodes = 192;
+  int32_t moves = 576;
+};
+
 // Grounds win/move over a random digraph and runs the well-founded
 // interpreter, all under `context`. Exercises the engine (grounding
 // bindings), the grounder's emission, close and unfounded sets.
@@ -43,10 +51,12 @@ struct WfOutcome {
 // not change a model or the set of checkpoints.
 WfOutcome RunWellFoundedPipeline(ExecutionContext* context,
                                  int32_t num_threads,
-                                 int32_t interpreter_threads = 1) {
+                                 int32_t interpreter_threads = 1,
+                                 Board board = {}) {
   Program program = WinMoveProgram();
   Rng rng(7);
-  Database database = *RandomDigraphDatabase(&program, "move", 192, 576, &rng);
+  Database database = *RandomDigraphDatabase(&program, "move", board.nodes,
+                                             board.moves, &rng);
   GroundingOptions options;
   options.num_threads = num_threads;
   options.context = context;
@@ -60,7 +70,18 @@ WfOutcome RunWellFoundedPipeline(ExecutionContext* context,
   const InterpreterResult wf =
       WellFounded(program, database, ground->graph,
                   InterpreterOptions{interpreter_threads, context});
-  outcome.values = wf.values;
+  // Values in atom-key order: a grounding on the pool numbers atoms in the
+  // order its workers happened to emit them, so two runs compare entry by
+  // entry only in an order that does not depend on the ids.
+  const GroundAtomStore& atoms = ground->graph.atoms();
+  const auto key = [&atoms](AtomId a) {
+    return std::make_pair(atoms.PredicateOf(a), atoms.TupleOf(a));
+  };
+  std::vector<AtomId> order(atoms.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&key](AtomId a, AtomId b) { return key(a) < key(b); });
+  for (const AtomId a : order) outcome.values.push_back(wf.values[a]);
   outcome.truncation = wf.truncation;
   outcome.total = wf.total;
   return outcome;
@@ -194,58 +215,74 @@ TEST(FaultInjectionTest, WellFoundedPipelineSurvivesTripAtEveryCheckpoint) {
 }
 
 // Same sweep with 8-way grounding into the shared context, then the
-// well-founded interpreter asked for 8 threads (it closes serially). Any
-// grounding worker's checkpoint can be the one that trips while its
-// siblings are mid-emission, so this exercises the barrier-consistent
-// unwind of ParallelFor (and, under TSan, the cross-thread publication of
-// the trip flag).
+// well-founded interpreter asked for 8 threads (it closes serially), on two
+// boards. The first, 576 moves, is below two emission shards of binding
+// rows, so its grounding takes the serial path at any thread count; the
+// second, 3,072 moves, fills them and grounds on the pool, which the
+// checkpoint counts show (a pooled grounding checkpoints once more per
+// emission job, when the job ends). There any grounding worker's
+// checkpoint can be the one that trips while its siblings are
+// mid-emission, so this exercises the barrier-consistent unwind of
+// ParallelFor (and, under TSan, the cross-thread publication of the trip
+// flag).
 TEST(FaultInjectionTest,
      ParallelWellFoundedPipelineSurvivesTripAtEveryCheckpoint) {
-  fault_injection::CountCheckpoints();
-  ExecutionContext count_context;
-  const WfOutcome clean = RunWellFoundedPipeline(&count_context, 8, 8);
-  const int64_t checkpoints = fault_injection::CheckpointsObserved();
-  fault_injection::Disarm();
-  ASSERT_FALSE(clean.errored);
-  ASSERT_TRUE(clean.truncation.ok());
-  ASSERT_GT(checkpoints, 0);
-
-  // The serial reference model: the 8-thread clean run must match it.
-  ExecutionContext serial_context;
-  const WfOutcome serial = RunWellFoundedPipeline(&serial_context, 1, 1);
-  ASSERT_FALSE(serial.errored);
-  ASSERT_EQ(clean.values, serial.values);
-
-  for (int64_t n = 0; n < checkpoints; ++n) {
-    fault_injection::TripAtCheckpoint(n);
-    ExecutionContext context;
-    const WfOutcome tripped = RunWellFoundedPipeline(&context, 8, 8);
+  for (const auto& [board, pooled] :
+       {std::pair<Board, bool>{Board{192, 576}, false},
+        std::pair<Board, bool>{Board{1024, 3072}, true}}) {
+    SCOPED_TRACE("moves=" + std::to_string(board.moves));
+    fault_injection::CountCheckpoints();
+    ExecutionContext count_context;
+    const WfOutcome clean =
+        RunWellFoundedPipeline(&count_context, 8, 8, board);
+    const int64_t checkpoints = fault_injection::CheckpointsObserved();
     fault_injection::Disarm();
-    ASSERT_TRUE(context.stopped()) << "checkpoint " << n;
-    EXPECT_EQ(context.status().code(), StatusCode::kCancelled)
-        << "checkpoint " << n;
-    if (tripped.errored) {
-      EXPECT_EQ(tripped.code, StatusCode::kCancelled) << "checkpoint " << n;
-    } else {
-      ASSERT_FALSE(tripped.truncation.ok()) << "checkpoint " << n;
-      EXPECT_EQ(tripped.truncation.code(), StatusCode::kCancelled)
+    ASSERT_FALSE(clean.errored);
+    ASSERT_TRUE(clean.truncation.ok());
+    ASSERT_GT(checkpoints, 0);
+
+    // The serial reference model: the 8-thread clean run must match it.
+    fault_injection::CountCheckpoints();
+    ExecutionContext serial_context;
+    const WfOutcome serial =
+        RunWellFoundedPipeline(&serial_context, 1, 1, board);
+    const int64_t serial_checkpoints = fault_injection::CheckpointsObserved();
+    fault_injection::Disarm();
+    ASSERT_FALSE(serial.errored);
+    ASSERT_EQ(clean.values, serial.values);
+    EXPECT_EQ(checkpoints > serial_checkpoints, pooled);
+
+    for (int64_t n = 0; n < checkpoints; ++n) {
+      fault_injection::TripAtCheckpoint(n);
+      ExecutionContext context;
+      const WfOutcome tripped = RunWellFoundedPipeline(&context, 8, 8, board);
+      fault_injection::Disarm();
+      ASSERT_TRUE(context.stopped()) << "checkpoint " << n;
+      EXPECT_EQ(context.status().code(), StatusCode::kCancelled)
           << "checkpoint " << n;
-      EXPECT_FALSE(tripped.total) << "checkpoint " << n;
-      ASSERT_EQ(tripped.values.size(), clean.values.size())
-          << "checkpoint " << n;
-      for (size_t a = 0; a < tripped.values.size(); ++a) {
-        if (tripped.values[a] == Truth::kUndef) continue;
-        EXPECT_EQ(tripped.values[a], clean.values[a])
-            << "checkpoint " << n << " atom " << a;
+      if (tripped.errored) {
+        EXPECT_EQ(tripped.code, StatusCode::kCancelled) << "checkpoint " << n;
+      } else {
+        ASSERT_FALSE(tripped.truncation.ok()) << "checkpoint " << n;
+        EXPECT_EQ(tripped.truncation.code(), StatusCode::kCancelled)
+            << "checkpoint " << n;
+        EXPECT_FALSE(tripped.total) << "checkpoint " << n;
+        ASSERT_EQ(tripped.values.size(), clean.values.size())
+            << "checkpoint " << n;
+        for (size_t a = 0; a < tripped.values.size(); ++a) {
+          if (tripped.values[a] == Truth::kUndef) continue;
+          EXPECT_EQ(tripped.values[a], clean.values[a])
+              << "checkpoint " << n << " atom " << a;
+        }
       }
     }
-  }
 
-  ExecutionContext rerun_context;
-  const WfOutcome rerun = RunWellFoundedPipeline(&rerun_context, 8, 8);
-  ASSERT_FALSE(rerun.errored);
-  EXPECT_TRUE(rerun.truncation.ok());
-  EXPECT_EQ(rerun.values, clean.values);
+    ExecutionContext rerun_context;
+    const WfOutcome rerun = RunWellFoundedPipeline(&rerun_context, 8, 8, board);
+    ASSERT_FALSE(rerun.errored);
+    EXPECT_TRUE(rerun.truncation.ok());
+    EXPECT_EQ(rerun.values, clean.values);
+  }
 }
 
 // A ground instance for the stable-model sweeps.

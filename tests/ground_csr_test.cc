@@ -27,6 +27,7 @@
 #include "lang/parser.h"
 #include "test_util.h"
 #include "util/execution_context.h"
+#include "util/fault_injection.h"
 #include "util/random.h"
 #include "workload/databases.h"
 #include "workload/programs.h"
@@ -278,6 +279,79 @@ int64_t GroundingSteps(const Instance& inst) {
   return context.steps_charged();
 }
 
+// Checkpoints a grounding of `inst` at `threads` passes. The serial path
+// checkpoints once per 256 units of work; a grounding on the pool
+// checkpoints once per 256 units of each emission job, and once more for
+// a job's remainder when it ends. The job list is fixed by the input, so
+// the count is deterministic, and one above the 1-thread count shows that
+// the pool ran. (A pool whose every job is a multiple of 256 units would
+// tie; the inputs below are not.)
+int64_t GroundingCheckpoints(const Instance& inst, int32_t threads) {
+  ExecutionContext context;
+  GroundingOptions options;
+  options.num_threads = threads;
+  options.context = &context;
+  fault_injection::CountCheckpoints();
+  GroundOrDie(inst, options);
+  const int64_t checkpoints = fault_injection::CheckpointsObserved();
+  fault_injection::Disarm();
+  return checkpoints;
+}
+
+// Expects `inst` to fill enough emission shards that its 2- and 8-thread
+// groundings run on the pool instead of the serial path.
+void ExpectPooled(const Instance& inst) {
+  const int64_t serial = GroundingCheckpoints(inst, 1);
+  for (const int32_t threads : {2, 8}) {
+    EXPECT_GT(GroundingCheckpoints(inst, threads), serial)
+        << "threads=" << threads;
+  }
+}
+
+// An FNV-style hash, one arena entry per step, over every arena a serial
+// grounding fixes: the atom store's predicates, offsets and arguments, and
+// the rule arenas.
+uint64_t ArenaDigest(const GroundGraph& graph) {
+  uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](auto span) {
+    h = (h ^ span.size()) * 1099511628211ULL;
+    for (const auto value : span) {
+      h = (h ^ static_cast<uint64_t>(value)) * 1099511628211ULL;
+    }
+  };
+  mix(graph.atoms().atom_predicates());
+  mix(graph.atoms().arg_offsets());
+  mix(graph.atoms().arg_arena());
+  mix(graph.rule_indices());
+  mix(graph.heads());
+  mix(graph.pos_ends());
+  mix(graph.body_offsets());
+  mix(graph.body_arena());
+  return h;
+}
+
+// A program with one rule on each binding route, for the thread-count
+// tests below.
+Program MixedRoutesProgram() {
+  Result<Program> parsed = ParseProgram(
+      "win(X) :- move(X, Y), not win(Y).\n"
+      "lost(Y) :- move(X, Y), win(X).\n"
+      "loop(X) :- move(X, X).\n"
+      "hub(X) :- move(X, n0), not lost(X).\n"
+      "back(X) :- move(X, n1), move(n1, X), not win(X).");
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  return std::move(parsed).value();
+}
+
+// win/move over a random digraph of `nodes` positions and `edges` moves.
+Instance WinMoveBoard(int32_t nodes, int32_t edges, uint64_t seed) {
+  Program program = WinMoveProgram();
+  Rng rng(seed);
+  Database database =
+      *RandomDigraphDatabase(&program, "move", nodes, edges, &rng);
+  return Instance{std::move(program), std::move(database)};
+}
+
 // Rules whose one generator lists distinct variables in ascending order
 // take Δ's arena as their binding relation. The legacy grounder walks the
 // same sorted rows, so at 1 thread the two graphs agree element for
@@ -367,14 +441,7 @@ TEST(GroundCsrTest, EngineRouteShapesMatchLegacy) {
 // binding relations split into row shards: serial, 2 and 8 threads agree
 // with each other and with the legacy grounder.
 TEST(GroundCsrTest, MixedRoutesAcrossThreadCounts) {
-  Result<Program> parsed = ParseProgram(
-      "win(X) :- move(X, Y), not win(Y).\n"
-      "lost(Y) :- move(X, Y), win(X).\n"
-      "loop(X) :- move(X, X).\n"
-      "hub(X) :- move(X, n0), not lost(X).\n"
-      "back(X) :- move(X, n1), move(n1, X), not win(X).");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  Program program = std::move(*parsed);
+  Program program = MixedRoutesProgram();
   Rng rng(41);
   Database database =
       *RandomDigraphDatabase(&program, "move", 1024, 4096, &rng);
@@ -383,56 +450,212 @@ TEST(GroundCsrTest, MixedRoutesAcrossThreadCounts) {
   ExpectEngineMatchesLegacy(inst);
 }
 
+// A 1-thread grounding's arenas are pinned. Dense atom tables change which
+// table dedupes an atom, never the order atoms are interned in, so these
+// digests, taken from a grounder that dedupes every atom through the hash
+// table, must hold. The boards and the program with Δ facts of its IDB
+// predicates (interned before the dense tables are reserved) take the
+// dense path.
+TEST(GroundCsrTest, SerialArenasArePinned) {
+  struct Pinned {
+    std::string name;
+    Instance inst;
+    uint64_t digest;
+  };
+  std::vector<Pinned> cases;
+  cases.push_back({"win_move_curated",
+                   ParseInstance("win(X) :- move(X, Y), not win(Y).",
+                                 "move(a, b). move(b, c). move(c, a). "
+                                 "move(c, d)."),
+                   0x242E443CB2B3545AULL});
+  cases.push_back({"idb_facts",
+                   ParseInstance("p(X) :- e(X), not q(X).\nq(X) :- p(X).",
+                                 "e(a). q(a). p(b)."),
+                   0x8E8810DBCB813004ULL});
+  cases.push_back(
+      {"kill_and_free",
+       ParseInstance(
+           "r(X, Y) :- s(X), e(X, Y), not blocked(Y), not r(Y, X).\n"
+           "s(X) :- v(X).\n"
+           "f(X, Z) :- v(X), not s(Z).",
+           "e(a, b). e(b, a). e(b, c). e(c, c). blocked(c). v(a). v(b). "
+           "r(c, a)."),
+       0xE0A8A0BE9A6E69CCULL});
+  cases.push_back({"odd_even",
+                   ParseInstance("odd(X) :- succ(Y, X), even(Y).\n"
+                                 "even(X) :- succ(Y, X), odd(Y).\n"
+                                 "even(z) :- zero(z).",
+                                 "zero(z). succ(z, a). succ(a, b). "
+                                 "succ(b, c)."),
+                   0x75D01885ED17B03AULL});
+  cases.push_back(
+      {"win_move_board", WinMoveBoard(1024, 4096, 31), 0xBC4935695B275217ULL});
+  {
+    Program program = MixedRoutesProgram();
+    Rng rng(41);
+    Database database =
+        *RandomDigraphDatabase(&program, "move", 1024, 4096, &rng);
+    cases.push_back({"mixed_routes_board",
+                     Instance{std::move(program), std::move(database)},
+                     0xEBFA9B126357B1B8ULL});
+  }
+  {
+    Program program = SameGenerationProgram();
+    Database database = *BalancedTreeDatabase(&program, 3);
+    cases.push_back({"same_generation",
+                     Instance{std::move(program), std::move(database)},
+                     0xBDEBF977AFFE5E36ULL});
+  }
+  {
+    Program program = StratifiedTowerProgram(4);
+    Database database = *UnarySetDatabase(&program, "e", 5);
+    cases.push_back({"stratified_tower",
+                     Instance{std::move(program), std::move(database)},
+                     0xB1D41BF545FDB73DULL});
+  }
+  for (const Pinned& pinned : cases) {
+    SCOPED_TRACE(pinned.name);
+    const GroundingResult g = GroundOrDie(pinned.inst);
+    EXPECT_EQ(ArenaDigest(g.graph), pinned.digest);
+  }
+}
+
+// A unary IDB predicate gets a dense atom table when its rules' binding
+// rows number at least num_constants / 8. A small cone over a large
+// constant table stays on the hash table, as do EDB predicates and wider
+// IDB predicates; either way the graph is the legacy grounder's.
+TEST(GroundCsrTest, DenseTablesFollowTheRowRule) {
+  const std::string program_text =
+      "win(X) :- move(X, Y), not win(Y).\n"
+      "reach(X, Y) :- move(X, Y).";
+  for (const int32_t moves : {16, 400}) {
+    SCOPED_TRACE("moves=" + std::to_string(moves));
+    // A chain of `moves` edges beside 1,000 constants no rule binds.
+    std::string db;
+    for (int32_t i = 0; i < moves; ++i) {
+      db += "move(n" + std::to_string(i) + ", n" + std::to_string(i + 1) +
+            "). ";
+    }
+    for (int32_t i = 0; i < 1000; ++i) {
+      db += "other(m" + std::to_string(i) + "). ";
+    }
+    const Instance inst = ParseInstance(program_text, db);
+    const int32_t constants = inst.program.num_constants();
+    ASSERT_EQ(moves >= constants / 8, moves == 400);
+    const GroundingResult g = GroundOrDie(inst);
+    const GroundAtomStore& atoms = g.graph.atoms();
+    EXPECT_EQ(atoms.dense_range(inst.program.LookupPredicate("win")),
+              moves == 400 ? constants : 0);
+    EXPECT_EQ(atoms.dense_range(inst.program.LookupPredicate("reach")), 0);
+    EXPECT_EQ(atoms.dense_range(inst.program.LookupPredicate("move")), 0);
+    GroundingOptions legacy;
+    legacy.engine_bindings = false;
+    ExpectGraphsEqual(g.graph, GroundOrDie(inst, legacy).graph);
+    ExpectAtomStoreConsistent(inst, g.graph);
+  }
+}
+
+// A shard reserves a dense table only for its share of the rows. On this
+// sparse board the 4,000 win rows reach num_constants / 8 (2,048), so the
+// serial graph and the merge target are dense, while an eighth of them
+// falls short and each of 8 shards dedupes win through its hash table;
+// the merge then remaps hashed shard atoms into the dense target.
+TEST(GroundCsrTest, ShardsReserveDenseTablesForTheirShareOfRows) {
+  const Instance board = WinMoveBoard(16384, 4000, 17);
+  const PredId win = board.program.LookupPredicate("win");
+  const int64_t rows =
+      board.database.NumFacts(board.program.LookupPredicate("move"));
+  const int32_t constants = board.program.num_constants();
+  ASSERT_GE(rows, constants / 8);
+  ASSERT_LT((rows + 7) / 8, constants / 8);
+  const GroundingResult serial = GroundOrDie(board);
+  EXPECT_EQ(serial.graph.atoms().dense_range(win), constants);
+  for (const int32_t threads : {2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    GroundingOptions options;
+    options.num_threads = threads;
+    const GroundingResult parallel = GroundOrDie(board, options);
+    EXPECT_EQ(parallel.graph.atoms().dense_range(win), constants);
+    ExpectGraphsAgree(parallel, serial);
+    ExpectCsrIndexesConsistent(parallel.graph);
+    ExpectAtomStoreConsistent(board, parallel.graph);
+  }
+  ExpectPooled(board);
+}
+
+// Below two emission shards of binding rows, a grounding asked for several
+// threads spawns no pool and takes the serial path: its arenas are the
+// 1-thread arenas exactly.
+TEST(GroundCsrTest, SmallGroundingsStaySerialAtAnyThreadCount) {
+  Program program = MixedRoutesProgram();
+  Rng rng(41);
+  Database database =
+      *RandomDigraphDatabase(&program, "move", 200, 400, &rng);
+  const Instance inst{std::move(program), std::move(database)};
+  const GroundingResult serial = GroundOrDie(inst);
+  for (const int32_t threads : {2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    GroundingOptions options;
+    options.num_threads = threads;
+    ExpectGraphsEqual(GroundOrDie(inst, options).graph, serial.graph);
+  }
+}
+
 // max_instances and context trips surface the same statuses on both routes
 // at every thread count: the binding rows of a direct rule count against
-// the instance budget exactly as the engine's rows do.
+// the instance budget exactly as the engine's rows do. The second board
+// fills enough emission shards to take the pool.
 TEST(GroundCsrTest, DirectRouteBudgetsAndTrips) {
   for (const char* text : {"win(X) :- move(X, Y), not win(Y).",
                            "win(Y) :- move(X, Y), not win(X)."}) {
-    SCOPED_TRACE(text);
-    Result<Program> parsed = ParseProgram(text);
-    ASSERT_TRUE(parsed.ok());
-    Program program = std::move(*parsed);
-    Rng rng(5);
-    Database database =
-        *RandomDigraphDatabase(&program, "move", 256, 512, &rng);
-    const int64_t rows =
-        database.NumFacts(program.LookupPredicate("move"));
-    for (const int32_t threads : {1, 2, 8}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      GroundingOptions options;
-      options.num_threads = threads;
-      // One binding row per instance: exactly `rows` fit.
-      options.max_instances = rows;
-      Result<GroundingResult> fits = Ground(program, database, options);
-      ASSERT_TRUE(fits.ok()) << fits.status().ToString();
-      EXPECT_EQ(fits->graph.num_rules(), rows);
-      options.max_instances = rows - 1;
-      Result<GroundingResult> over = Ground(program, database, options);
-      ASSERT_FALSE(over.ok());
-      EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
-      options.max_instances = GroundingOptions{}.max_instances;
+    const std::pair<int32_t, int32_t> boards[] = {{256, 512}, {1024, 4096}};
+    for (const auto& [nodes, moves] : boards) {
+      SCOPED_TRACE(std::string(text) + " moves=" + std::to_string(moves));
+      Result<Program> parsed = ParseProgram(text);
+      ASSERT_TRUE(parsed.ok());
+      Program program = std::move(*parsed);
+      Rng rng(5);
+      Database database =
+          *RandomDigraphDatabase(&program, "move", nodes, moves, &rng);
+      const int64_t rows =
+          database.NumFacts(program.LookupPredicate("move"));
+      for (const int32_t threads : {1, 2, 8}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        GroundingOptions options;
+        options.num_threads = threads;
+        // One binding row per instance: exactly `rows` fit.
+        options.max_instances = rows;
+        Result<GroundingResult> fits = Ground(program, database, options);
+        ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+        EXPECT_EQ(fits->graph.num_rules(), rows);
+        options.max_instances = rows - 1;
+        Result<GroundingResult> over = Ground(program, database, options);
+        ASSERT_FALSE(over.ok());
+        EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+        options.max_instances = GroundingOptions{}.max_instances;
 
-      ResourceLimits steps;
-      steps.max_steps = 100;
-      ResourceLimits deadline;
-      deadline.deadline_seconds = 1e-9;
-      const std::pair<ResourceLimits, StatusCode> trips[] = {
-          {steps, StatusCode::kResourceExhausted},
-          {deadline, StatusCode::kDeadlineExceeded},
-          {ResourceLimits{}, StatusCode::kCancelled},
-      };
-      for (const auto& [limits, code] : trips) {
-        ExecutionContext context(limits);
-        if (code == StatusCode::kCancelled) context.Cancel();
-        options.context = &context;
-        Result<GroundingResult> g = Ground(program, database, options);
-        ASSERT_FALSE(g.ok());
-        EXPECT_EQ(g.status().code(), code);
-        EXPECT_TRUE(context.stopped());
-        EXPECT_EQ(context.truncation().code, code);
+        ResourceLimits steps;
+        steps.max_steps = 100;
+        ResourceLimits deadline;
+        deadline.deadline_seconds = 1e-9;
+        const std::pair<ResourceLimits, StatusCode> trips[] = {
+            {steps, StatusCode::kResourceExhausted},
+            {deadline, StatusCode::kDeadlineExceeded},
+            {ResourceLimits{}, StatusCode::kCancelled},
+        };
+        for (const auto& [limits, code] : trips) {
+          ExecutionContext context(limits);
+          if (code == StatusCode::kCancelled) context.Cancel();
+          options.context = &context;
+          Result<GroundingResult> g = Ground(program, database, options);
+          ASSERT_FALSE(g.ok());
+          EXPECT_EQ(g.status().code(), code);
+          EXPECT_TRUE(context.stopped());
+          EXPECT_EQ(context.truncation().code, code);
+        }
+        options.context = nullptr;
       }
-      options.context = nullptr;
+      if (moves == 4096) ExpectPooled(Instance{program, database});
     }
   }
 }
@@ -457,17 +680,34 @@ TEST(GroundCsrTest, ParallelMatchesSerialCurated) {
       ParseInstance("P(X, Y) :- not P(Y, Y), E(X).", "E(a). E(b)."));
   ExpectParallelMatchesSerial(
       ParseInstance("p(X) :- go, e(X).", "go. e(a). e(b)."));
+
+  // The same shapes at a size that takes the pool: each rule's 2,744
+  // binding rows split into two row shards, so the odometer, the
+  // zero-arity generator and a dense win table all emit into shards.
+  std::string triples = "go. ";
+  for (int32_t x = 0; x < 14; ++x) {
+    for (int32_t y = 0; y < 14; ++y) {
+      for (int32_t w = 0; w < 14; ++w) {
+        triples += "t(c" + std::to_string(x) + ", c" + std::to_string(y) +
+                   ", c" + std::to_string(w) + "). ";
+      }
+    }
+  }
+  const Instance large = ParseInstance(
+      "r(X, Z) :- t(X, Y, W), not r(Z, Y).\n"
+      "p(X, Y) :- go, t(X, Y, W), not p(Y, X).\n"
+      "win(X) :- t(X, Y, W), not win(Y).",
+      triples);
+  ExpectParallelMatchesSerial(large);
+  ExpectPooled(large);
 }
 
 TEST(GroundCsrTest, ParallelMatchesSerialWorkloads) {
   {
     // Large enough that binding relations split into several row shards.
-    Program program = WinMoveProgram();
-    Rng rng(31);
-    Database database =
-        *RandomDigraphDatabase(&program, "move", 1024, 4096, &rng);
-    ExpectParallelMatchesSerial(Instance{std::move(program),
-                                         std::move(database)});
+    const Instance board = WinMoveBoard(1024, 4096, 31);
+    ExpectParallelMatchesSerial(board);
+    ExpectPooled(board);
   }
   {
     Program program = SameGenerationProgram();
@@ -483,9 +723,14 @@ TEST(GroundCsrTest, ParallelMatchesSerialWorkloads) {
   }
 }
 
+// Ten small rounds, then six whose universes (160 constants for unary
+// programs, 28 for binary ones) give every rule thousands of binding rows,
+// so the parallel groundings run on the pool.
 TEST(GroundCsrTest, ParallelMatchesSerialRandomPrograms) {
   Rng rng(0x7E11);
-  for (int round = 0; round < 10; ++round) {
+  for (int round = 0; round < 16; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const bool large = round >= 10;
     RandomProgramOptions options;
     options.arity = 1 + static_cast<int>(rng.Below(2));
     options.num_idb = 3;
@@ -493,82 +738,114 @@ TEST(GroundCsrTest, ParallelMatchesSerialRandomPrograms) {
     options.num_rules = 3 + static_cast<int>(rng.Below(5));
     options.negation_probability = 0.35;
     Program program = RandomProgram(&rng, options);
-    Database database = *RandomEdbDatabase(
-        &program, options.arity == 1 ? 4 : 3, 0.4, &rng);
-    ExpectParallelMatchesSerial(Instance{std::move(program),
-                                         std::move(database)});
+    const int32_t constants =
+        options.arity == 1 ? (large ? 160 : 4) : (large ? 28 : 3);
+    Database database = *RandomEdbDatabase(&program, constants, 0.4, &rng);
+    const Instance inst{std::move(program), std::move(database)};
+    ExpectParallelMatchesSerial(inst);
+    if (large) ExpectPooled(inst);
   }
 }
 
 TEST(GroundCsrTest, ParallelRecordedBindingsReproduceInstances) {
   // The parallel path stages bindings in block scratch and MergeFrom
   // shifts them into the final binding arena; every recorded binding must
-  // still reproduce its instance's head under substitution.
-  Program program = WinMoveProgram();
-  Rng rng(13);
-  Database database = *RandomDigraphDatabase(&program, "move", 48, 96, &rng);
-  for (const int32_t threads : {2, 8}) {
-    GroundingOptions options;
-    options.num_threads = threads;
-    options.record_bindings = true;
-    const GroundingResult g =
-        Ground(program, database, options).value();
-    ASSERT_GT(g.graph.num_rules(), 0);
-    for (int32_t r = 0; r < g.graph.num_rules(); ++r) {
-      const Rule& rule = program.rule(g.graph.RuleIndexOf(r));
-      const IdSpan binding = g.graph.BindingOf(r);
-      ASSERT_EQ(static_cast<int32_t>(binding.size()), rule.num_variables)
-          << "threads=" << threads << " rule " << r;
-      Tuple head;
-      for (const Term& term : rule.head.args) {
-        head.push_back(term.is_constant() ? term.index
-                                          : binding[term.index]);
+  // still reproduce its instance's head under substitution. The second
+  // board fills enough emission shards to take the parallel path.
+  for (const Instance& board :
+       {WinMoveBoard(48, 96, 13), WinMoveBoard(1024, 4096, 13)}) {
+    const Program& program = board.program;
+    for (const int32_t threads : {2, 8}) {
+      GroundingOptions options;
+      options.num_threads = threads;
+      options.record_bindings = true;
+      const GroundingResult g =
+          Ground(program, board.database, options).value();
+      ASSERT_GT(g.graph.num_rules(), 0);
+      for (int32_t r = 0; r < g.graph.num_rules(); ++r) {
+        const Rule& rule = program.rule(g.graph.RuleIndexOf(r));
+        const IdSpan binding = g.graph.BindingOf(r);
+        ASSERT_EQ(static_cast<int32_t>(binding.size()), rule.num_variables)
+            << "threads=" << threads << " rule " << r;
+        Tuple head;
+        for (const Term& term : rule.head.args) {
+          head.push_back(term.is_constant() ? term.index
+                                            : binding[term.index]);
+        }
+        EXPECT_EQ(g.graph.atoms().TupleOf(g.graph.HeadOf(r)), head)
+            << "threads=" << threads << " rule " << r;
       }
-      EXPECT_EQ(g.graph.atoms().TupleOf(g.graph.HeadOf(r)), head)
-          << "threads=" << threads << " rule " << r;
     }
   }
 }
 
 TEST(GroundCsrTest, ParallelBudgetExhausts) {
   // The shared budget counter must trip in parallel mode exactly as the
-  // serial counter does: total work is fixed by the job list.
-  Program program = WinMoveProgram();
-  Rng rng(5);
-  Database database = *RandomDigraphDatabase(&program, "move", 256, 512, &rng);
-  for (const int32_t threads : {1, 2, 8}) {
-    GroundingOptions options;
-    options.num_threads = threads;
-    options.max_instances = 100;  // far below the ~1k instances
-    Result<GroundingResult> g = Ground(program, database, options);
-    ASSERT_FALSE(g.ok()) << "threads=" << threads;
-    EXPECT_EQ(g.status().code(), StatusCode::kResourceExhausted)
-        << "threads=" << threads;
+  // serial counter does: total work is fixed by the job list. Only the
+  // second board fills enough emission shards to take the parallel path.
+  for (const Instance& board :
+       {WinMoveBoard(256, 512, 5), WinMoveBoard(1024, 4096, 5)}) {
+    for (const int32_t threads : {1, 2, 8}) {
+      GroundingOptions options;
+      options.num_threads = threads;
+      options.max_instances = 100;  // far below the ~1k instances
+      Result<GroundingResult> g =
+          Ground(board.program, board.database, options);
+      ASSERT_FALSE(g.ok()) << "threads=" << threads;
+      EXPECT_EQ(g.status().code(), StatusCode::kResourceExhausted)
+          << "threads=" << threads;
+    }
   }
 }
 
 TEST(GroundCsrTest, ContextStepBudgetTripsAcrossThreadCounts) {
   // Same determinism contract for the unified ExecutionContext budget: the
   // step total is fixed by the workload, so a too-small budget trips at
-  // every thread count and surfaces the context's own Status.
-  Program program = WinMoveProgram();
-  Rng rng(5);
-  Database database = *RandomDigraphDatabase(&program, "move", 256, 512, &rng);
-  for (const int32_t threads : {1, 2, 8}) {
-    ResourceLimits limits;
-    limits.max_steps = 100;  // far below the pipeline's step total
-    ExecutionContext context(limits);
-    GroundingOptions options;
-    options.num_threads = threads;
-    options.context = &context;
-    Result<GroundingResult> g = Ground(program, database, options);
-    ASSERT_FALSE(g.ok()) << "threads=" << threads;
-    EXPECT_EQ(g.status().code(), StatusCode::kResourceExhausted)
-        << "threads=" << threads;
-    EXPECT_TRUE(context.stopped()) << "threads=" << threads;
-    EXPECT_EQ(context.truncation().code, StatusCode::kResourceExhausted)
-        << "threads=" << threads;
+  // every thread count and surfaces the context's own Status. Only the
+  // second board fills enough emission shards to take the parallel path.
+  for (const Instance& board :
+       {WinMoveBoard(256, 512, 5), WinMoveBoard(1024, 4096, 5)}) {
+    for (const int32_t threads : {1, 2, 8}) {
+      ResourceLimits limits;
+      limits.max_steps = 100;  // far below the pipeline's step total
+      ExecutionContext context(limits);
+      GroundingOptions options;
+      options.num_threads = threads;
+      options.context = &context;
+      Result<GroundingResult> g =
+          Ground(board.program, board.database, options);
+      ASSERT_FALSE(g.ok()) << "threads=" << threads;
+      EXPECT_EQ(g.status().code(), StatusCode::kResourceExhausted)
+          << "threads=" << threads;
+      EXPECT_TRUE(context.stopped()) << "threads=" << threads;
+      EXPECT_EQ(context.truncation().code, StatusCode::kResourceExhausted)
+          << "threads=" << threads;
+    }
   }
+}
+
+// A cancellation injected at any of the first checkpoints of an 8-thread
+// grounding big enough to fan out (the entry checkpoint, then the shard
+// flushes, which the 4,096 binding rows make at least 16 of) unwinds to
+// kCancelled while sibling workers are mid-emission, and a clean rerun
+// still agrees with the serial graph.
+TEST(GroundCsrTest, ParallelGroundingUnwindsFromTripsMidEmission) {
+  const Instance board = WinMoveBoard(1024, 4096, 5);
+  GroundingOptions options;
+  options.num_threads = 8;
+  for (int64_t n = 0; n <= 16; ++n) {
+    fault_injection::TripAtCheckpoint(n);
+    ExecutionContext context;
+    options.context = &context;
+    Result<GroundingResult> g = Ground(board.program, board.database, options);
+    fault_injection::Disarm();
+    ASSERT_FALSE(g.ok()) << "checkpoint " << n;
+    EXPECT_EQ(g.status().code(), StatusCode::kCancelled) << "checkpoint " << n;
+    EXPECT_TRUE(context.stopped()) << "checkpoint " << n;
+  }
+  options.context = nullptr;
+  const GroundingResult rerun = GroundOrDie(board, options);
+  ExpectGraphsAgree(rerun, GroundOrDie(board));
 }
 
 TEST(GroundCsrTest, ExpiredDeadlineTripsGroundingAcrossThreadCounts) {

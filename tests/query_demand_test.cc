@@ -5,12 +5,14 @@
 // it agrees with the full model, including on unstratified programs.
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/query_plan.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "util/execution_context.h"
+#include "util/fault_injection.h"
 #include "util/random.h"
 #include "workload/databases.h"
 #include "workload/programs.h"
@@ -233,17 +235,49 @@ TEST(QueryDemandTest, PatternConstantsOutsideTheUniverse) {
 // Thread matrix and plan-cache behavior.
 // ---------------------------------------------------------------------------
 
+// Checkpoints one request for `pattern` passes. A grounding on the pool
+// checkpoints once more per emission job, when the job ends, than the
+// serial path does, so a higher count at more threads shows that the
+// request's grounding ran on the pool.
+int64_t RequestCheckpoints(QueryPlanner* planner, const std::string& pattern,
+                           QueryMode mode, int32_t num_threads) {
+  ExecutionContext context;
+  QueryOptions options;
+  options.mode = mode;
+  options.num_threads = num_threads;
+  options.context = &context;
+  fault_injection::CountCheckpoints();
+  EXPECT_TRUE(planner->Execute(pattern, options).ok()) << pattern;
+  const int64_t checkpoints = fault_injection::CheckpointsObserved();
+  fault_injection::Disarm();
+  return checkpoints;
+}
+
+// Two boards: on the first, 150 moves, every grounding is below two
+// emission shards of binding rows and takes the serial path at any thread
+// count; on the second, 3,072 moves, the full grounding and the free
+// pattern's demand grounding fill them and run on the pool at 8 threads.
 TEST(QueryDemandTest, ThreadMatrixAgreesOnWorkloadFamilies) {
-  Program program = WinMoveProgram();
-  Rng rng(7);
-  Result<Database> database =
-      RandomDigraphDatabase(&program, "move", 60, 150, &rng);
-  ASSERT_TRUE(database.ok());
-  QueryPlanner planner(program, *database);
-  for (const int32_t threads : {1, 8}) {
-    ExpectModesAgree(&planner, program, "win(X)", threads);
-    ExpectModesAgree(&planner, program, "win(n0)", threads);
-    ExpectModesAgree(&planner, program, "win(n42)", threads);
+  const std::pair<int32_t, int32_t> boards[] = {{60, 150}, {1024, 3072}};
+  for (const auto& [nodes, moves] : boards) {
+    SCOPED_TRACE("moves=" + std::to_string(moves));
+    Program program = WinMoveProgram();
+    Rng rng(7);
+    Result<Database> database =
+        RandomDigraphDatabase(&program, "move", nodes, moves, &rng);
+    ASSERT_TRUE(database.ok());
+    QueryPlanner planner(program, *database);
+    for (const int32_t threads : {1, 8}) {
+      ExpectModesAgree(&planner, program, "win(X)", threads);
+      ExpectModesAgree(&planner, program, "win(n0)", threads);
+      ExpectModesAgree(&planner, program, "win(n42)", threads);
+    }
+    if (moves == 3072) {
+      for (const QueryMode mode : {QueryMode::kDemand, QueryMode::kFullGround}) {
+        EXPECT_GT(RequestCheckpoints(&planner, "win(X)", mode, 8),
+                  RequestCheckpoints(&planner, "win(X)", mode, 1));
+      }
+    }
   }
 }
 

@@ -177,10 +177,12 @@ TEST(SnapshotTest, SaveLoadFileRoundTrip) {
 
 // The satellite property test: random programs, serial and parallel
 // grounding, all three semantics checks agree atom-for-atom between the
-// in-memory graph and the reloaded one.
+// in-memory graph and the reloaded one. The last four rounds draw over
+// 160 constants, enough binding rows that the 8-thread grounding runs on
+// the pool and interns through dense tables.
 TEST(SnapshotTest, InterpretersAgreeOverReloadedGraphs) {
   Rng rng(0x57054A6E);
-  for (int round = 0; round < 12; ++round) {
+  for (int round = 0; round < 16; ++round) {
     RandomProgramOptions options;
     options.arity = 1;
     options.num_idb = 3;
@@ -188,7 +190,8 @@ TEST(SnapshotTest, InterpretersAgreeOverReloadedGraphs) {
     options.num_rules = 4 + static_cast<int>(rng.Below(5));
     options.negation_probability = 0.4;
     Program program = RandomProgram(&rng, options);
-    Database database = *RandomEdbDatabase(&program, 3, 0.4, &rng);
+    Database database =
+        *RandomEdbDatabase(&program, round < 12 ? 3 : 160, 0.4, &rng);
 
     for (int32_t threads : {1, 8}) {
       GroundingOptions ground_options;
@@ -226,12 +229,18 @@ TEST(SnapshotTest, InterpretersAgreeOverReloadedGraphs) {
   }
 }
 
+// The grounder interns this board's win atoms through a dense table; the
+// restored store dedupes through hash tables only, and must still hold the
+// same arenas and answer every Lookup with the same id.
 TEST(SnapshotTest, LargerBinaryWorkloadRoundTrips) {
   Program program = WinMoveProgram();
   Rng rng(7);
   Database database =
       *RandomDigraphDatabase(&program, "move", 128, 512, &rng);
   const GroundingResult g = GroundOrDie(Instance{program, database});
+  const GroundAtomStore& atoms = g.graph.atoms();
+  ASSERT_EQ(atoms.dense_range(program.LookupPredicate("win")),
+            program.num_constants());
   Result<std::string> bytes = SerializeSnapshot(program, &database, &g.graph);
   ASSERT_TRUE(bytes.ok());
   SnapshotReadOptions read;
@@ -240,10 +249,29 @@ TEST(SnapshotTest, LargerBinaryWorkloadRoundTrips) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(*loaded->database == database);
   ExpectGraphsEqual(*loaded->graph, g.graph);
+  for (AtomId a = 0; a < atoms.size(); ++a) {
+    EXPECT_EQ(loaded->graph->atoms().Lookup(atoms.PredicateOf(a),
+                                            atoms.TupleOf(a)),
+              a);
+  }
   const InterpreterResult a = WellFounded(program, database, g.graph);
   const InterpreterResult b =
       WellFounded(program, *loaded->database, *loaded->graph);
   EXPECT_EQ(a.values, b.values);
+
+  // The same arenas with one unary atom stored twice are corrupt.
+  ASSERT_GE(atoms.size(), 2);
+  ASSERT_EQ(atoms.ArityOf(0), 1);
+  ASSERT_EQ(atoms.ArityOf(1), 1);
+  ASSERT_EQ(atoms.PredicateOf(0), atoms.PredicateOf(1));
+  std::vector<ConstId> args = testing_util::ToVector(atoms.arg_arena());
+  args[atoms.arg_offsets()[1]] = args[atoms.arg_offsets()[0]];
+  Result<GroundAtomStore> duplicated = GroundAtomStore::FromArenas(
+      atoms.atom_predicates(), atoms.arg_offsets(),
+      Span<ConstId>(args.data(), args.size()), program.num_predicates(),
+      program.num_constants());
+  ASSERT_FALSE(duplicated.ok());
+  EXPECT_EQ(duplicated.status().code(), StatusCode::kDataLoss);
 }
 
 // ---------------------------------------------------------------------------
