@@ -70,7 +70,8 @@ check_docs() {
                 src/ground/ground_scc.h src/core/interpreter_options.h \
                 src/core/completion.h src/core/perfect_model.h \
                 src/core/alternating.h src/lang/parser.h \
-                src/core/stable.h src/core/fixpoint.h; do
+                src/core/stable.h src/core/fixpoint.h \
+                src/sat/solver.h; do
     if ! awk -v file="$header" '
       BEGIN { in_private = 0; prev_commented = 0; prev_decl = 0; bad = 0 }
       /^ *private:/ { in_private = 1 }

@@ -85,17 +85,16 @@ std::optional<std::vector<Truth>> FixpointSearch::SolveOne() {
     return std::nullopt;
   }
   // Decided atoms keep their Kripke–Kleene values; the model fills the
-  // live ones and is blocked on them alone. With no live atom the blocking
-  // clause is empty, which leaves the instance UNSAT: one fixpoint.
+  // live ones.
   std::vector<Truth> values = kk_;
-  block_.clear();
   for (int32_t v = 0; v < static_cast<int32_t>(live_atoms_.size()); ++v) {
-    const bool value = solver_.ModelValue(v);
-    values[live_atoms_[v]] = value ? Truth::kTrue : Truth::kFalse;
-    block_.push_back(MakeLit(v, !value));
+    values[live_atoms_[v]] = solver_.ModelValue(v) ? Truth::kTrue
+                                                   : Truth::kFalse;
   }
-  // Every literal names a live atom variable, so blocking cannot fail.
-  TIEBREAK_CHECK(solver_.AddLits(block_.data(), block_.size()).ok());
+  // The auxiliary variables are functions of the atom variables, so
+  // blocking the whole assignment blocks this fixpoint and no other; its
+  // decisions name it in a clause of one literal per decision level.
+  TIEBREAK_CHECK(solver_.BlockDecisions().ok());
   return values;
 }
 

@@ -27,11 +27,17 @@
 //     one gets an auxiliary variable d <-> (l1 ∧ ... ∧ lk);
 //   - per live atom a: a <-> ⋁ of those bodies over its live supporters
 //     (dead supporters have a false literal in every fixpoint);
-//   - blocking clauses over the live atom variables only.
+//   - per fixpoint found, one blocking clause: the negation of the
+//     solver's decision literals for it (SatSolver::BlockDecisions). Unit
+//     propagation from those decisions rebuilt the whole assignment, and
+//     each auxiliary variable is a function of the atom variables, so the
+//     clause excludes that fixpoint and no other, in one literal per
+//     decision level rather than one per live atom.
 //
 // Next() fills the decided atoms with their Kripke–Kleene values. When the
-// Kripke–Kleene model is total the instance has no variable and exactly
-// one fixpoint.
+// Kripke–Kleene model is total the instance has no variable, the first
+// model is reached without a decision, and its blocking clause is empty:
+// exactly one fixpoint.
 #ifndef TIEBREAK_CORE_COMPLETION_H_
 #define TIEBREAK_CORE_COMPLETION_H_
 
@@ -97,7 +103,6 @@ class FixpointSearch {
   std::vector<Truth> kk_;
   // Live atoms in id order; SAT variable v is live_atoms_[v].
   std::vector<AtomId> live_atoms_;
-  std::vector<SatLit> block_;  // blocking clause, reused across models
   bool exhausted_ = false;
   Status truncation_ = Status::Ok();
   std::optional<std::vector<Truth>> cached_;  // found but not yet returned

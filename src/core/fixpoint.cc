@@ -1,7 +1,5 @@
 #include "core/fixpoint.h"
 
-#include "core/fixpoint_internal.h"
-
 namespace tiebreak {
 
 bool BodyTrue(const GroundGraph& graph, int32_t rule,
@@ -17,16 +15,8 @@ bool BodyTrue(const GroundGraph& graph, int32_t rule,
 
 bool IsFixpoint(const Program& program, const Database& database,
                 const GroundGraph& graph, const std::vector<Truth>& values) {
-  return internal::IsFixpointOverDelta(
-      program, DeltaAtomMask(database, graph.atoms()), graph, values);
-}
-
-bool internal::IsFixpointOverDelta(const Program& program,
-                                   const std::vector<char>& in_delta,
-                                   const GroundGraph& graph,
-                                   const std::vector<Truth>& values) {
   TIEBREAK_CHECK_EQ(static_cast<int32_t>(values.size()), graph.num_atoms());
-  TIEBREAK_CHECK_EQ(static_cast<int32_t>(in_delta.size()), graph.num_atoms());
+  const std::vector<char> in_delta = DeltaAtomMask(database, graph.atoms());
   for (AtomId a = 0; a < graph.num_atoms(); ++a) {
     if (values[a] == Truth::kUndef) return false;  // not total
     bool expected = in_delta[a] != 0;

@@ -53,8 +53,9 @@ class CloseState {
              const GroundGraph& graph, ExecutionContext* context = nullptr);
 
   /// Starts from an explicit initial assignment (Truth per AtomId; kUndef
-  /// entries stay open) and closes. Used by the stable-model check's
-  /// close(M⁻, G) and by tests.
+  /// entries stay open) and closes. Used by tests only, among them the
+  /// close(M⁻, G) stability check kept as the reference for
+  /// core/stable.h.
   CloseState(const GroundGraph& graph, const std::vector<Truth>& initial,
              ExecutionContext* context = nullptr);
 

@@ -126,41 +126,46 @@ Status SatSolver::AddLits(const SatLit* lits, size_t n) {
   if (unsat_) return Status::Ok();
   TIEBREAK_CHECK(trail_limits_.empty()) << "AddClause above decision level 0";
 
-  // Simplify against the level-0 assignment; drop duplicates and detect
-  // tautologies. The scratch buffer is reused across calls, so bulk
-  // encoders pay no allocation per clause.
+  // Drop duplicates and detect tautologies. The scratch buffer is reused
+  // across calls, so bulk encoders pay no allocation per clause.
   add_scratch_.assign(lits, lits + n);
   std::sort(add_scratch_.begin(), add_scratch_.end());
   add_scratch_.erase(std::unique(add_scratch_.begin(), add_scratch_.end()),
                      add_scratch_.end());
-  size_t kept = 0;
-  for (size_t i = 0; i < add_scratch_.size(); ++i) {
-    const SatLit lit = add_scratch_[i];
-    if (i + 1 < add_scratch_.size() && add_scratch_[i + 1] == Negate(lit)) {
+  for (size_t i = 0; i + 1 < add_scratch_.size(); ++i) {
+    if (add_scratch_[i + 1] == Negate(add_scratch_[i])) {
       return Status::Ok();  // tautology
     }
+  }
+  AttachScratch();
+  return Status::Ok();
+}
+
+void SatSolver::AttachScratch() {
+  // Simplify against the level-0 assignment, keeping the literals' order.
+  size_t kept = 0;
+  for (const SatLit lit : add_scratch_) {
     const int8_t value = ValueOfLit(lit);
-    if (value == kTrue) return Status::Ok();  // already satisfied at level 0
+    if (value == kTrue) return;  // already satisfied at level 0
     if (value == kFalse) continue;
     add_scratch_[kept++] = lit;
   }
   if (kept == 0) {
     unsat_ = true;
-    return Status::Ok();
+    return;
   }
   if (kept == 1) {
     Enqueue(add_scratch_[0], kReasonNone);
     if (Propagate() != kReasonNone) unsat_ = true;
-    return Status::Ok();
+    return;
   }
   if (kept == 2) {
     AttachBinary(add_scratch_[0], add_scratch_[1]);
-    return Status::Ok();
+    return;
   }
   problems_.push_back(AllocClause(add_scratch_.data(),
                                   static_cast<uint32_t>(kept),
                                   /*learnt=*/false, /*lbd=*/0));
-  return Status::Ok();
 }
 
 void SatSolver::Enqueue(SatLit lit, uint32_t reason) {
@@ -835,6 +840,10 @@ SatResult SatSolver::Solve() {
     const int32_t var = PickBranchVar();
     if (var == -1) {
       model_.assign(assign_.begin(), assign_.end());
+      model_decisions_.clear();
+      for (const int32_t start : trail_limits_) {
+        model_decisions_.push_back(trail_[start]);
+      }
       Backtrack(0);
       last_result_ = SatResult::kSat;
       return SatResult::kSat;
@@ -860,6 +869,30 @@ Status SatSolver::BlockModel(const std::vector<int32_t>& vars) {
     clause.push_back(MakeLit(var, model_[var] <= 0));
   }
   return AddClause(std::move(clause));
+}
+
+Status SatSolver::BlockDecisions() {
+  if (last_result_ != SatResult::kSat) {
+    return Status::FailedPrecondition(
+        "BlockDecisions requires the preceding Solve() to return kSat");
+  }
+  if (unsat_) return Status::Ok();
+  TIEBREAK_CHECK(trail_limits_.empty()) << "BlockDecisions above level 0";
+  // The clause watches the two deepest decisions, and the decisions'
+  // variables are bumped as a conflict on the clause would bump them. A
+  // model reached by propagation alone costs no conflict, so without the
+  // bump nothing reorders the branching heap, and every later descent
+  // revisits the old blocking clauses level after level: enumerating 1,000
+  // fixpoints of 360 disjoint 2-cycles scanned 1.9G clause literals (5M
+  // with the bump) and ran over 10x slower than blocking on every atom.
+  add_scratch_.assign(model_decisions_.rbegin(), model_decisions_.rend());
+  for (SatLit& lit : add_scratch_) {
+    BumpVar(LitVar(lit));
+    lit = Negate(lit);
+  }
+  DecayActivities();
+  AttachScratch();
+  return Status::Ok();
 }
 
 }  // namespace tiebreak

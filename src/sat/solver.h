@@ -18,9 +18,9 @@
 // All transformations the solver applies (level-0 simplification,
 // subsumption, self-subsuming resolution, learnt clauses) are
 // equivalence-preserving over the original variables, so model ENUMERATION
-// (Solve/BlockModel loops) sees exactly the same model set regardless of
-// configuration — the randomized agreement suite in tests/sat_test.cc pins
-// this down.
+// (Solve/BlockModel or Solve/BlockDecisions loops) sees exactly the same
+// model set regardless of configuration — the randomized agreement suite in
+// tests/sat_test.cc pins this down.
 //
 // The solver supports incremental use: after Solve() returns kSat, callers
 // may AddClause() (e.g. a blocking clause) and Solve() again.
@@ -35,11 +35,14 @@
 
 namespace tiebreak {
 
+// Forward-declared; see util/execution_context.h.
 class ExecutionContext;
 
 /// Literal encoding: variable v >= 0; positive literal 2v, negative 2v+1.
 using SatLit = int32_t;
 
+/// Literal helpers: the positive and negative literal of a variable, the
+/// variable and sign of a literal, and its negation.
 inline SatLit PosLit(int32_t var) { return 2 * var; }
 inline SatLit NegLit(int32_t var) { return 2 * var + 1; }
 inline int32_t LitVar(SatLit lit) { return lit >> 1; }
@@ -78,6 +81,7 @@ class SatSolver {
 
   SatSolver() = default;
 
+  /// Replaces the search-strategy switches; see Config.
   void SetConfig(const Config& config) { config_ = config; }
 
   /// Allocates a fresh variable and returns its index.
@@ -147,6 +151,26 @@ class SatSolver {
   /// garbage), InvalidArgument on an out-of-range variable; Ok otherwise.
   Status BlockModel(const std::vector<int32_t>& vars);
 
+  /// Adds a clause excluding exactly the last model: the negation of its
+  /// decision literals, one per decision level. Unit propagation from those
+  /// decisions over the clauses reproduced the whole model, so of the
+  /// instance's models only that one satisfies them all. It blocks over
+  /// every variable: enumerate this way only when all variables matter or
+  /// the rest are functions of them. A model reached with no decision gives
+  /// the empty clause, which leaves the instance UNSAT. The clause watches
+  /// the two deepest decisions, and their variables' activities are bumped
+  /// as a conflict on the clause would bump them. Returns
+  /// FailedPrecondition if the last Solve() did not return kSat, like
+  /// BlockModel; Ok otherwise.
+  Status BlockDecisions();
+
+  /// The decision literals of the last kSat model, in level order: the
+  /// clause BlockDecisions adds is their negation.
+  const std::vector<SatLit>& model_decisions() const {
+    return model_decisions_;
+  }
+
+  /// Conflicts, decisions and propagations across all Solve() calls.
   int64_t num_conflicts() const { return stats_conflicts_; }
   int64_t num_decisions() const { return stats_decisions_; }
   int64_t num_propagations() const { return stats_propagations_; }
@@ -211,6 +235,10 @@ class SatSolver {
   }
 
   void AttachBinary(SatLit a, SatLit b);
+  /// Adds the clause in add_scratch_ (no variable twice) at level 0: drops
+  /// it if a literal is true, strips false literals, and attaches what is
+  /// left in order (a long clause watches its first two literals).
+  void AttachScratch();
   void Enqueue(SatLit lit, uint32_t reason);
   /// Returns the ClauseRef of a conflicting clause (kReasonNone if no
   /// conflict). Binary conflicts are materialized into bin_conflict_ and
@@ -282,6 +310,7 @@ class SatSolver {
   std::vector<SatLit> add_scratch_;      // AddLits simplification buffer
 
   std::vector<int8_t> model_;
+  std::vector<SatLit> model_decisions_;  // per decision level, last kSat
   bool unsat_ = false;
   bool preprocessed_ = false;
   SatResult last_result_ = SatResult::kUnknown;

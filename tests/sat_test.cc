@@ -1,8 +1,10 @@
 // Tests for the CDCL solver, cross-validated against brute-force truth-table
 // enumeration on random instances, plus structured SAT/UNSAT families and
-// model enumeration via blocking clauses.
+// model enumeration via blocking clauses (BlockModel's projections and
+// BlockDecisions' decision literals).
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -40,6 +42,80 @@ bool BruteForceSat(int num_vars, const Clauses& clauses,
   }
   if (model_count != nullptr) *model_count = count;
   return count > 0;
+}
+
+// Every model of `clauses` over `num_vars` variables, by truth table.
+std::set<std::vector<bool>> BruteForceModels(int num_vars,
+                                             const Clauses& clauses) {
+  TIEBREAK_CHECK_LE(num_vars, 20);
+  std::set<std::vector<bool>> models;
+  for (uint32_t mask = 0; mask < (1u << num_vars); ++mask) {
+    std::vector<bool> model(num_vars);
+    for (int v = 0; v < num_vars; ++v) model[v] = ((mask >> v) & 1) != 0;
+    bool all = true;
+    for (const auto& clause : clauses) {
+      bool sat = false;
+      for (const SatLit lit : clause) {
+        if (model[LitVar(lit)] != LitIsNeg(lit)) {
+          sat = true;
+          break;
+        }
+      }
+      if (!sat) {
+        all = false;
+        break;
+      }
+    }
+    if (all) models.insert(std::move(model));
+  }
+  return models;
+}
+
+// Enumerates every model through BlockDecisions and checks each blocking
+// clause: one decision literal per decision level (counted by the solver's
+// decision counter on a Solve without conflicts, which never backtracks),
+// on distinct variables, each true in the model; and among the models not
+// yet enumerated the decisions single out that model alone, which is what
+// makes the clause exact. Returns the models in enumeration order.
+std::vector<std::vector<bool>> EnumerateByDecisions(
+    SatSolver* solver, int num_vars,
+    const std::set<std::vector<bool>>& expected, const std::string& what) {
+  std::vector<std::vector<bool>> found;
+  std::set<std::vector<bool>> remaining = expected;
+  while (true) {
+    const int64_t conflicts = solver->num_conflicts();
+    const int64_t decisions = solver->num_decisions();
+    const SatResult result = solver->Solve();
+    EXPECT_NE(result, SatResult::kUnknown) << what;
+    if (result != SatResult::kSat) break;
+    std::vector<bool> model;
+    for (int v = 0; v < num_vars; ++v) model.push_back(solver->ModelValue(v));
+    const std::vector<SatLit>& chosen = solver->model_decisions();
+    if (solver->num_conflicts() == conflicts) {
+      EXPECT_EQ(static_cast<int64_t>(chosen.size()),
+                solver->num_decisions() - decisions)
+          << what;
+    }
+    std::set<int32_t> vars;
+    for (const SatLit lit : chosen) {
+      EXPECT_TRUE(vars.insert(LitVar(lit)).second) << what;
+      EXPECT_EQ(model[LitVar(lit)], !LitIsNeg(lit)) << what;
+    }
+    EXPECT_EQ(remaining.erase(model), 1u)
+        << what << ": a repeated or wrong model";
+    for (const std::vector<bool>& other : remaining) {
+      bool agrees = true;
+      for (const SatLit lit : chosen) {
+        agrees = agrees && other[LitVar(lit)] != LitIsNeg(lit);
+      }
+      EXPECT_FALSE(agrees) << what << ": the decisions admit another model";
+    }
+    found.push_back(std::move(model));
+    if (found.size() > expected.size()) break;
+    EXPECT_TRUE(solver->BlockDecisions().ok()) << what;
+  }
+  EXPECT_TRUE(remaining.empty()) << what << ": models missed";
+  return found;
 }
 
 SatSolver MakeSolver(int num_vars, const Clauses& clauses) {
@@ -164,6 +240,11 @@ TEST(SatSolverTest, RandomInstancesMatchBruteForce) {
     } else {
       ++unsat_count;
     }
+    // Enumeration through decision blocking yields exactly the truth
+    // table's model set.
+    SatSolver enumerator = MakeSolver(n, clauses);
+    EnumerateByDecisions(&enumerator, n, BruteForceModels(n, clauses),
+                         "round " + std::to_string(round));
   }
   EXPECT_GT(sat_count, 50);
   EXPECT_GT(unsat_count, 50);
@@ -330,6 +411,39 @@ TEST(SatSolverContractTest, BlockModelWithoutModelIsFailedPrecondition) {
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(SatSolverContractTest, BlockDecisionsWithoutModelIsFailedPrecondition) {
+  SatSolver solver;
+  const int x = solver.NewVar();
+  EXPECT_EQ(solver.BlockDecisions().code(), StatusCode::kFailedPrecondition);
+  solver.AddUnit(PosLit(x));
+  solver.AddUnit(NegLit(x));
+  ASSERT_EQ(solver.Solve(), SatResult::kUnsat);
+  EXPECT_EQ(solver.BlockDecisions().code(), StatusCode::kFailedPrecondition);
+}
+
+// x0 <-> x1 <-> ... <-> x4: the first model takes one decision, which
+// propagates to every variable, so its blocking clause is one literal; the
+// second model is forced at level 0, takes no decision, and its empty
+// blocking clause leaves the instance UNSAT.
+TEST(SatSolverContractTest, BlockDecisionsBlocksOneLiteralPerLevel) {
+  constexpr int kVars = 5;
+  SatSolver solver;
+  for (int v = 0; v < kVars; ++v) solver.NewVar();
+  for (int v = 0; v + 1 < kVars; ++v) {
+    solver.AddBinary(NegLit(v), PosLit(v + 1));
+    solver.AddBinary(PosLit(v), NegLit(v + 1));
+  }
+  ASSERT_EQ(solver.Solve(), SatResult::kSat);
+  EXPECT_EQ(solver.model_decisions().size(), 1u);
+  const bool first = solver.ModelValue(0);
+  ASSERT_TRUE(solver.BlockDecisions().ok());
+  ASSERT_EQ(solver.Solve(), SatResult::kSat);
+  EXPECT_TRUE(solver.model_decisions().empty());
+  for (int v = 0; v < kVars; ++v) EXPECT_NE(solver.ModelValue(v), first);
+  ASSERT_TRUE(solver.BlockDecisions().ok());
+  EXPECT_EQ(solver.Solve(), SatResult::kUnsat);
+}
+
 TEST(SatSolverContractTest, BlockModelOutOfRangeVarIsInvalidArgument) {
   SatSolver solver;
   const int x = solver.NewVar();
@@ -467,6 +581,16 @@ TEST(SatSolverConfigTest, ConfigsEnumerateIdenticalModelSets) {
             << "round " << round << " config " << i
             << " enumerated a different model set";
       }
+      // Decision blocking enumerates the same set under every config.
+      SatSolver by_decisions;
+      by_decisions.SetConfig(configs[i]);
+      for (int v = 0; v < n; ++v) by_decisions.NewVar();
+      for (const auto& clause : clauses) {
+        ASSERT_TRUE(by_decisions.AddClause(clause).ok());
+      }
+      EnumerateByDecisions(&by_decisions, n, reference,
+                           "round " + std::to_string(round) + " config " +
+                               std::to_string(i));
     }
   }
 }
