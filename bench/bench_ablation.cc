@@ -1,33 +1,18 @@
-// EXP-ABL — ablations of the design choices DESIGN.md calls out:
+// EXP-ABL — ablations of the semantic design choices:
 //
 //  (a) ordering: the paper's WFTB falsifies unfounded sets BEFORE breaking
 //      ties. The kTieFirst ablation flips the order: success rates match,
 //      but the stability guarantee (Lemma 3) is lost — measured here as the
 //      fraction of total models that are stable.
-//  (b) WFS implementation: the unfounded-set interpreter (persistent close)
-//      vs Van Gelder's alternating fixpoint (independent, naive): identical
-//      models, very different cost curves.
-//  (c) choice policy: deterministic-first vs seeded-random tie selection —
+//  (b) choice policy: deterministic-first vs seeded-random tie selection —
 //      success rates are choice-invariant on call-consistent inputs
 //      (Theorem 1) and noisy beyond them.
-//  (d) engine join kernels (only with --kernel {row,vector,merge}): runs
-//      the engine's million-tuple workloads under ONE kernel so per-kernel
-//      contributions can be compared across invocations. `row` is the
-//      tuple-at-a-time PR 2 reference, `vector` the batch kernels with
-//      columnar filters + prefetch, `merge` forces sort-merge joins on
-//      every eligible EDB probe step. All kernels compute the identical
-//      fixpoint (verified by engine_kernel_test); this mode measures, not
-//      asserts, the difference. Optional: --reps N, --workload SUBSTR.
+//
+// Takes no flags.
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
+#include <utility>
 
-#include "bench_util.h"
-#include "engine_workloads.h"
-#include "engine/evaluation.h"
-
-#include "core/alternating.h"
 #include "core/stable.h"
 #include "core/stratification.h"
 #include "lang/parser.h"
@@ -36,7 +21,6 @@
 #include "core/well_founded.h"
 #include "ground/grounder.h"
 #include "util/random.h"
-#include "util/timer.h"
 #include "workload/databases.h"
 #include "workload/programs.h"
 
@@ -48,86 +32,12 @@ struct ModeTally {
   int64_t runs = 0, totals = 0, stable = 0;
 };
 
-// EXP-ABL(d): one engine kernel over the million-tuple workloads.
-int RunKernelAblation(JoinKernel kernel, const char* kernel_name, int reps,
-                      const std::vector<std::string>& filters) {
-  std::printf("EXP-ABL(d): engine join-kernel ablation — kernel=%s\n\n",
-              kernel_name);
-  const char* kDefaultWorkloads[] = {"tc_chain_2048", "tc_grid_wide_512x4",
-                                     "reach_random_1m"};
-  auto selected = [&](const char* name) {
-    if (filters.empty()) {
-      for (const char* d : kDefaultWorkloads) {
-        if (std::strcmp(name, d) == 0) return true;
-      }
-      return false;
-    }
-    for (const std::string& filter : filters) {
-      if (std::strstr(name, filter.c_str()) != nullptr) return true;
-    }
-    return false;
-  };
-  std::printf("%-24s %12s %14s %14s %12s\n", "workload", "seconds", "tuples",
-              "tuples/sec", "merge steps");
-  std::printf("%s\n", std::string(80, '-').c_str());
-  for (const benchutil::EngineWorkloadFactory& factory :
-       benchutil::kEngineWorkloads) {
-    if (!selected(factory.name)) continue;
-    const benchutil::EngineWorkload workload = factory.build();
-    EngineOptions options;
-    options.kernel = kernel;
-    double best = 1e100;
-    EngineStats stats;
-    for (int rep = 0; rep < reps + 1; ++rep) {  // +1 warm-up
-      WallTimer timer;
-      stats = EngineStats();
-      Result<Database> result = EvaluateStratified(
-          workload.program, workload.database, options, &stats);
-      TIEBREAK_CHECK(result.ok()) << result.status().ToString();
-      const double seconds = timer.Seconds();
-      if (rep > 0 && seconds < best) best = seconds;
-    }
-    std::printf("%-24s %12.6f %14lld %14.0f %12lld\n", workload.name.c_str(),
-                best, static_cast<long long>(stats.tuples_derived),
-                static_cast<double>(stats.tuples_derived) / best,
-                static_cast<long long>(stats.merge_join_steps));
-  }
-  std::printf("\nCompare runs of --kernel row / vector / merge to isolate "
-              "each kernel's\ncontribution; BENCH_engine.json records the "
-              "default (vector) kernel.\n");
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --kernel switches this binary into the engine ablation (d) and skips
-  // the semantic ablations (a)-(c), which take minutes.
-  const char* kernel_name = nullptr;
-  int reps = 3;
-  std::vector<std::string> filters;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next_value = [&]() -> const char* {
-      TIEBREAK_CHECK_LT(i + 1, argc) << arg << " needs a value";
-      return argv[++i];
-    };
-    if (arg == "--kernel") {
-      kernel_name = next_value();
-    } else if (arg == "--reps") {
-      reps = std::atoi(next_value());
-    } else if (arg == "--workload") {
-      filters.push_back(next_value());
-    } else {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      return 1;
-    }
-  }
-  if (kernel_name != nullptr) {
-    TIEBREAK_CHECK_GE(reps, 1) << "--reps must be at least 1";
-    JoinKernel kernel;
-    if (!benchutil::ParseKernelName(kernel_name, &kernel)) return 1;
-    return RunKernelAblation(kernel, kernel_name, reps, filters);
+  if (argc > 1) {
+    std::fprintf(stderr, "unknown flag %s\n", argv[1]);
+    return 1;
   }
 
   std::printf("EXP-ABL(a): unfounded-first (paper) vs tie-first ordering\n\n");
@@ -180,31 +90,7 @@ int main(int argc, char** argv) {
                 "pure tie-breaking does).\n\n");
   }
 
-  std::printf("EXP-ABL(b): WFS implementations (identical models)\n\n");
-  std::printf("%-10s %14s %18s %10s\n", "board n", "unfounded ms",
-              "alternating ms", "agree");
-  std::printf("%s\n", std::string(56, '-').c_str());
-  for (int n : {16, 32, 64, 128, 256}) {
-    Program program = WinMoveProgram();
-    Rng rng(n);
-    Database database =
-        *RandomDigraphDatabase(&program, "move", n, 2 * n, &rng);
-    const GroundingResult g = Ground(program, database).value();
-    WallTimer t1;
-    const InterpreterResult wf = WellFounded(program, database, g.graph);
-    const double ms1 = 1e3 * t1.Seconds();
-    WallTimer t2;
-    const InterpreterResult alt =
-        AlternatingFixpointWellFounded(program, database, g.graph);
-    const double ms2 = 1e3 * t2.Seconds();
-    std::printf("%-10d %14.2f %18.2f %10s\n", n, ms1, ms2,
-                wf.values == alt.values ? "yes" : "NO !!");
-  }
-  std::printf("\nExpected: agreement on every row; the alternating fixpoint "
-              "grows much faster\n(naive quadratic inner fixpoints vs "
-              "amortized-linear persistent close).\n\n");
-
-  std::printf("EXP-ABL(c): choice policies on call-consistent programs\n\n");
+  std::printf("EXP-ABL(b): choice policies on call-consistent programs\n\n");
   {
     Rng rng(0xAB3);
     int64_t first_totals = 0, random_totals = 0, runs = 0;

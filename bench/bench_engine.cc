@@ -10,12 +10,10 @@
 // The engine evaluates on one thread, so every row records num_threads 1.
 //
 // Usage: bench_engine [output.json] [--workload NAME] [--reps N]
-//                     [--json PATH] [--kernel row|vector|merge]
+//                     [--json PATH]
 //   --workload S   only run workloads whose name contains S (may repeat);
 //                  skips writing JSON unless an output path was given
 //   --reps N       repetitions per workload (best-of; default 3)
-//   --kernel K     JoinKernel for measured runs (default vector); the
-//                  per-kernel ablation harness is bench_ablation --kernel
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,12 +37,10 @@ constexpr benchutil::BaselineEntry kBaseline[] = {
     {"reach_random_1m", 512574.0},
 };
 
-benchutil::Row Measure(const benchutil::EngineWorkload& workload, int reps,
-                       JoinKernel kernel) {
+benchutil::Row Measure(const benchutil::EngineWorkload& workload, int reps) {
   benchutil::Row out;
   out.name = workload.name;
-  EngineOptions options;
-  options.kernel = kernel;
+  const EngineOptions options;
   out.num_threads = 1;
   // Warm-up (and correctness sanity) run.
   {
@@ -77,7 +73,6 @@ int Main(int argc, char** argv) {
   bool json_path_explicit = false;
   std::vector<std::string> name_filters;
   int reps = 3;
-  JoinKernel kernel = JoinKernel::kVector;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next_value = [&]() -> const char* {
@@ -91,8 +86,6 @@ int Main(int argc, char** argv) {
     } else if (arg == "--json") {
       json_path = next_value();
       json_path_explicit = true;
-    } else if (arg == "--kernel") {
-      if (!benchutil::ParseKernelName(next_value(), &kernel)) return 1;
     } else if (!arg.empty() && arg[0] != '-') {
       json_path = arg;
       json_path_explicit = true;
@@ -117,7 +110,7 @@ int Main(int argc, char** argv) {
        benchutil::kEngineWorkloads) {
     if (!selected(factory.name)) continue;
     const benchutil::EngineWorkload workload = factory.build();
-    results.push_back(Measure(workload, reps, kernel));
+    results.push_back(Measure(workload, reps));
   }
   if (results.empty()) {
     std::fprintf(stderr, "no workload matches the --workload filters\n");

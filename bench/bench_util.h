@@ -6,33 +6,15 @@
 #define TIEBREAK_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "engine/evaluation.h"
 #include "util/function_view.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
 namespace tiebreak {
 namespace benchutil {
-
-/// Parses a --kernel flag value; returns false (and prints to stderr) on an
-/// unknown name. Shared by bench_engine and bench_ablation --kernel.
-inline bool ParseKernelName(const char* name, JoinKernel* kernel) {
-  if (std::strcmp(name, "row") == 0) {
-    *kernel = JoinKernel::kRow;
-  } else if (std::strcmp(name, "vector") == 0) {
-    *kernel = JoinKernel::kVector;
-  } else if (std::strcmp(name, "merge") == 0) {
-    *kernel = JoinKernel::kMerge;
-  } else {
-    std::fprintf(stderr, "unknown kernel %s (row|vector|merge)\n", name);
-    return false;
-  }
-  return true;
-}
 
 /// Argument parsing for the harnesses whose only argument is the output
 /// path: an argument that does not start with '-' names the JSON file, and

@@ -1,7 +1,5 @@
-// The named engine benchmark workloads, shared by bench_engine (the
-// trajectory harness behind BENCH_engine.json) and bench_ablation's
-// --kernel mode (the per-kernel engine ablation), so the two harnesses
-// always measure the same programs and databases.
+// The named engine benchmark workloads that bench_engine (the trajectory
+// harness behind BENCH_engine.json) measures.
 //
 // Workloads are registered as lazy factories: million-tuple EDBs take
 // seconds to generate, so only the workloads that will actually run are

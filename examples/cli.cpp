@@ -19,8 +19,10 @@
 //              is given) to stdout
 //
 // Program/database files use the Datalog¬ text format of lang/parser.h.
-// --seed and --limit take non-negative decimal integers; any other value
-// exits 2 with the usage line.
+// --seed and --limit take non-negative decimal integers. An unknown
+// command, any other --seed or --limit value, or `query` without a
+// pattern exits 2 before any file is read, with nothing on stdout.
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
@@ -50,11 +52,16 @@ using namespace tiebreak;
 
 namespace {
 
+// Every command main() runs.
+constexpr std::string_view kCommands[] = {
+    "analyze", "wf",      "tb",    "wftb", "fixpoints",
+    "stable",  "witness", "query", "dot"};
+
 int Usage() {
   std::fprintf(stderr,
                "usage: example_cli <analyze|wf|tb|wftb|fixpoints|stable|"
-               "witness|dot> <program-file> [database-file] [--seed=N] "
-               "[--limit=N]\n");
+               "witness|query|dot> <program-file> [database-file] "
+               "[--seed=N] [--limit=N] [--pattern=\"pred(X, ...)\"]\n");
   return 2;
 }
 
@@ -122,6 +129,14 @@ int main(int argc, char** argv) {
     } else {
       return Usage();
     }
+  }
+  if (std::find(std::begin(kCommands), std::end(kCommands), command) ==
+      std::end(kCommands)) {
+    return Usage();
+  }
+  if (command == "query" && pattern.empty()) {
+    std::fprintf(stderr, "query needs --pattern=\"pred(X, ...)\"\n");
+    return 2;
   }
 
   std::string program_text;
@@ -246,10 +261,6 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (command == "query") {
-    if (pattern.empty()) {
-      std::fprintf(stderr, "query needs --pattern=\"pred(X, ...)\"\n");
-      return 2;
-    }
     RandomChoicePolicy policy(seed);
     const InterpreterResult wftb =
         TieBreaking(program, database, ground->graph,

@@ -68,9 +68,9 @@ check_docs() {
                 src/lang/symbols.h src/core/tie_breaking.h \
                 src/core/certificate.h src/ground/close.h \
                 src/ground/ground_scc.h src/core/interpreter_options.h \
-                src/core/completion.h src/core/perfect_model.h \
-                src/core/alternating.h src/lang/parser.h \
-                src/core/stable.h src/core/fixpoint.h \
+                src/core/completion.h src/core/well_founded.h \
+                src/core/interpreter_result.h src/core/query.h \
+                src/lang/parser.h src/core/stable.h src/core/fixpoint.h \
                 src/sat/solver.h; do
     if ! awk -v file="$header" '
       BEGIN { in_private = 0; prev_commented = 0; prev_decl = 0; bad = 0 }

@@ -35,6 +35,7 @@ struct InterpreterResult {
   /// semantics leaves this undefined".
   Status truncation = Status::Ok();
 
+  /// Number of kTrue / kUndef entries in `values`.
   int64_t CountTrue() const {
     int64_t n = 0;
     for (Truth t : values) n += t == Truth::kTrue ? 1 : 0;

@@ -12,6 +12,7 @@
 
 namespace tiebreak {
 
+// Forward-declared; see util/execution_context.h.
 class ExecutionContext;
 
 /// Runs the well-founded interpreter on a previously grounded instance.

@@ -55,6 +55,14 @@ constexpr int64_t kSinkBlockRows = 512;
 // Sort-merge joins only pay off against relations big enough for chain
 // walks to miss cache; below this the hash path always wins.
 constexpr int64_t kMergeMinRows = 4096;
+// A non-delta EDB probe step switches to a merge join when its mask's
+// estimated distinct-key fraction (distinct keys / relation size) drops
+// below this, i.e. when the average hash chain is longer than 20 rows.
+constexpr double kMergeJoinSelectivity = 0.05;
+// A cached plan's selectivity reordering re-runs when some joined
+// relation's size grew or shrank by this factor versus its compile-time
+// snapshot (sizes below 16 are floored so early rounds don't thrash).
+constexpr int64_t kPlanRefreshDrift = 4;
 
 struct ArgAction {
   enum Kind : uint8_t {
@@ -98,9 +106,9 @@ struct AtomTemplate {
   int32_t actions_end = 0;
 };
 
-// Columnar metadata for the vectorized direct-scan kernel (only populated
-// when the plan's first step is a direct scan; all columns refer to the
-// scanned literal).
+// Columnar metadata for the batch direct-scan kernel (only populated when
+// the plan's first step is a direct scan; all columns refer to the scanned
+// literal).
 //
 // A repeated variable within the scanned literal (e.g. t(X, X)): column
 // `column` must equal column `eq_column`. Evaluated as a contiguous
@@ -142,10 +150,11 @@ struct CompiledPlan {
   int32_t num_variables = 0;
   size_t max_arity = 0;
   /// True when the first join step has an empty probe mask: it is then
-  /// executed as a direct column scan (descending row order — identical to
-  /// the newest-first probe order — with no index materialization).
+  /// executed as a batch direct column scan (descending row order —
+  /// identical to the newest-first probe order — with no index
+  /// materialization).
   bool direct_scan = false;
-  // Vectorized-kernel metadata for the direct scan (see the Scan* types).
+  // Block-kernel metadata for the direct scan (see the Scan* types).
   std::vector<ScanEq> scan_eqs;
   std::vector<ScanBind> scan_binds;
   // When the second step is a hash probe whose key is fully determined by
@@ -158,19 +167,15 @@ struct CompiledPlan {
 
 /// Compiles rule bodies into CompiledPlans and caches them per
 /// (rule, delta-literal). A cached plan is reused until some joined
-/// relation's cardinality drifts past `plan_refresh_drift` of the snapshot
+/// relation's cardinality drifts past kPlanRefreshDrift of the snapshot
 /// taken when the plan was compiled; then the selectivity reordering is
 /// re-run.
 class PlanCache {
  public:
   PlanCache(const Program& program,
-            const std::vector<const Relation*>& relations,
-            const EngineOptions& options)
+            const std::vector<const Relation*>& relations)
       : program_(program),
         relations_(relations),
-        refresh_drift_(options.plan_refresh_drift),
-        kernel_(options.kernel),
-        merge_selectivity_(options.merge_join_selectivity),
         plans_(program.num_rules()) {}
 
   /// Returns the plan for (rule_index, delta_literal), compiling or
@@ -182,7 +187,7 @@ class PlanCache {
     const size_t slot = static_cast<size_t>(delta_literal + 1);
     if (slots.size() <= slot) slots.resize(slot + 1);
     std::unique_ptr<CompiledPlan>& plan = slots[slot];
-    if (plan != nullptr && refresh_drift_ > 0 && !Drifted(*plan, delta_size)) {
+    if (plan != nullptr && !Drifted(*plan, delta_size)) {
       ++stats->plan_cache_hits;
       return *plan;
     }
@@ -206,28 +211,24 @@ class PlanCache {
       const int64_t lo = std::max<int64_t>(
           std::min(current, step.size_snapshot), 16);
       const int64_t hi = std::max(current, step.size_snapshot);
-      if (hi > refresh_drift_ * lo) return true;
+      if (hi > kPlanRefreshDrift * lo) return true;
     }
     return false;
   }
 
   /// True when a non-first probe step over `predicate` should run as a
-  /// sort-merge join: forced under kMerge, chosen by the selectivity
-  /// estimate under kVector. Restricted to EDB predicates — they are
-  /// static during evaluation, so the sorted index never refreshes (and
-  /// never invalidates a run) while a join holds runs open.
+  /// sort-merge join, by the selectivity estimate. Restricted to EDB
+  /// predicates — they are static during evaluation, so the sorted index
+  /// never refreshes (and never invalidates a run) while a join holds runs
+  /// open.
   bool ChooseMergeJoin(PredId predicate, uint32_t mask) const {
-    if (kernel_ == JoinKernel::kRow || mask == 0) return false;
-    if (!program_.IsEdb(predicate)) return false;
+    if (mask == 0 || !program_.IsEdb(predicate)) return false;
     const Relation& relation = *relations_[predicate];
-    if (kernel_ == JoinKernel::kMerge) return true;
-    if (merge_selectivity_ <= 0 || relation.size() < kMergeMinRows) {
-      return false;
-    }
+    if (relation.size() < kMergeMinRows) return false;
     const int64_t distinct = relation.DistinctKeysEstimate(mask);
     return distinct >= 0 &&
            static_cast<double>(distinct) <
-               merge_selectivity_ * static_cast<double>(relation.size());
+               kMergeJoinSelectivity * static_cast<double>(relation.size());
   }
 
   void Compile(const Rule& rule, int32_t delta_literal, int64_t delta_size,
@@ -280,10 +281,8 @@ class PlanCache {
       // With ≤ 2 masked columns the probe key packs the masked values
       // exactly, so every chain (or sorted-run) candidate already matches
       // them: demote the masked checks to key-only actions (pattern fill
-      // without per-candidate verification). The row kernel keeps full
-      // verification — it is the tuple-at-a-time reference.
-      if (kernel_ != JoinKernel::kRow && step.mask != 0 &&
-          Relation::ExactProbeKeys(step.mask)) {
+      // without per-candidate verification).
+      if (step.mask != 0 && Relation::ExactProbeKeys(step.mask)) {
         int32_t column = 0;
         for (int32_t a = step.actions_begin; a < step.actions_end;
              ++a, ++column) {
@@ -414,9 +413,6 @@ class PlanCache {
 
   const Program& program_;
   const std::vector<const Relation*>& relations_;
-  const int64_t refresh_drift_;
-  const JoinKernel kernel_;
-  const double merge_selectivity_;
   // plans_[rule][1 + delta_literal]; slot 0 is the full (delta = -1) plan.
   std::vector<std::vector<std::unique_ptr<CompiledPlan>>> plans_;
   // Compiler scratch (reused so steady-state refreshes stop allocating).
@@ -434,10 +430,12 @@ class RuleEvaluator {
   explicit RuleEvaluator(const std::vector<const Relation*>& relations)
       : relations_(relations) {}
 
-  /// Runs `plan` under `kernel`. A null-relation join step (the delta
-  /// literal) ranges over `delta_relation` restricted to the step-0 row
-  /// range. Each derived head tuple is passed to `sink` as a pointer to
-  /// head-arity ids (valid only for the duration of the call).
+  /// Runs `plan`: a direct-scan plan through the batch kernel
+  /// (VectorScan), any other through the recursive join. A null-relation
+  /// join step (the delta literal) ranges over `delta_relation` restricted
+  /// to the step-0 row range. Each derived head tuple is passed to `sink`
+  /// as a pointer to head-arity ids (valid only for the duration of the
+  /// call).
   ///
   /// `range_begin`/`range_end` restrict the *first* join step to rows
   /// [range_begin, range_end) of its source relation (-1 = unbounded on
@@ -449,19 +447,13 @@ class RuleEvaluator {
   /// `stop` is the cooperative abort for the tuple budget: when it becomes
   /// true (set by a sink that detected overflow), the join stops matching
   /// rows, bounding how far past the budget any single job can run.
-  ///
-  /// Both kernels visit the rows of every step in the identical order
-  /// (blocks iterate descending, and within a block rows resolve highest-
-  /// first), so kernel choice cannot change visit-order-dependent
-  /// iteration counts.
   /// `inner_static` promises that no relation read by steps ≥ 1 gains rows
-  /// during this execution (no feedback). The vectorized kernel then
-  /// resolves a whole block's chain heads before walking any chain,
-  /// deepening the prefetch pipeline.
-  void Execute(const CompiledPlan& plan, JoinKernel kernel,
-               const Relation* delta_relation, int32_t range_begin,
-               int32_t range_end, bool inner_static, Sink sink,
-               int64_t* applications, const bool* stop,
+  /// during this execution (no feedback). The batch kernel then resolves a
+  /// whole block's chain heads before walking any chain, deepening the
+  /// prefetch pipeline.
+  void Execute(const CompiledPlan& plan, const Relation* delta_relation,
+               int32_t range_begin, int32_t range_end, bool inner_static,
+               Sink sink, int64_t* applications, const bool* stop,
                ExecutionContext* ctx = nullptr) {
     plan_ = &plan;
     inner_static_ = inner_static;
@@ -475,7 +467,7 @@ class RuleEvaluator {
     binding_.assign(plan.num_variables, -1);
     if (scratch_.size() < plan.max_arity) scratch_.resize(plan.max_arity);
     if (pattern_.size() < plan.max_arity) pattern_.resize(plan.max_arity);
-    if (kernel != JoinKernel::kRow && plan.direct_scan) {
+    if (plan.direct_scan) {
       VectorScan();
     } else {
       Join(0);
@@ -513,25 +505,6 @@ class RuleEvaluator {
     const JoinStep& step = plan_->steps[depth];
     const Relation& relation =
         step.relation != nullptr ? *step.relation : *delta_;
-    if (depth == 0 && plan_->direct_scan) {
-      // Empty probe mask: scan the columns directly (no index), descending
-      // so the visit order matches the newest-first probe order, restricted
-      // to this execution's step-0 range.
-      const int32_t end = range_end_ >= 0
-                              ? range_end_
-                              : static_cast<int32_t>(relation.size());
-      const int32_t begin = range_begin_ >= 0 ? range_begin_ : 0;
-      for (int32_t row = end - 1; row >= begin; --row) {
-        // Resource checkpoint once per kBlock scanned rows — the scalar
-        // kernel's analogue of VectorScan's per-block checkpoint.
-        if (ctx_ != nullptr && (row & (kBlock - 1)) == 0 &&
-            !ctx_->Checkpoint("engine", kBlock).ok()) {
-          return;
-        }
-        MatchRow(step, relation, row);
-      }
-      return;
-    }
     ConstId* pattern = pattern_.data();
     {
       int32_t column = 0;
@@ -596,7 +569,7 @@ class RuleEvaluator {
   // reallocate its columns during resolution are harmless), (3) when the
   // second step is a fused hash probe, compute all surviving rows' probe-
   // key hashes and prefetch their slot lines, then (4) resolve rows
-  // highest-first (identical order to the scalar kernel), probing with the
+  // highest-first (the newest-first probe order), probing with the
   // precomputed hashes.
   void VectorScan() {
     const JoinStep& step0 = plan_->steps[0];
@@ -759,7 +732,7 @@ class RuleEvaluator {
   ExecutionContext* ctx_ = nullptr;
 
   // Hot-path scratch: variable bindings, probe pattern, ground-atom buffer,
-  // and the vector kernel's per-block gathered binds and probe hashes.
+  // and the batch kernel's per-block gathered binds and probe hashes.
   std::vector<ConstId> binding_;
   std::vector<ConstId> pattern_;
   std::vector<ConstId> scratch_;
@@ -945,7 +918,7 @@ Result<Database> EvaluateStratified(const Program& program,
   std::vector<int64_t> delta_begin(num_preds, 0);
   std::vector<int64_t> delta_end(num_preds, 0);
 
-  PlanCache plans(program, relations, options);
+  PlanCache plans(program, relations);
   RuleEvaluator evaluator(relations);
   // Batched-sink scratch (reused across jobs).
   std::vector<ConstId> sink_buffer;
@@ -980,8 +953,7 @@ Result<Database> EvaluateStratified(const Program& program,
           plans.Get(job.rule, job.delta_literal, delta_size, stats);
       Relation& head = owned[job.head];
       const int32_t head_arity = head.arity();
-      const bool batch_sink = options.kernel != JoinKernel::kRow &&
-                              head_arity > 0 && !PlanFeedsBack(plan, &head);
+      const bool batch_sink = head_arity > 0 && !PlanFeedsBack(plan, &head);
       if (batch_sink) {
         sink_buffer.clear();
         int64_t buffered = 0;
@@ -1007,9 +979,8 @@ Result<Database> EvaluateStratified(const Program& program,
           sink_buffer.insert(sink_buffer.end(), values, values + head_arity);
           if (++buffered >= kSinkBlockRows) flush();
         };
-        evaluator.Execute(plan, options.kernel, job.delta_relation,
-                          job.range_begin, job.range_end,
-                          /*inner_static=*/true, sink,
+        evaluator.Execute(plan, job.delta_relation, job.range_begin,
+                          job.range_end, /*inner_static=*/true, sink,
                           &stats->rule_applications, &stop, ctx);
         flush();
       } else {
@@ -1024,9 +995,8 @@ Result<Database> EvaluateStratified(const Program& program,
             }
           }
         };
-        evaluator.Execute(plan, options.kernel, job.delta_relation,
-                          job.range_begin, job.range_end,
-                          !PlanFeedsBack(plan, &head), sink,
+        evaluator.Execute(plan, job.delta_relation, job.range_begin,
+                          job.range_end, !PlanFeedsBack(plan, &head), sink,
                           &stats->rule_applications, &stop, ctx);
         if (ctx != nullptr && job_bytes > 0) {
           Status charge = ctx->ChargeBytes("engine", job_bytes);
@@ -1103,20 +1073,14 @@ Result<Database> EvaluateStratified(const Program& program,
       if (delta_empty) break;
       ++stats->iterations;
       jobs.clear();
+      // One job per recursive literal, that literal restricted to the
+      // delta range of its predicate.
       for (int32_t r : stratum_rules) {
         const Rule& rule = program.rule(r);
-        if (options.semi_naive) {
-          // One job per recursive literal, that literal restricted to the
-          // delta range of its predicate.
-          for (int32_t b : recursive_literals(rule)) {
-            const PredId pred = rule.body[b].atom.predicate;
-            if (delta_begin[pred] == delta_end[pred]) continue;
-            push_job(r, b, relations[pred], delta_begin[pred],
-                     delta_end[pred]);
-          }
-        } else {
-          if (recursive_literals(rule).empty()) continue;
-          push_job(r, -1, nullptr, -1, -1);
+        for (int32_t b : recursive_literals(rule)) {
+          const PredId pred = rule.body[b].atom.predicate;
+          if (delta_begin[pred] == delta_end[pred]) continue;
+          push_job(r, b, relations[pred], delta_begin[pred], delta_end[pred]);
         }
       }
       round = run_round(jobs);

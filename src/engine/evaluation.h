@@ -1,9 +1,8 @@
 // Bottom-up evaluation of stratified Datalog¬ programs: per-stratum least
-// fixpoints with negation-as-failure on fully-computed lower strata. Both
-// naive and semi-naive (delta-driven) iteration are provided; they must
-// agree (tested), and on stratified inputs they compute exactly the perfect
-// model / well-founded model of the ground semantics (cross-checked against
-// core/).
+// fixpoints by semi-naive (delta-driven) iteration, with negation-as-failure
+// on fully-computed lower strata. On stratified inputs the result is exactly
+// the perfect model / well-founded model of the ground semantics (tested
+// against the perfect-model reference in tests/reference_interpreters.h).
 //
 // Rules must be *safe* (range-restricted): every variable occurring in the
 // head or in a negated body literal must also occur in some positive body
@@ -24,29 +23,24 @@
 //    plan — the delta literal outermost, the remaining literals reordered
 //    by bound-argument selectivity — and cached for the rest of the
 //    evaluation; the plan is recompiled only when some joined relation's
-//    cardinality drifts past EngineOptions::plan_refresh_drift of its
-//    compile-time snapshot, so steady-state fixpoint rounds spend zero
-//    time in plan construction. A first step with an empty probe mask runs
-//    as a direct descending column scan and materializes no index.
-//  * With JoinKernel::kVector (the default), a plan whose first step is a
-//    direct scan executes batch-at-a-time: 64-row blocks of the scanned
-//    columns are filtered into a selection bitmask (constant and
-//    repeated-variable tests run as contiguous single-column scans), the
-//    surviving rows' probe-key columns are gathered and hashed up front,
-//    and the dedupe/index slot lines they will touch are software-
-//    prefetched several keys ahead of the probes that consume them.
-//    Derived head tuples from feedback-free plans (no join step reads the
-//    relation the rule writes) are buffered and flushed through the same
-//    prefetch-pipelined batch-insert path. JoinKernel::kRow is the
-//    tuple-at-a-time reference; both kernels visit rows in the identical
-//    order and produce identical statistics.
+//    cardinality drifts past 4x of its compile-time snapshot, so
+//    steady-state fixpoint rounds spend zero time in plan construction.
+//  * A plan whose first step has an empty probe mask is a direct scan and
+//    executes batch-at-a-time: 64-row blocks of the scanned columns are
+//    filtered into a selection bitmask (repeated-variable tests run as
+//    contiguous single-column scans), the surviving rows' probe-key
+//    columns are gathered and hashed up front, and the dedupe/index slot
+//    lines they will touch are software-prefetched several keys ahead of
+//    the probes that consume them. It materializes no index. Derived head
+//    tuples from feedback-free plans (no join step reads the relation the
+//    rule writes) are buffered and flushed through the same
+//    prefetch-pipelined batch-insert path.
 //  * A non-delta join step whose probe mask has a low selectivity estimate
-//    (distinct keys / rows below EngineOptions::merge_join_selectivity —
-//    i.e. long hash chains) and whose relation is an EDB predicate (static
-//    during evaluation) is compiled as a sort-merge join: probes binary-
-//    search a sorted-key index and scan a contiguous run instead of
-//    chasing chain links. JoinKernel::kMerge forces this path on every
-//    eligible step for ablation.
+//    (distinct keys / rows below 0.05 — i.e. hash chains longer than 20
+//    rows on average) and whose relation is an EDB predicate (static during
+//    evaluation) is compiled as a sort-merge join: probes binary-search a
+//    sorted-key index and scan a contiguous run instead of chasing chain
+//    links.
 //  * The inner join loop performs no heap allocation: probe patterns,
 //    bindings, selection blocks and derived tuples live in reusable
 //    per-evaluator scratch, and derived head tuples are handed to an
@@ -56,9 +50,6 @@
 //    that reads its own head relation sees its own derivations at once.
 //    The initial EDB load streams each database relation into its columns
 //    via the uniqueness-exploiting bulk path.
-//  * All three kernels produce the identical database (set semantics: the
-//    least fixpoint is unique, and Database stores sorted sets), enforced
-//    by the kernel-agreement tests.
 #ifndef TIEBREAK_ENGINE_EVALUATION_H_
 #define TIEBREAK_ENGINE_EVALUATION_H_
 
@@ -85,21 +76,6 @@ Status CheckSafety(const Program& program);
 /// are 32-bit column sets). EvaluateStratified rejects wider programs with
 /// INVALID_ARGUMENT; the grounder plans around this cap.
 inline constexpr int32_t kEngineMaxArity = 32;
-
-/// Which join-kernel implementation the evaluator runs. All kernels compute
-/// the identical least fixpoint; they differ only in the shape of the inner
-/// loops (see the performance contract above).
-enum class JoinKernel : uint8_t {
-  /// Tuple-at-a-time reference loops (the pre-vectorization engine).
-  kRow,
-  /// Batch-at-a-time direct scans with columnar filters, block key hashing
-  /// and slot prefetch; sort-merge joins chosen by selectivity estimate.
-  kVector,
-  /// Like kVector, but every eligible (EDB, non-delta) probe step is forced
-  /// onto the sort-merge path — the ablation that isolates the merge-join
-  /// contribution.
-  kMerge,
-};
 
 /// Δ's engine relations, kept across evaluations so that a caller serving
 /// many requests over one database loads and indexes each EDB relation
@@ -146,23 +122,8 @@ class EdbRelations {
 
 /// Evaluation knobs.
 struct EngineOptions {
-  /// Use semi-naive (delta) iteration; false = naive re-derivation.
-  bool semi_naive = true;
   /// Abort with RESOURCE_EXHAUSTED beyond this many derived tuples.
   int64_t max_tuples = 50'000'000;
-  /// Re-run a cached plan's selectivity reordering when some joined
-  /// relation's size grew or shrank by this factor versus the snapshot
-  /// taken at compile time (small sizes are floored so early rounds don't
-  /// thrash). 0 = recompile on every use (the pre-cache behavior).
-  int64_t plan_refresh_drift = 4;
-  /// Join-kernel implementation; see JoinKernel.
-  JoinKernel kernel = JoinKernel::kVector;
-  /// Selectivity threshold for the sort-merge path under kVector: a
-  /// non-delta EDB probe step switches to a merge join when its mask's
-  /// estimated distinct-key fraction (distinct keys / relation size)
-  /// drops below this value, i.e. when the average hash chain would be
-  /// longer than 1/threshold rows. 0 disables auto merge joins.
-  double merge_join_selectivity = 0.05;
   /// Copy the EDB relations into the result database (the default; the
   /// result then holds the complete perfect model). Callers that only
   /// read derived relations — the grounder reads just its binding

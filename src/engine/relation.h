@@ -277,9 +277,8 @@ class Relation {
   /// Number of distinct probe keys under `mask`, when some index for
   /// `mask` has already been materialized; -1 when unknown. The plan
   /// compiler's selectivity estimate (distinct/size is the fraction of
-  /// rows one key selects on average — crossing below
-  /// EngineOptions::merge_join_selectivity switches the step to a
-  /// sort-merge join).
+  /// rows one key selects on average — crossing below the evaluator's
+  /// merge-join threshold switches the step to a sort-merge join).
   int64_t DistinctKeysEstimate(uint32_t mask) const;
 
  private:

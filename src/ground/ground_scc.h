@@ -1,9 +1,12 @@
 // SCCs and topological wave scheduling of the full ground graph G(Π, Δ),
-// directly over GroundGraph CSR spans with no SignedDigraph copy. The
-// perfect-model interpreter reads its components from here. The
-// tie-breaking interpreters do not: their bottom-tie search runs over the
-// live atoms only (core/tie_breaking.h, FindBottomTies). The wave schedule
-// has no production user; it measures the condensation's depth and width.
+// directly over GroundGraph CSR spans with no SignedDigraph copy. No
+// interpreter in the library reads them: the tie-breaking interpreters'
+// bottom-tie search runs over the live atoms only (core/tie_breaking.h,
+// FindBottomTies), and the perfect model and local-stratification test
+// that read ComputeGroundScc are test references
+// (tests/reference_interpreters.h). The wave schedule measures the
+// condensation's depth and width for perfbench's `ground.scc_schedule`
+// span.
 //
 // Node space: atoms occupy ids [0, num_atoms), rule instance r is node
 // num_atoms + r. Edges follow the paper's ground graph: positive body atom

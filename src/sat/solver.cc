@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_map>
 
 #include "util/execution_context.h"
 
@@ -16,12 +15,6 @@ constexpr double kClauseActivityDecayFactor = 0.999;
 constexpr int64_t kRestartBase = 100;
 /// Learnt clauses with LBD <= kGlueLbd ("glue" clauses) are never deleted.
 constexpr uint32_t kGlueLbd = 2;
-/// Preprocessing bounds: total literal comparisons across the whole pass,
-/// the occurrence-list size above which a clause is not used as a subsumer,
-/// and the largest clause that may act as a subsumer.
-constexpr int64_t kPreprocessBudget = 4'000'000;
-constexpr size_t kPreprocessOccCap = 500;
-constexpr uint32_t kPreprocessMaxClause = 30;
 /// Learnt clauses wider than this skip recursive minimization: the probe
 /// cost scales with width, while very wide clauses (e.g. conflicts on
 /// model-blocking clauses during enumeration) are deletion fodder whose
@@ -308,8 +301,7 @@ int32_t SatSolver::Analyze(uint32_t conflict, std::vector<SatLit>* learnt,
   // Recursive minimization: drop literals whose reason chains stay within
   // the levels already present in the clause (dominated literals). Bounded
   // by width — see kMinimizeWidthCap.
-  if (config_.minimize_learnt && learnt->size() > 1 &&
-      learnt->size() <= kMinimizeWidthCap) {
+  if (learnt->size() > 1 && learnt->size() <= kMinimizeWidthCap) {
     uint32_t abstract_levels = 0;
     for (size_t i = 1; i < learnt->size(); ++i) {
       abstract_levels |= AbstractLevel(LitVar((*learnt)[i]));
@@ -609,121 +601,6 @@ void SatSolver::RebuildWatches() {
   attach(learnts_);
 }
 
-void SatSolver::Preprocess() {
-  TIEBREAK_CHECK(trail_limits_.empty());
-  GarbageCollect();  // level-0 simplify so occurrence lists see clean clauses
-  if (unsat_) return;
-
-  // Occurrence lists over the problem clauses, indexed by variable, plus a
-  // 64-bit variable signature per clause for a cheap non-subset filter.
-  // Binary clauses live outside the arena and do not participate.
-  std::vector<std::vector<ClauseRef>> occ(num_vars());
-  std::unordered_map<ClauseRef, uint64_t> sig;
-  sig.reserve(problems_.size() * 2);
-  const auto signature_of = [this](ClauseRef ref) {
-    uint64_t s = 0;
-    const uint32_t size = ClauseSize(ref);
-    for (uint32_t k = 0; k < size; ++k) {
-      s |= uint64_t{1} << (LitVar(ClauseLit(ref, k)) & 63);
-    }
-    return s;
-  };
-  for (const ClauseRef ref : problems_) {
-    const uint32_t size = ClauseSize(ref);
-    for (uint32_t k = 0; k < size; ++k) {
-      occ[LitVar(ClauseLit(ref, k))].push_back(ref);
-    }
-    sig.emplace(ref, signature_of(ref));
-  }
-
-  // Self-subsuming resolution: remove `lit` from the clause. A clause that
-  // shrinks to two literals is demoted to the binary watch lists (arena
-  // clauses are always size >= 3, so the result is never smaller).
-  const auto strengthen = [&](ClauseRef ref, SatLit lit) {
-    const uint32_t size = ClauseSize(ref);
-    uint32_t idx = size;
-    for (uint32_t k = 0; k < size; ++k) {
-      if (ClauseLit(ref, k) == lit) {
-        idx = k;
-        break;
-      }
-    }
-    TIEBREAK_CHECK_LT(idx, size);
-    for (uint32_t k = idx + 1; k < size; ++k) {
-      arena_[ref + 3 + k - 1] = arena_[ref + 3 + k];
-    }
-    SetClauseSize(ref, size - 1);
-    if (size - 1 == 2) {
-      AttachBinary(ClauseLit(ref, 0), ClauseLit(ref, 1));
-      MarkDeleted(ref);
-      sig.erase(ref);
-    } else {
-      sig[ref] = signature_of(ref);
-    }
-  };
-
-  int64_t budget = kPreprocessBudget;
-  for (const ClauseRef c : problems_) {
-    if (budget <= 0) break;
-    if (ClauseDeleted(c)) continue;
-    if (ClauseSize(c) > kPreprocessMaxClause) continue;
-    // Scan the occurrence list of c's rarest variable for candidates.
-    int32_t best_var = -1;
-    size_t best_occ = kPreprocessOccCap + 1;
-    const uint32_t c_size = ClauseSize(c);
-    for (uint32_t k = 0; k < c_size; ++k) {
-      const int32_t var = LitVar(ClauseLit(c, k));
-      if (occ[var].size() < best_occ) {
-        best_occ = occ[var].size();
-        best_var = var;
-      }
-    }
-    if (best_var < 0) continue;  // every occurrence list is over the cap
-    for (const ClauseRef d : occ[best_var]) {
-      if (budget <= 0) break;
-      if (d == c || ClauseDeleted(d) || ClauseDeleted(c)) continue;
-      const uint32_t d_size = ClauseSize(d);
-      if (d_size < ClauseSize(c)) continue;
-      const auto d_sig = sig.find(d);
-      if (d_sig == sig.end()) continue;
-      if ((sig.at(c) & ~d_sig->second) != 0) continue;  // not a subset
-      const uint32_t csz = ClauseSize(c);
-      budget -= static_cast<int64_t>(csz) * d_size;
-      // Subset test allowing one flipped literal: an exact subset means c
-      // subsumes d; a subset modulo one flipped literal means resolving on
-      // it yields a strict strengthening of d (self-subsuming resolution).
-      SatLit flip = kLitUndef;
-      bool subset = true;
-      for (uint32_t i = 0; i < csz && subset; ++i) {
-        const SatLit lc = ClauseLit(c, i);
-        bool found = false;
-        for (uint32_t j = 0; j < d_size; ++j) {
-          const SatLit ld = ClauseLit(d, j);
-          if (ld == lc) {
-            found = true;
-            break;
-          }
-          if (ld == Negate(lc)) {
-            if (flip == kLitUndef) {
-              flip = ld;
-              found = true;
-            }
-            break;
-          }
-        }
-        subset = found;
-      }
-      if (!subset) continue;
-      if (flip == kLitUndef) {
-        MarkDeleted(d);  // c ⊨ d
-      } else {
-        strengthen(d, flip);
-      }
-    }
-  }
-  GarbageCollect();  // drop deletions, attach demoted binaries, re-propagate
-}
-
 // ------------------------------- search -----------------------------------
 
 SatResult SatSolver::Solve() {
@@ -742,21 +619,11 @@ SatResult SatSolver::Solve() {
     last_result_ = SatResult::kUnsat;
     return SatResult::kUnsat;
   }
-  if (!preprocessed_) {
-    preprocessed_ = true;
-    if (config_.preprocess) {
-      Preprocess();
-      if (unsat_) {
-        last_result_ = SatResult::kUnsat;
-        return SatResult::kUnsat;
-      }
-    }
-  }
 
   const int64_t budget_start = stats_conflicts_;
   int64_t conflicts_since_restart = 0;
   int64_t restart_number = 0;
-  double restart_limit = static_cast<double>(kRestartBase);
+  int64_t restart_limit = kRestartBase;
   std::vector<SatLit> learnt;
 
   while (true) {
@@ -804,7 +671,7 @@ SatResult SatSolver::Solve() {
       }
       continue;
     }
-    if (conflicts_since_restart >= static_cast<int64_t>(restart_limit)) {
+    if (conflicts_since_restart >= restart_limit) {
       // Restart boundary: fold the restart's conflicts into the shared
       // step budget and check the deadline with a real clock read (Luby
       // restarts are frequent but cheap; the checkpoint is amortized).
@@ -820,14 +687,11 @@ SatResult SatSolver::Solve() {
       conflicts_since_restart = 0;
       ++restart_number;
       ++stats_restarts_;
-      restart_limit = config_.luby_restarts
-                          ? static_cast<double>(kRestartBase *
-                                                LubyPow2(restart_number))
-                          : restart_limit * 1.5;
+      restart_limit = kRestartBase * LubyPow2(restart_number);
       Backtrack(0);
       // Learnt-database reduction happens at restart boundaries (level 0),
       // where the compacting GC can rebuild watches safely.
-      if (config_.reduce_db && learnts_.size() >= reduce_threshold_) {
+      if (learnts_.size() >= reduce_threshold_) {
         ReduceDb();
         reduce_threshold_ += 500;
         if (unsat_) {  // GC-time propagation found a level-0 conflict

@@ -3,8 +3,7 @@
 // lists with tagged binary reasons, 1UIP learning with recursive clause
 // minimization, LBD-scored learnt-clause database reduction with compacting
 // garbage collection, VSIDS-style activities on an indexed heap, phase
-// saving, Luby (or geometric) restarts, and bounded level-0 preprocessing
-// (occurrence-list subsumption + self-subsuming resolution).
+// saving and Luby restarts.
 //
 // Why a SAT solver in a Datalog paper reproduction: fixpoints of Π on Δ are
 // exactly the models of the Clark completion of the ground instance
@@ -15,12 +14,11 @@
 // fixpoint existence is NP-complete [KP], so a real search engine is the
 // appropriate substrate.
 //
-// All transformations the solver applies (level-0 simplification,
-// subsumption, self-subsuming resolution, learnt clauses) are
-// equivalence-preserving over the original variables, so model ENUMERATION
-// (Solve/BlockModel or Solve/BlockDecisions loops) sees exactly the same
-// model set regardless of configuration — the randomized agreement suite in
-// tests/sat_test.cc pins this down.
+// All transformations the solver applies (level-0 simplification, learnt
+// clauses, learnt-clause deletion) are equivalence-preserving over the
+// original variables, so model ENUMERATION (Solve/BlockModel or
+// Solve/BlockDecisions loops) sees exactly the instance's model set — the
+// randomized suite in tests/sat_test.cc checks it against brute force.
 //
 // The solver supports incremental use: after Solve() returns kSat, callers
 // may AddClause() (e.g. a blocking clause) and Solve() again.
@@ -69,20 +67,7 @@ using ClauseRef = uint32_t;
 /// Conflict-driven clause-learning solver.
 class SatSolver {
  public:
-  /// Search-strategy switches. Every configuration decides the same
-  /// SAT/UNSAT answers and enumerates the same model sets; the switches only
-  /// trade search effort. Set before the first Solve().
-  struct Config {
-    bool luby_restarts = true;    ///< false = geometric (x1.5 from 100)
-    bool minimize_learnt = true;  ///< recursive learnt-clause minimization
-    bool reduce_db = true;        ///< periodic learnt-clause deletion
-    bool preprocess = true;       ///< bounded subsumption at first Solve()
-  };
-
   SatSolver() = default;
-
-  /// Replaces the search-strategy switches; see Config.
-  void SetConfig(const Config& config) { config_ = config; }
 
   /// Allocates a fresh variable and returns its index.
   int32_t NewVar();
@@ -211,11 +196,7 @@ class SatSolver {
   //   [3..3+size) literals
   uint32_t ClauseSize(ClauseRef ref) const { return arena_[ref] >> 2; }
   bool ClauseLearnt(ClauseRef ref) const { return (arena_[ref] & 1u) != 0; }
-  bool ClauseDeleted(ClauseRef ref) const { return (arena_[ref] & 2u) != 0; }
   void MarkDeleted(ClauseRef ref) { arena_[ref] |= 2u; }
-  void SetClauseSize(ClauseRef ref, uint32_t size) {
-    arena_[ref] = (size << 2) | (arena_[ref] & 3u);
-  }
   uint32_t ClauseLbd(ClauseRef ref) const { return arena_[ref + 1]; }
   float ClauseActivity(ClauseRef ref) const;
   void SetClauseActivity(ClauseRef ref, float activity);
@@ -244,7 +225,7 @@ class SatSolver {
   /// conflict). Binary conflicts are materialized into bin_conflict_ and
   /// reported as kBinaryReason.
   uint32_t Propagate();
-  /// 1UIP conflict analysis + (configurable) recursive minimization; fills
+  /// 1UIP conflict analysis + recursive minimization; fills
   /// `learnt` ([0] = asserting literal), computes the clause LBD, and
   /// returns the backtrack level.
   int32_t Analyze(uint32_t conflict, std::vector<SatLit>* learnt,
@@ -266,11 +247,6 @@ class SatSolver {
   /// every long-clause watch list. Level 0 only.
   void GarbageCollect();
   void RebuildWatches();
-  /// Bounded one-shot preprocessing at the first Solve(): occurrence-list
-  /// subsumption and self-subsuming resolution over the problem clauses
-  /// (binary clauses do not participate), capped by an occurrence-list
-  /// ceiling and a global comparison budget.
-  void Preprocess();
 
   // Indexed max-heap over variable activities.
   void HeapInsert(int32_t var);
@@ -278,8 +254,6 @@ class SatSolver {
   void HeapPercolateDown(int32_t pos);
   int32_t HeapPopMax();
   bool HeapContains(int32_t var) const { return heap_position_[var] >= 0; }
-
-  Config config_;
 
   std::vector<uint32_t> arena_;        // flat clause storage
   std::vector<ClauseRef> problems_;    // live problem clauses (size >= 3)
@@ -312,7 +286,6 @@ class SatSolver {
   std::vector<int8_t> model_;
   std::vector<SatLit> model_decisions_;  // per decision level, last kSat
   bool unsat_ = false;
-  bool preprocessed_ = false;
   SatResult last_result_ = SatResult::kUnknown;
   int64_t conflict_budget_ = 0;
   size_t reduce_threshold_ = 2000;  // learnt clauses that trigger ReduceDb

@@ -11,12 +11,12 @@
 #include "core/exploration.h"
 #include "core/fixpoint.h"
 #include "core/interpreter_result.h"
-#include "core/perfect_model.h"
 #include "core/stable.h"
 #include "core/stratification.h"
 #include "core/tie_breaking.h"
 #include "core/well_founded.h"
 #include "gtest/gtest.h"
+#include "reference_interpreters.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -541,8 +541,10 @@ TEST(PerfectModelTest, EvenOddChain) {
       "odd(Y) :- succ(X, Y), even(X).",
       "zero(n0). succ(n0, n1). succ(n1, n2). succ(n2, n3).");
   const GroundingResult g = GroundOrDie(inst);
-  ASSERT_TRUE(IsLocallyStratified(inst.program, inst.database, g.graph));
-  const auto perfect = PerfectModel(inst.program, inst.database, g.graph);
+  ASSERT_TRUE(
+      reference::IsLocallyStratified(inst.program, inst.database, g.graph));
+  const auto perfect =
+      reference::PerfectModel(inst.program, inst.database, g.graph);
   ASSERT_TRUE(perfect.has_value());
   EXPECT_EQ(TruthOf(inst, g, *perfect, "even", {"n0"}), Truth::kTrue);
   EXPECT_EQ(TruthOf(inst, g, *perfect, "odd", {"n1"}), Truth::kTrue);
@@ -558,8 +560,10 @@ TEST(PerfectModelTest, LocallyStratifiedButNotStratified) {
                                 "move(a, b). move(b, c).");
   const GroundingResult g = GroundOrDie(inst);
   EXPECT_FALSE(IsStratified(inst.program));
-  EXPECT_TRUE(IsLocallyStratified(inst.program, inst.database, g.graph));
-  const auto perfect = PerfectModel(inst.program, inst.database, g.graph);
+  EXPECT_TRUE(
+      reference::IsLocallyStratified(inst.program, inst.database, g.graph));
+  const auto perfect =
+      reference::PerfectModel(inst.program, inst.database, g.graph);
   ASSERT_TRUE(perfect.has_value());
   EXPECT_EQ(TruthOf(inst, g, *perfect, "win", {"b"}), Truth::kTrue);
 }
@@ -568,8 +572,10 @@ TEST(PerfectModelTest, NotLocallyStratifiedReturnsNullopt) {
   Instance inst = ParseInstance("win(X) :- move(X, Y), not win(Y).",
                                 "move(a, a).");
   const GroundingResult g = GroundOrDie(inst);
-  EXPECT_FALSE(IsLocallyStratified(inst.program, inst.database, g.graph));
-  EXPECT_FALSE(PerfectModel(inst.program, inst.database, g.graph).has_value());
+  EXPECT_FALSE(
+      reference::IsLocallyStratified(inst.program, inst.database, g.graph));
+  EXPECT_FALSE(reference::PerfectModel(inst.program, inst.database, g.graph)
+                   .has_value());
 }
 
 TEST(PerfectModelTest, TieBreakingComputesThePerfectModel) {
@@ -589,9 +595,11 @@ TEST(PerfectModelTest, TieBreakingComputesThePerfectModel) {
   for (int i = 0; i < 3; ++i) {
     Instance inst = ParseInstance(kPrograms[i], kDatabases[i]);
     const GroundingResult g = GroundOrDie(inst);
-    ASSERT_TRUE(IsLocallyStratified(inst.program, inst.database, g.graph))
+    ASSERT_TRUE(
+        reference::IsLocallyStratified(inst.program, inst.database, g.graph))
         << i;
-    const auto perfect = PerfectModel(inst.program, inst.database, g.graph);
+    const auto perfect =
+        reference::PerfectModel(inst.program, inst.database, g.graph);
     ASSERT_TRUE(perfect.has_value()) << i;
     for (TieBreakingMode mode :
          {TieBreakingMode::kPure, TieBreakingMode::kWellFounded}) {

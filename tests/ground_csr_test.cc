@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "core/alternating.h"
 #include "core/fixpoint.h"
 #include "core/stable.h"
 #include "core/tie_breaking.h"
@@ -25,6 +24,7 @@
 #include "ground/grounder.h"
 #include "gtest/gtest.h"
 #include "lang/parser.h"
+#include "reference_interpreters.h"
 #include "test_util.h"
 #include "util/execution_context.h"
 #include "util/fault_injection.h"
@@ -194,8 +194,9 @@ void ExpectEngineMatchesLegacy(const Instance& inst) {
       WellFounded(inst.program, inst.database, engine.graph);
   const InterpreterResult legacy_wf =
       WellFounded(inst.program, inst.database, legacy.graph);
-  const InterpreterResult engine_alt = AlternatingFixpointWellFounded(
-      inst.program, inst.database, engine.graph);
+  const InterpreterResult engine_alt =
+      reference::AlternatingFixpointWellFounded(inst.program, inst.database,
+                                                engine.graph);
   EXPECT_EQ(engine_wf.values, engine_alt.values);
 
   std::map<AtomKey, Truth> engine_unfounded;

@@ -1,10 +1,11 @@
 // Differential harness across the interpreters and for the CSR-direct SCC
 // and tie passes, over curated programs, workload families and randomized
-// programs. The interpreters must agree with each other: WellFounded with
-// Van Gelder's alternating fixpoint, the tie-breaking models with the
-// paper's lemmas (a total WFTB model is a stable fixpoint, a total pure-TB
-// model a fixpoint), and on locally stratified instances the perfect model
-// with WF, WFTB and pure TB, all total. Also locks down the structural
+// programs. The interpreters must agree with the independent references of
+// tests/reference_interpreters.h and with the paper's lemmas: WellFounded
+// with Van Gelder's alternating fixpoint, the tie-breaking models with the
+// lemmas (a total WFTB model is a stable fixpoint, a total pure-TB model a
+// fixpoint), and on locally stratified instances the perfect model with
+// WF, WFTB and pure TB, all total. Also locks down the structural
 // contracts: the CSR Tarjan reproduces the materialized-digraph Tarjan
 // exactly (component ids, member order), the atom-level tie pass
 // reproduces the materialized reference tie-for-tie at every state a run
@@ -17,9 +18,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/alternating.h"
 #include "core/fixpoint.h"
-#include "core/perfect_model.h"
 #include "core/stable.h"
 #include "core/tie_breaking.h"
 #include "core/well_founded.h"
@@ -30,6 +29,7 @@
 #include "ground/ground_scc.h"
 #include "gtest/gtest.h"
 #include "live_graph.h"
+#include "reference_interpreters.h"
 #include "test_util.h"
 #include "util/execution_context.h"
 #include "util/random.h"
@@ -220,7 +220,7 @@ void ExpectInterpretersAgree(const Instance& inst, int* locally_stratified) {
   // Two independent computations of the well-founded model.
   const InterpreterResult wf = WellFounded(program, database, graph);
   const InterpreterResult alt =
-      AlternatingFixpointWellFounded(program, database, graph);
+      reference::AlternatingFixpointWellFounded(program, database, graph);
   EXPECT_EQ(wf.values, alt.values);
   EXPECT_EQ(wf.total, alt.total);
 
@@ -239,10 +239,10 @@ void ExpectInterpretersAgree(const Instance& inst, int* locally_stratified) {
   }
 
   // On a locally stratified instance every semantics is the perfect model.
-  if (!IsLocallyStratified(program, database, graph)) return;
+  if (!reference::IsLocallyStratified(program, database, graph)) return;
   ++*locally_stratified;
   const Result<InterpreterResult> perfect =
-      PerfectModelGoverned(program, database, graph, nullptr);
+      reference::PerfectModelGoverned(program, database, graph, nullptr);
   ASSERT_TRUE(perfect.ok()) << perfect.status().ToString();
   EXPECT_TRUE(perfect->total);
   EXPECT_TRUE(wf.total);

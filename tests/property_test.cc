@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "core/alternating.h"
 #include "core/completion.h"
 #include "core/exploration.h"
 #include "core/fixpoint.h"
@@ -15,6 +14,7 @@
 #include "core/well_founded.h"
 #include "engine/evaluation.h"
 #include "gtest/gtest.h"
+#include "reference_interpreters.h"
 #include "test_util.h"
 #include "util/random.h"
 #include "workload/databases.h"
@@ -248,7 +248,7 @@ TEST_P(RandomSemanticsProperty, CrossImplementationInvariants) {
     // (1) The alternating-fixpoint WFS agrees with the unfounded-set WFS.
     const InterpreterResult wf = WellFounded(program, database, g.graph);
     const InterpreterResult alt =
-        AlternatingFixpointWellFounded(program, database, g.graph);
+        reference::AlternatingFixpointWellFounded(program, database, g.graph);
     EXPECT_EQ(wf.values, alt.values) << "round " << round;
 
     // (2) WFTB extends the well-founded partial model.

@@ -9,6 +9,7 @@
 
 #include "gtest/gtest.h"
 #include "sat/solver.h"
+#include "sat_brute_force.h"
 #include "util/execution_context.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -16,60 +17,9 @@
 namespace tiebreak {
 namespace {
 
-using Clauses = std::vector<std::vector<SatLit>>;
-
-bool BruteForceSat(int num_vars, const Clauses& clauses,
-                   int64_t* model_count = nullptr) {
-  TIEBREAK_CHECK_LE(num_vars, 20);
-  int64_t count = 0;
-  for (uint32_t mask = 0; mask < (1u << num_vars); ++mask) {
-    bool all = true;
-    for (const auto& clause : clauses) {
-      bool sat = false;
-      for (SatLit lit : clause) {
-        const bool value = (mask >> LitVar(lit)) & 1;
-        if (value != LitIsNeg(lit)) {
-          sat = true;
-          break;
-        }
-      }
-      if (!sat) {
-        all = false;
-        break;
-      }
-    }
-    if (all) ++count;
-  }
-  if (model_count != nullptr) *model_count = count;
-  return count > 0;
-}
-
-// Every model of `clauses` over `num_vars` variables, by truth table.
-std::set<std::vector<bool>> BruteForceModels(int num_vars,
-                                             const Clauses& clauses) {
-  TIEBREAK_CHECK_LE(num_vars, 20);
-  std::set<std::vector<bool>> models;
-  for (uint32_t mask = 0; mask < (1u << num_vars); ++mask) {
-    std::vector<bool> model(num_vars);
-    for (int v = 0; v < num_vars; ++v) model[v] = ((mask >> v) & 1) != 0;
-    bool all = true;
-    for (const auto& clause : clauses) {
-      bool sat = false;
-      for (const SatLit lit : clause) {
-        if (model[LitVar(lit)] != LitIsNeg(lit)) {
-          sat = true;
-          break;
-        }
-      }
-      if (!sat) {
-        all = false;
-        break;
-      }
-    }
-    if (all) models.insert(std::move(model));
-  }
-  return models;
-}
+using testing_util::BruteForceModels;
+using testing_util::BruteForceSat;
+using testing_util::Clauses;
 
 // Enumerates every model through BlockDecisions and checks each blocking
 // clause: one decision literal per decision level (counted by the solver's
@@ -211,6 +161,35 @@ TEST(SatSolverTest, PigeonholeUnsat) {
     }
   }
   EXPECT_EQ(solver.Solve(), SatResult::kUnsat);
+}
+
+TEST(SatSolverTest, PigeonholeSearchCountersArePinned) {
+  // 8 pigeons, 7 holes: long enough for Luby restarts and several learnt
+  // clause reductions. The search is deterministic, so its counters pin
+  // it: a change to the restart schedule, to minimization or to which
+  // learnt clauses a reduction keeps (the glue clauses, LBD <= 2, and the
+  // better half of the rest) moves them. Re-pin only with a change that
+  // means to alter the search.
+  constexpr int kPigeons = 8, kHoles = 7;
+  Clauses clauses;
+  for (int p = 0; p < kPigeons; ++p) {
+    std::vector<SatLit> clause;
+    for (int h = 0; h < kHoles; ++h) clause.push_back(PosLit(p * kHoles + h));
+    clauses.push_back(std::move(clause));
+  }
+  for (int h = 0; h < kHoles; ++h) {
+    for (int p1 = 0; p1 < kPigeons; ++p1) {
+      for (int p2 = p1 + 1; p2 < kPigeons; ++p2) {
+        clauses.push_back({NegLit(p1 * kHoles + h), NegLit(p2 * kHoles + h)});
+      }
+    }
+  }
+  SatSolver solver = MakeSolver(kPigeons * kHoles, clauses);
+  ASSERT_EQ(solver.Solve(), SatResult::kUnsat);
+  EXPECT_EQ(solver.num_conflicts(), 5102);
+  EXPECT_EQ(solver.num_restarts(), 27);
+  EXPECT_EQ(solver.num_learnt(), 5097);
+  EXPECT_EQ(solver.num_reduced(), 2308);
 }
 
 TEST(SatSolverTest, RandomInstancesMatchBruteForce) {
@@ -479,30 +458,13 @@ TEST(SatSolverContractTest, AddClauseOutOfRangeLiteralIsInvalidArgument) {
   EXPECT_EQ(models, 3);
 }
 
-// --- Randomized agreement across solver configurations --------------------
+// --- Randomized agreement with brute force --------------------------------
 //
-// Every feature toggle (restart policy, minimization, clause-database
-// reduction, preprocessing) must preserve semantics exactly: the same
-// SAT/UNSAT verdicts and — because the enumeration loop is part of the
-// public contract — the same *set* of models under BlockModel enumeration.
-
-std::vector<SatSolver::Config> AllConfigs() {
-  SatSolver::Config geometric;
-  geometric.luby_restarts = false;
-  SatSolver::Config no_minimize;
-  no_minimize.minimize_learnt = false;
-  SatSolver::Config no_reduce;
-  no_reduce.reduce_db = false;
-  SatSolver::Config no_preprocess;
-  no_preprocess.preprocess = false;
-  SatSolver::Config bare;
-  bare.luby_restarts = false;
-  bare.minimize_learnt = false;
-  bare.reduce_db = false;
-  bare.preprocess = false;
-  return {SatSolver::Config{}, geometric,     no_minimize,
-          no_reduce,           no_preprocess, bare};
-}
+// The solver's one search (Luby restarts, recursive minimization,
+// clause-database reduction) must decide exactly what the truth table
+// decides: the same SAT/UNSAT verdicts and — because the enumeration loop
+// is part of the public contract — the same *set* of models under
+// BlockModel and BlockDecisions enumeration.
 
 Clauses Random3Sat(Rng* rng, int n, int m) {
   Clauses clauses;
@@ -517,81 +479,49 @@ Clauses Random3Sat(Rng* rng, int n, int m) {
   return clauses;
 }
 
-TEST(SatSolverConfigTest, ConfigsAgreeOnRandom3SatVerdicts) {
+TEST(SatSolverAgreementTest, Random3SatVerdictsMatchBruteForce) {
   Rng rng(0xC0FFEE);
-  const std::vector<SatSolver::Config> configs = AllConfigs();
   for (int round = 0; round < 120; ++round) {
     const int n = 6 + static_cast<int>(rng.Below(9));  // 6..14 vars
     const int m = static_cast<int>(4.3 * n);           // near threshold
     const Clauses clauses = Random3Sat(&rng, n, m);
     const bool expected = BruteForceSat(n, clauses);
-    for (size_t i = 0; i < configs.size(); ++i) {
-      SatSolver solver;
-      solver.SetConfig(configs[i]);
-      for (int v = 0; v < n; ++v) solver.NewVar();
-      for (const auto& clause : clauses) {
-        ASSERT_TRUE(solver.AddClause(clause).ok());
-      }
-      const SatResult result = solver.Solve();
-      ASSERT_NE(result, SatResult::kUnknown);
-      EXPECT_EQ(result == SatResult::kSat, expected)
-          << "round " << round << " config " << i;
-      if (result == SatResult::kSat) {
-        EXPECT_TRUE(ModelSatisfies(solver, clauses))
-            << "round " << round << " config " << i;
-      }
+    SatSolver solver = MakeSolver(n, clauses);
+    const SatResult result = solver.Solve();
+    ASSERT_NE(result, SatResult::kUnknown);
+    EXPECT_EQ(result == SatResult::kSat, expected) << "round " << round;
+    if (result == SatResult::kSat) {
+      EXPECT_TRUE(ModelSatisfies(solver, clauses)) << "round " << round;
     }
   }
 }
 
-TEST(SatSolverConfigTest, ConfigsEnumerateIdenticalModelSets) {
+TEST(SatSolverAgreementTest, EnumeratedModelSetsMatchBruteForce) {
   Rng rng(0xBEE5);
-  const std::vector<SatSolver::Config> configs = AllConfigs();
   for (int round = 0; round < 40; ++round) {
     const int n = 5 + static_cast<int>(rng.Below(6));  // 5..10 vars
     const int m = 2 * n;
     const Clauses clauses = Random3Sat(&rng, n, m);
-    int64_t expected_count = 0;
-    BruteForceSat(n, clauses, &expected_count);
+    const std::set<std::vector<bool>> reference =
+        BruteForceModels(n, clauses);
     std::vector<int32_t> all_vars;
     for (int v = 0; v < n; ++v) all_vars.push_back(v);
 
-    std::set<std::vector<bool>> reference;
-    for (size_t i = 0; i < configs.size(); ++i) {
-      SatSolver solver;
-      solver.SetConfig(configs[i]);
-      for (int v = 0; v < n; ++v) solver.NewVar();
-      for (const auto& clause : clauses) {
-        ASSERT_TRUE(solver.AddClause(clause).ok());
-      }
-      std::set<std::vector<bool>> models;
-      while (solver.Solve() == SatResult::kSat) {
-        std::vector<bool> model;
-        for (int v = 0; v < n; ++v) model.push_back(solver.ModelValue(v));
-        ASSERT_TRUE(models.insert(std::move(model)).second)
-            << "config " << i << " repeated a model in round " << round;
-        ASSERT_TRUE(solver.BlockModel(all_vars).ok());
-      }
-      EXPECT_EQ(static_cast<int64_t>(models.size()), expected_count)
-          << "round " << round << " config " << i;
-      if (i == 0) {
-        reference = std::move(models);
-      } else {
-        EXPECT_EQ(models, reference)
-            << "round " << round << " config " << i
-            << " enumerated a different model set";
-      }
-      // Decision blocking enumerates the same set under every config.
-      SatSolver by_decisions;
-      by_decisions.SetConfig(configs[i]);
-      for (int v = 0; v < n; ++v) by_decisions.NewVar();
-      for (const auto& clause : clauses) {
-        ASSERT_TRUE(by_decisions.AddClause(clause).ok());
-      }
-      EnumerateByDecisions(&by_decisions, n, reference,
-                           "round " + std::to_string(round) + " config " +
-                               std::to_string(i));
+    SatSolver solver = MakeSolver(n, clauses);
+    std::set<std::vector<bool>> models;
+    while (solver.Solve() == SatResult::kSat) {
+      std::vector<bool> model;
+      for (int v = 0; v < n; ++v) model.push_back(solver.ModelValue(v));
+      ASSERT_TRUE(models.insert(std::move(model)).second)
+          << "repeated a model in round " << round;
+      ASSERT_TRUE(solver.BlockModel(all_vars).ok());
     }
+    EXPECT_EQ(models, reference)
+        << "round " << round << " enumerated a different model set";
+    // Decision blocking enumerates the same set.
+    SatSolver by_decisions = MakeSolver(n, clauses);
+    EnumerateByDecisions(&by_decisions, n, reference,
+                         "round " + std::to_string(round));
   }
 }
 

@@ -9,11 +9,11 @@
 #include <string>
 #include <vector>
 
-#include "core/alternating.h"
 #include "core/stable.h"
 #include "core/well_founded.h"
 #include "gtest/gtest.h"
 #include "storage/snapshot_store.h"
+#include "reference_interpreters.h"
 #include "test_util.h"
 #include "util/execution_context.h"
 #include "util/file_io.h"
@@ -216,8 +216,9 @@ TEST(SnapshotTest, InterpretersAgreeOverReloadedGraphs) {
           << "well-founded disagreement, round " << round << ", threads "
           << threads;
 
-      const InterpreterResult alt = AlternatingFixpointWellFounded(
-          program, *loaded->database, *loaded->graph);
+      const InterpreterResult alt =
+          reference::AlternatingFixpointWellFounded(
+              program, *loaded->database, *loaded->graph);
       ASSERT_EQ(wf.values, alt.values)
           << "alternating disagreement over reloaded graph, round " << round;
 

@@ -6,7 +6,6 @@
 #include <set>
 #include <vector>
 
-#include "core/alternating.h"
 #include "core/completion.h"
 #include "core/fixpoint.h"
 #include "core/stable.h"
@@ -14,6 +13,7 @@
 #include "core/well_founded.h"
 #include "ground/close.h"
 #include "gtest/gtest.h"
+#include "reference_interpreters.h"
 #include "test_util.h"
 #include "util/random.h"
 #include "workload/databases.h"
@@ -143,7 +143,7 @@ TEST(StressTest, UnaryProgramsEndToEnd) {
 
     const InterpreterResult wf = WellFounded(program, database, g.graph);
     const InterpreterResult alt =
-        AlternatingFixpointWellFounded(program, database, g.graph);
+        reference::AlternatingFixpointWellFounded(program, database, g.graph);
     ASSERT_EQ(wf.values, alt.values) << "round " << round;
 
     RandomChoicePolicy policy(round);

@@ -1,9 +1,10 @@
 // Shared helpers for the test suites: parse program+database text, ground,
-// compare two graphs arena for arena, and query models by
-// predicate/constant names.
+// compare two graphs arena for arena, query models by predicate/constant
+// names, and check a bottom-up evaluation against the perfect model.
 #ifndef TIEBREAK_TESTS_TEST_UTIL_H_
 #define TIEBREAK_TESTS_TEST_UTIL_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "lang/database.h"
 #include "lang/parser.h"
 #include "lang/program.h"
+#include "reference_interpreters.h"
 #include "util/span.h"
 
 namespace tiebreak {
@@ -88,6 +90,46 @@ inline Truth TruthOf(const Instance& inst, const GroundingResult& ground,
   const AtomId atom = ground.graph.atoms().Lookup(p, tuple);
   if (atom < 0) return Truth::kFalse;
   return values[atom];
+}
+
+/// Checks a bottom-up evaluation's `result` against the perfect model of
+/// the instance (tests/reference_interpreters.h), grounded with
+/// engine_bindings = false so that no engine code runs on the reference
+/// side: `result` holds an IDB fact iff its atom is true in the perfect
+/// model. `label` names the instance in failure messages.
+inline void ExpectMatchesPerfectModel(const Program& program,
+                                      const Database& database,
+                                      const Database& result,
+                                      const std::string& label) {
+  GroundingOptions options;
+  options.engine_bindings = false;
+  const Result<GroundingResult> ground = Ground(program, database, options);
+  ASSERT_TRUE(ground.ok()) << label << ": " << ground.status().ToString();
+  const GroundGraph& graph = ground->graph;
+  const std::optional<std::vector<Truth>> perfect =
+      reference::PerfectModel(program, database, graph);
+  ASSERT_TRUE(perfect.has_value()) << label << ": not locally stratified";
+  std::vector<int64_t> true_atoms(program.num_predicates(), 0);
+  int64_t mismatches = 0;
+  std::string first;
+  for (AtomId a = 0; a < graph.num_atoms(); ++a) {
+    const PredId pred = graph.atoms().PredicateOf(a);
+    if (program.IsEdb(pred)) continue;
+    const bool expected = (*perfect)[a] == Truth::kTrue;
+    if (expected) ++true_atoms[pred];
+    if (result.Contains(pred, graph.atoms().TupleOf(a)) != expected &&
+        mismatches++ == 0) {
+      first = program.predicate_name(pred) + " atom " + std::to_string(a) +
+              (expected ? " missing" : " derived");
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << label << ": first " << first;
+  // Every fact of `result` is an atom of the graph.
+  for (PredId p = 0; p < program.num_predicates(); ++p) {
+    if (program.IsEdb(p)) continue;
+    EXPECT_EQ(result.NumFacts(p), true_atoms[p])
+        << label << ": " << program.predicate_name(p);
+  }
 }
 
 }  // namespace testing_util

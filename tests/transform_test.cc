@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/exploration.h"
-#include "core/perfect_model.h"
 #include "core/stratification.h"
 #include "core/structural_totality.h"
 #include "engine/evaluation.h"
@@ -15,6 +14,7 @@
 #include "lang/skeleton.h"
 #include "lang/transform.h"
 #include "reductions/cm_reduction.h"
+#include "reference_interpreters.h"
 #include "test_util.h"
 #include "workload/databases.h"
 #include "workload/programs.h"
@@ -271,7 +271,7 @@ TEST(GroundCallConsistencyTest, EvenBoardsAreGroundConsistent) {
   const GroundingResult g = GroundOrDie(Instance{program, even_board});
   // The program is NOT call-consistent, but this instance is.
   EXPECT_FALSE(IsCallConsistent(program));
-  EXPECT_TRUE(IsGroundCallConsistent(g.graph));
+  EXPECT_TRUE(reference::IsGroundCallConsistent(g.graph));
   // Per-instance Theorem 1: every choice totals.
   const auto runs = ExploreAllChoices(program, even_board, g.graph,
                                       TieBreakingMode::kWellFounded);
@@ -284,15 +284,15 @@ TEST(GroundCallConsistencyTest, OddBoardsAreNot) {
   Program program = WinMoveProgram();
   Database odd_board = *CycleDatabase(&program, "move", 5);
   const GroundingResult g = GroundOrDie(Instance{program, odd_board});
-  EXPECT_FALSE(IsGroundCallConsistent(g.graph));
+  EXPECT_FALSE(reference::IsGroundCallConsistent(g.graph));
 }
 
 TEST(GroundCallConsistencyTest, LocallyStratifiedImpliesGroundConsistent) {
   Program program = WinMoveProgram();
   Database chain = *ChainDatabase(&program, "move", 6);
   const GroundingResult g = GroundOrDie(Instance{program, chain});
-  EXPECT_TRUE(IsLocallyStratified(program, chain, g.graph));
-  EXPECT_TRUE(IsGroundCallConsistent(g.graph));
+  EXPECT_TRUE(reference::IsLocallyStratified(program, chain, g.graph));
+  EXPECT_TRUE(reference::IsGroundCallConsistent(g.graph));
 }
 
 }  // namespace
