@@ -1,7 +1,7 @@
-// EXP-GRD — grounder throughput: the paper-faithful |U|^k grounder vs the
-// EDB-reduced grounder (equivalence is tested in ground_test.cc; here we
-// measure the cost gap) and the reduced grounder's scaling on the Theorem 6
-// machine programs, whose [S=s] chains make faithful grounding hopeless.
+// EXP-GRD — grounder throughput: Ground on win/move boards and chains,
+// random unary programs, and the Theorem 6 machine programs, whose [S=s]
+// chains make the paper-faithful |U|^k grounding (kept as a test
+// reference; equivalence is tested in ground_test.cc) hopeless.
 //
 // Standalone harness in the BENCH_engine.json style (shared scaffolding in
 // bench_util.h): emits BENCH_grounding.json with per-workload wall time,
@@ -40,7 +40,6 @@ namespace {
 // batch-interning / parallel grounding path (PR 5), so the speedup column
 // reports that PR's delta; 0 = no baseline recorded.
 constexpr benchutil::BaselineEntry kBaseline[] = {
-    {"ground_faithful_winmove_64", 20526016.0},
     {"ground_reduced_winmove_4096", 6436400.0},
     {"ground_theorem6_transfer_t16", 6561070.0},
     {"ground_random_unary_64", 8525887.0},
@@ -120,15 +119,6 @@ int Main(int argc, char** argv) {
   {
     Program program = WinMoveProgram();
     Rng rng(1);
-    Database db = *RandomDigraphDatabase(&program, "move", 64, 128, &rng);
-    GroundingOptions options;
-    options.reduce_edb = false;  // faithful mode grounds serially
-    results.push_back(MeasureAt("ground_faithful_winmove_64", program, db,
-                                options, reps, 1));
-  }
-  {
-    Program program = WinMoveProgram();
-    Rng rng(1);
     Database db = *RandomDigraphDatabase(&program, "move", 4096, 8192, &rng);
     Measure("ground_reduced_winmove_4096", program, db, {}, reps,
             num_threads, &results);
@@ -152,9 +142,12 @@ int Main(int argc, char** argv) {
   }
   // Million-node workloads: the Theorem 6 machine simulation over 64
   // naturals (~3.2M ground-graph nodes; long succ-chain generator lists
-  // exercise the engine's join planner) and win-move over a bulk-loaded
+  // exercise the engine's join planner), win-move over a bulk-loaded
   // 65536-node / 262144-edge random digraph (~330k nodes; single-generator
-  // rules, so throughput is bounded by interning + CSR emission).
+  // rules, so throughput is bounded by interning + CSR emission), and
+  // win-move over a 1M-move chain (~2M nodes; every position is one
+  // binding row's head and another's body atom, so each emission shard
+  // interns about as many atoms as the merge then re-interns).
   {
     const CounterMachine machine = MakeTransferMachine(3);
     CmReduction reduction = CounterMachineToProgram(machine);
@@ -172,6 +165,12 @@ int Main(int argc, char** argv) {
     GroundingOptions options;
     options.max_instances = 50'000'000;
     Measure("ground_winmove_65536", program, db, options, reps, num_threads,
+            &results);
+  }
+  {
+    Program program = WinMoveProgram();
+    const Database db = *ChainDatabase(&program, "move", 1'000'000);
+    Measure("ground_winmove_chain_1m", program, db, {}, reps, num_threads,
             &results);
   }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure + build (-Wall -Wextra, warnings as
-# errors) + full ctest suite + docs checks. Run from anywhere; builds into
-# build-check/.
+# errors) + full ctest suite + a build of the end-to-end benchmark in
+# perfbench/ + docs checks. Run from anywhere; builds into build-check/
+# (the benchmark into build-check/perfbench/).
 #
 #   scripts/check.sh [--bench]    --bench additionally runs bench_engine,
 #                                 bench_grounding, bench_interpreters,
@@ -143,6 +144,11 @@ build="$repo/build-check"
 cmake -B "$build" -S "$repo" -DTIEBREAK_WERROR=ON
 cmake --build "$build" -j "$(nproc)"
 ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
+
+# perfbench/ compiles the library from src/ in its own project, so a change
+# to an API it calls fails here rather than when the benchmark runs.
+cmake -B "$build/perfbench" -S "$repo/perfbench" -DCMAKE_BUILD_TYPE=Release
+cmake --build "$build/perfbench" -j "$(nproc)" --target perfbench
 
 check_docs
 

@@ -132,13 +132,19 @@ QueryPlanner::CachedPlan* QueryPlanner::GetPlan(PredId pred,
     } else if (!IsStratified(demand)) {
       plan->fallback_reason = "demand program not stratified";
     } else {
-      for (PredId p = 0; p < demand.num_predicates(); ++p) {
-        if (demand.predicate(p).arity > kEngineMaxArity) {
-          plan->fallback_reason = "magic predicate '" +
-                                  demand.predicate_name(p) +
+      // Only the predicates the demand rules mention reach the engine; the
+      // copied vocabulary may declare wider ones that no rule reads.
+      const auto check = [&](const Atom& atom) {
+        if (plan->fallback_reason.empty() &&
+            demand.predicate(atom.predicate).arity > kEngineMaxArity) {
+          plan->fallback_reason = "demand predicate '" +
+                                  demand.predicate_name(atom.predicate) +
                                   "' exceeds the engine arity cap";
-          break;
         }
+      };
+      for (const Rule& rule : demand.rules()) {
+        check(rule.head);
+        for (const Literal& literal : rule.body) check(literal.atom);
       }
     }
   }

@@ -809,12 +809,22 @@ Result<Database> EvaluateStratified(const Program& program,
 
   const int32_t num_preds = program.num_predicates();
   // Probe masks are 32-bit column sets, so the set-at-a-time engine caps
-  // arity at kEngineMaxArity (the ground-graph interpreters in core/ have
-  // no such cap).
-  for (PredId p = 0; p < num_preds; ++p) {
-    if (program.predicate(p).arity > kEngineMaxArity) {
+  // the arity of every predicate a rule mentions at kEngineMaxArity (the
+  // ground-graph interpreters in core/ have no such cap). A wider relation
+  // no rule reads only loads and passes through.
+  for (const Rule& rule : program.rules()) {
+    PredId wide = -1;
+    if (program.predicate(rule.head.predicate).arity > kEngineMaxArity) {
+      wide = rule.head.predicate;
+    }
+    for (const Literal& literal : rule.body) {
+      if (program.predicate(literal.atom.predicate).arity > kEngineMaxArity) {
+        wide = literal.atom.predicate;
+      }
+    }
+    if (wide >= 0) {
       return Status::InvalidArgument(
-          "predicate " + program.predicate_name(p) + " has arity > " +
+          "predicate " + program.predicate_name(wide) + " has arity > " +
           std::to_string(kEngineMaxArity) +
           "; the relational engine supports at most " +
           std::to_string(kEngineMaxArity));

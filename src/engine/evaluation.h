@@ -73,8 +73,10 @@ class ExecutionContext;
 Status CheckSafety(const Program& program);
 
 /// Maximum predicate arity the relational engine evaluates (probe masks
-/// are 32-bit column sets). EvaluateStratified rejects wider programs with
-/// INVALID_ARGUMENT; the grounder plans around this cap.
+/// are 32-bit column sets). EvaluateStratified rejects a program whose
+/// rules mention a wider predicate with INVALID_ARGUMENT (a wider relation
+/// no rule mentions is loaded and passed through); the grounder plans
+/// around this cap.
 inline constexpr int32_t kEngineMaxArity = 32;
 
 /// Δ's engine relations, kept across evaluations so that a caller serving

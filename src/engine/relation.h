@@ -50,9 +50,9 @@
 // hash chains), the relation can additionally materialize a sorted-key
 // index: (key-hash, row) pairs sorted by key, probed by binary search into
 // a contiguous run — the sort-merge access path the evaluator selects when
-// a mask's selectivity estimate crosses EngineOptions::merge_join_
-// selectivity. Sorted indexes absorb appended rows by sorting the new tail
-// and merging it in at the next probe; see ProbeSorted for the
+// a mask's selectivity estimate crosses kMergeJoinSelectivity (in
+// evaluation.cc). Sorted indexes absorb appended rows by sorting the new
+// tail and merging it in at the next probe; see ProbeSorted for the
 // invalidation contract.
 //
 // Thread safety. A Relation is not thread-safe: even Probe and ProbeSorted

@@ -1,6 +1,8 @@
 // Strongly connected components (iterative Tarjan) and condensation
-// statistics. The structural analyses use SCCs of the program graph; the
-// perfect-model interpreter uses SCCs of the full ground graph.
+// statistics. The structural analyses use SCCs of the program graph;
+// ground/ground_scc.h runs the same traversal over a full ground graph
+// (the perfect-model test reference in tests/reference_interpreters.h
+// reads it).
 //
 // The Tarjan core is a template over an adjacency adapter so the same
 // traversal runs over a materialized SignedDigraph (ComputeScc) or directly

@@ -99,9 +99,9 @@ class GrounderImpl {
     }
     root_ctx_.graph = &graph_;
     // Δ's IDB atoms always become nodes: they carry initial truth values.
-    // EDB atoms of Δ are nodes only without the EDB reduction.
+    // EDB atoms never do (see the file comment).
     for (PredId p = 0; p < database_.num_predicates(); ++p) {
-      if (program_.IsEdb(p) && options_.reduce_edb) continue;
+      if (program_.IsEdb(p)) continue;
       const int32_t arity = database_.arity(p);
       const ConstId* data = database_.FactData(p);
       const int64_t facts = database_.NumFacts(p);
@@ -109,34 +109,8 @@ class GrounderImpl {
         graph_.atoms().Intern(p, data + row * arity, arity);
       }
     }
-    if (options_.include_all_atoms) {
-      Status s = InternAllAtoms();
-      if (!s.ok()) return s;
-    }
-    if (options_.reduce_edb && options_.engine_bindings) {
-      Status s = GroundReduced();
-      if (!s.ok()) return s;
-    } else {
-      // Legacy bindings: one backtracking-join job per rule, over the pool
-      // when the jobs fill it; faithful mode is always serial.
-      std::vector<EmitJob> jobs;
-      if (options_.reduce_edb && num_threads_ > 1) {
-        for (int32_t r = 0; r < program_.num_rules(); ++r) {
-          jobs.push_back(EmitJob{r, /*whole_rule=*/true, 0, 0});
-        }
-      }
-      if (FillsShards(jobs)) {
-        Status s = EmitJobs(/*plans=*/nullptr, jobs);
-        if (!s.ok()) return s;
-      } else {
-        for (int32_t r = 0; r < program_.num_rules(); ++r) {
-          Status s = options_.reduce_edb
-                         ? GroundRuleReducedLegacy(&root_ctx_, r)
-                         : GroundRuleFaithful(r);
-          if (!s.ok()) return s;
-        }
-      }
-    }
+    Status s = GroundReduced();
+    if (!s.ok()) return s;
     // Final deadline check before the CSR index builds; a trip during the
     // last emission block that no path returned yet also surfaces here.
     if (exec_ != nullptr) {
@@ -173,29 +147,26 @@ class GrounderImpl {
     int32_t block_interned[kEmitBlock] = {};
   };
 
-  // One parallel emission job: either a row range of one rule's binding
-  // relation, or a whole rule grounded by the backtracking join /
-  // free-variable enumeration.
+  // One parallel emission job: a row range of one rule's binding relation.
   struct EmitJob {
     int32_t rule = -1;
-    bool whole_rule = false;
     int64_t row_begin = 0;
     int64_t row_end = 0;
   };
 
-  // Per-rule binding plan of the reduced path. A rule with generators
-  // takes its binding rows from Δ directly or from the engine, and falls
-  // back to the backtracking join when the engine cannot serve it.
+  // Per-rule binding plan. A rule with generators takes its binding rows
+  // from Δ directly or from the engine, and from the backtracking join
+  // when the engine cannot serve it; a rule with none has one zero-column
+  // row.
   struct BindPlan {
     std::vector<int32_t> generators;
     std::vector<int32_t> bound_vars;  // ascending variable indexes
     bool direct = false;              // rows are the generator's Δ arena
-    bool legacy = false;              // fallback: backtracking join
+    bool fallback = false;            // rows from the backtracking join
     // The binding relation: rows of bound_vars.size() ids, one per binding
-    // of bound_vars, in Database order. Set for every plan with generators
-    // that is not legacy.
+    // of bound_vars, in Database order (the join's own order for a
+    // fallback plan).
     FactSpan rows;
-    bool has_rows() const { return !generators.empty() && !legacy; }
   };
 
   static Status Exhausted() {
@@ -247,11 +218,9 @@ class GrounderImpl {
     }
   }
 
-  // True when grounding enumerates over U: faithful mode, the full atom
-  // set, or a rule with a variable that no positive EDB literal (the only
-  // literals matched against Δ) binds.
+  // True when grounding enumerates over U: some rule has a variable that
+  // no positive EDB literal (the only literals matched against Δ) binds.
   bool NeedsUniverse() const {
-    if (!options_.reduce_edb || options_.include_all_atoms) return true;
     std::vector<char> bound;
     for (const Rule& rule : program_.rules()) {
       bound.assign(rule.num_variables, 0);
@@ -270,33 +239,6 @@ class GrounderImpl {
     return false;
   }
 
-  Status InternAllAtoms() {
-    TIEBREAK_CHECK(universe_ready_);
-    for (PredId p = 0; p < program_.num_predicates(); ++p) {
-      const int32_t arity = program_.predicate(p).arity;
-      if (arity > 0 && universe_.empty()) continue;
-      Tuple tuple(arity, arity > 0 ? universe_.front() : 0);
-      std::vector<size_t> odo(arity, 0);
-      while (true) {
-        Status s = Budget(&root_ctx_);
-        if (!s.ok()) return s;
-        graph_.atoms().Intern(p, tuple.data(), arity);
-        int32_t pos = arity - 1;
-        while (pos >= 0) {
-          if (++odo[pos] < universe_.size()) {
-            tuple[pos] = universe_[odo[pos]];
-            break;
-          }
-          odo[pos] = 0;
-          tuple[pos] = universe_.front();
-          --pos;
-        }
-        if (pos < 0) break;
-      }
-    }
-    return Status::Ok();
-  }
-
   // Substitutes `binding` into `atom`, writing the ground tuple into the
   // reusable scratch buffer (no allocation once warm).
   void SubstituteInto(const Atom& atom, const Tuple& binding, Tuple* out) {
@@ -311,61 +253,6 @@ class GrounderImpl {
     }
   }
 
-  // ----------------------------- faithful ---------------------------------
-
-  Status GroundRuleFaithful(int32_t rule_index) {
-    TIEBREAK_CHECK(universe_ready_);
-    const Rule& rule = program_.rule(rule_index);
-    const int32_t k = rule.num_variables;
-    if (k > 0 && universe_.empty()) return Status::Ok();
-    Tuple binding(k, k > 0 ? universe_.front() : 0);
-    std::vector<size_t> odo(k, 0);
-    while (true) {
-      Status s = Budget(&root_ctx_);
-      if (!s.ok()) return s;
-      EmitFaithfulInstance(rule_index, rule, binding);
-      int32_t pos = k - 1;
-      while (pos >= 0) {
-        if (++odo[pos] < universe_.size()) {
-          binding[pos] = universe_[odo[pos]];
-          break;
-        }
-        odo[pos] = 0;
-        binding[pos] = universe_.front();
-        --pos;
-      }
-      if (pos < 0) break;
-    }
-    return Status::Ok();
-  }
-
-  void EmitFaithfulInstance(int32_t rule_index, const Rule& rule,
-                            const Tuple& binding) {
-    EmitContext* ctx = &root_ctx_;
-    ctx->scratch_pos.clear();
-    ctx->scratch_neg.clear();
-    for (const Literal& literal : rule.body) {
-      SubstituteInto(literal.atom, binding, &ctx->scratch_tuple);
-      const AtomId atom = graph_.atoms().Intern(
-          literal.atom.predicate, ctx->scratch_tuple.data(),
-          static_cast<int32_t>(ctx->scratch_tuple.size()));
-      (literal.positive ? ctx->scratch_pos : ctx->scratch_neg)
-          .push_back(atom);
-    }
-    SubstituteInto(rule.head, binding, &ctx->scratch_tuple);
-    const AtomId head = graph_.atoms().Intern(
-        rule.head.predicate, ctx->scratch_tuple.data(),
-        static_cast<int32_t>(ctx->scratch_tuple.size()));
-    graph_.AppendRule(
-        rule_index, head, ctx->scratch_pos.data(),
-        static_cast<int32_t>(ctx->scratch_pos.size()),
-        ctx->scratch_neg.data(),
-        static_cast<int32_t>(ctx->scratch_neg.size()), binding.data(),
-        options_.record_bindings ? static_cast<int32_t>(binding.size()) : 0);
-  }
-
-  // ----------------------------- reduced ----------------------------------
-
   // Indexes of the positive EDB literals of `rule` (the generators matched
   // against Δ).
   std::vector<int32_t> GeneratorsOf(const Rule& rule) const {
@@ -379,24 +266,29 @@ class GrounderImpl {
     return generators;
   }
 
-  // Reduced grounding over binding relations: every rule with generators
-  // gets its binding rows as one FactSpan — read straight from Δ when
-  // ReadsDeltaDirectly, computed by one engine run over the remaining rules
-  // otherwise — and the rows stream into instance emission, batched and
-  // (num_threads > 1) sharded over the pool. See grounder.h.
+  // Grounding over binding relations: every rule gets its binding rows as
+  // one FactSpan — read straight from Δ when ReadsDeltaDirectly, computed
+  // by one engine run over the rules with other generators, by the
+  // backtracking join for the rules the engine cannot serve, and one
+  // zero-column row for a rule with no generator — and the rows stream
+  // into instance emission, batched and (num_threads > 1) sharded over the
+  // pool. See grounder.h.
   Status GroundReduced() {
     std::vector<BindPlan> plans = PlanBindings();
-    // Owns the engine route's rows; those plans' spans point into it.
+    // Own the engine's and the join's rows; those plans' spans point into
+    // them.
     std::optional<Database> engine_rows;
     Status engine = RunBindingEngine(&plans, &engine_rows);
     if (!engine.ok()) return engine;
+    std::vector<ConstId> join_rows;
+    Status joined = JoinFallbackRules(&plans, &join_rows);
+    if (!joined.ok()) return joined;
 
     // Pre-size the rule arenas from the known binding counts (free-var
     // enumeration can only add more; the reserve is advisory).
     int64_t total_rows = 0;
     int64_t total_body = 0;
     for (int32_t r = 0; r < program_.num_rules(); ++r) {
-      if (!plans[r].has_rows()) continue;
       const int64_t rows = plans[r].rows.rows;
       int64_t idb_literals = 0;
       for (const Literal& literal : program_.rule(r).body) {
@@ -410,47 +302,28 @@ class GrounderImpl {
     ReserveDenseTables(&graph_, /*parts=*/1);
 
     if (num_threads_ > 1) {
-      // Parallel emission: one job per legacy/free-var rule, one job per
-      // row shard of each other rule's binding relation.
+      // Parallel emission: one job per row shard of each rule's binding
+      // relation.
       std::vector<EmitJob> jobs;
       for (int32_t r = 0; r < program_.num_rules(); ++r) {
-        const BindPlan& plan = plans[r];
-        if (!plan.has_rows()) {
-          jobs.push_back(EmitJob{r, /*whole_rule=*/true, 0, 0});
-          continue;
-        }
-        const int64_t rows = plan.rows.rows;
+        const int64_t rows = plans[r].rows.rows;
         if (rows == 0) continue;
         const int64_t shards =
             std::clamp<int64_t>(rows / kMinEmitShardRows, 1,
                                 4 * static_cast<int64_t>(num_threads_));
         for (int64_t s = 0; s < shards; ++s) {
-          jobs.push_back(EmitJob{r, /*whole_rule=*/false,
-                                 rows * s / shards,
-                                 rows * (s + 1) / shards});
+          jobs.push_back(
+              EmitJob{r, rows * s / shards, rows * (s + 1) / shards});
         }
       }
-      if (FillsShards(jobs)) return EmitJobs(&plans, jobs);
+      if (FillsShards(plans, jobs)) return EmitJobs(plans, jobs);
     }
 
     // Serial emission, rule by rule in rule order (bindings iterate in
-    // their relation's sorted order) — the bit-identical reference path.
+    // their relation's order) — the bit-identical reference path.
     for (int32_t r = 0; r < program_.num_rules(); ++r) {
-      const Rule& rule = program_.rule(r);
-      const BindPlan& plan = plans[r];
-      if (plan.legacy) {
-        Status s = GroundRuleReducedLegacy(&root_ctx_, r);
-        if (!s.ok()) return s;
-        continue;
-      }
-      if (plan.generators.empty()) {
-        root_ctx_.binding.assign(rule.num_variables, -1);
-        Status s = EnumerateFreeVariables(&root_ctx_, r, rule,
-                                          &root_ctx_.binding);
-        if (!s.ok()) return s;
-        continue;
-      }
-      Status s = EmitBindingRows(&root_ctx_, r, plan, 0, plan.rows.rows);
+      Status s = EmitBindingRows(&root_ctx_, r, plans[r], 0,
+                                 plans[r].rows.rows);
       if (!s.ok()) return s;
     }
     return Status::Ok();
@@ -473,15 +346,19 @@ class GrounderImpl {
     return true;
   }
 
-  // Generators, bound variables and route of every rule; direct plans get
-  // their rows here.
+  // Generators, bound variables and route of every rule; direct plans and
+  // rules with no generator get their rows here.
   std::vector<BindPlan> PlanBindings() const {
     std::vector<BindPlan> plans(program_.num_rules());
     for (int32_t r = 0; r < program_.num_rules(); ++r) {
       const Rule& rule = program_.rule(r);
       BindPlan& plan = plans[r];
       plan.generators = GeneratorsOf(rule);
-      if (plan.generators.empty()) continue;  // pure free-var enumeration
+      if (plan.generators.empty()) {
+        // One zero-column row; the odometer expands every variable over U.
+        plan.rows = FactSpan{nullptr, 1};
+        continue;
+      }
       std::vector<char> bound(rule.num_variables, 0);
       for (int32_t b : plan.generators) {
         for (const Term& term : rule.body[b].atom.args) {
@@ -500,6 +377,21 @@ class GrounderImpl {
     return plans;
   }
 
+  // True when the engine can hold `plan`'s binding rule: its bound
+  // variables and every generator fit kEngineMaxArity columns.
+  bool FitsEngine(const Rule& rule, const BindPlan& plan) const {
+    if (static_cast<int32_t>(plan.bound_vars.size()) > kEngineMaxArity) {
+      return false;
+    }
+    for (int32_t b : plan.generators) {
+      if (static_cast<int32_t>(rule.body[b].atom.args.size()) >
+          kEngineMaxArity) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   // The engine route: every plan with generators that is not direct
   // becomes a binding rule $bind<r>(bound vars) :- generators over a
   // derived program (same predicate and constant ids as the program — the
@@ -507,23 +399,17 @@ class GrounderImpl {
   // them all. Δ's arenas of the generator predicates are borrowed as
   // FactSpans (or read from options_.edb's kept relations); join plans are
   // compiled and cached per rule, and the engine runs on this thread. On
-  // success those plans' rows point into *result. With no such plan the
-  // engine does not run.
+  // success those plans' rows point into *result. A rule that does not
+  // FitsEngine is marked for the fallback join instead. With no engine
+  // rule the engine does not run.
   Status RunBindingEngine(std::vector<BindPlan>* plans,
                           std::optional<Database>* result) {
-    bool engine_eligible = true;
-    for (PredId p = 0; p < program_.num_predicates(); ++p) {
-      if (program_.predicate(p).arity > kEngineMaxArity) {
-        engine_eligible = false;  // the engine rejects the whole program
-      }
-    }
     std::vector<int32_t> engine_rules;
     for (int32_t r = 0; r < program_.num_rules(); ++r) {
       BindPlan& plan = (*plans)[r];
       if (plan.generators.empty() || plan.direct) continue;
-      if (!engine_eligible ||
-          static_cast<int32_t>(plan.bound_vars.size()) > kEngineMaxArity) {
-        plan.legacy = true;
+      if (!FitsEngine(program_.rule(r), plan)) {
+        plan.fallback = true;
         continue;
       }
       engine_rules.push_back(r);
@@ -581,8 +467,8 @@ class GrounderImpl {
         engine_options);
     if (!evaluated.ok() && exec_ != nullptr && exec_->stopped()) {
       // A context trip (cancellation, deadline, its step/byte budgets) is
-      // a real abort, never a reason to fall back to the legacy join —
-      // that would restart the work the user just cancelled.
+      // a real abort, never a reason to fall back to the backtracking
+      // join — that would restart the work the user just cancelled.
       return exec_->status();
     }
     if (!evaluated.ok()) {
@@ -591,16 +477,86 @@ class GrounderImpl {
       if (evaluated.status().code() == StatusCode::kResourceExhausted) {
         return Exhausted();
       }
-      // Any other engine rejection (e.g. an arity past its relational cap
-      // that slipped through the plan check): fall back to the legacy join
-      // for every engine-route rule rather than failing a grounding the
-      // backtracking path can do.
-      for (int32_t r : engine_rules) (*plans)[r].legacy = true;
+      // Any other engine rejection: fall back to the backtracking join for
+      // every engine-route rule rather than failing a grounding the join
+      // can do.
+      for (int32_t r : engine_rules) (*plans)[r].fallback = true;
       return Status::Ok();
     }
     result->emplace(std::move(evaluated).value());
     for (size_t i = 0; i < engine_rules.size(); ++i) {
       (*plans)[engine_rules[i]].rows = (*result)->Facts(bind_preds[i]);
+    }
+    return Status::Ok();
+  }
+
+  // The fallback route: each rule marked fallback gets its binding rows
+  // from the backtracking join of its generators against Δ, appended to
+  // *rows in the join's own order; its span then points into *rows.
+  Status JoinFallbackRules(std::vector<BindPlan>* plans,
+                           std::vector<ConstId>* rows) {
+    std::vector<std::pair<BindPlan*, size_t>> joined;
+    for (int32_t r = 0; r < program_.num_rules(); ++r) {
+      BindPlan& plan = (*plans)[r];
+      if (!plan.fallback) continue;
+      joined.emplace_back(&plan, rows->size());
+      root_ctx_.binding.assign(program_.rule(r).num_variables, -1);
+      Status s = JoinGenerators(program_.rule(r), &plan, 0,
+                                &root_ctx_.binding, rows);
+      if (!s.ok()) return s;
+    }
+    // Spans are set once every join is done: *rows may move as it grows.
+    for (const auto& [plan, offset] : joined) {
+      plan->rows.data = rows->data() + offset;
+    }
+    return Status::Ok();
+  }
+
+  // Tuple-at-a-time backtracking join of `plan`'s generators g, g+1, ...
+  // against Δ under the partial `binding`: each complete match appends its
+  // bound variables to *rows as one row of plan->rows. One budget unit per
+  // explored fact.
+  Status JoinGenerators(const Rule& rule, BindPlan* plan, size_t g,
+                        Tuple* binding, std::vector<ConstId>* rows) {
+    if (g == plan->generators.size()) {
+      for (int32_t v : plan->bound_vars) rows->push_back((*binding)[v]);
+      ++plan->rows.rows;
+      return Status::Ok();
+    }
+    const Atom& atom = rule.body[plan->generators[g]].atom;
+    const PredId pred = atom.predicate;
+    const int32_t arity = database_.arity(pred);
+    const ConstId* data = database_.FactData(pred);
+    const int64_t facts = database_.NumFacts(pred);
+    for (int64_t row = 0; row < facts; ++row) {
+      const ConstId* tuple = data + row * arity;
+      Status s = Budget(&root_ctx_);
+      if (!s.ok()) return s;
+      // Try to unify `atom` with `tuple` under the current partial binding.
+      std::vector<int32_t> bound_here;
+      bool match = true;
+      for (size_t i = 0; i < atom.args.size(); ++i) {
+        const Term& term = atom.args[i];
+        if (term.is_constant()) {
+          if (term.index != tuple[i]) {
+            match = false;
+            break;
+          }
+        } else if ((*binding)[term.index] >= 0) {
+          if ((*binding)[term.index] != tuple[i]) {
+            match = false;
+            break;
+          }
+        } else {
+          (*binding)[term.index] = tuple[i];
+          bound_here.push_back(term.index);
+        }
+      }
+      if (match) {
+        s = JoinGenerators(rule, plan, g + 1, binding, rows);
+        if (!s.ok()) return s;
+      }
+      for (int32_t var : bound_here) (*binding)[var] = -1;
     }
     return Status::Ok();
   }
@@ -611,7 +567,6 @@ class GrounderImpl {
     std::vector<int64_t> rows(program_.num_predicates(), 0);
     std::vector<int32_t> counted_for(program_.num_predicates(), -1);
     for (int32_t r = 0; r < program_.num_rules(); ++r) {
-      if (!plans[r].has_rows()) continue;
       const Rule& rule = program_.rule(r);
       auto count = [&](const Atom& atom) {
         if (counted_for[atom.predicate] == r) return;  // once per rule
@@ -649,21 +604,21 @@ class GrounderImpl {
   }
 
   // True when `jobs` are worth a pool: their binding rows fill at least
-  // two emission shards, each whole-rule job counting as one. Below that
-  // the workers' spawn and join cost more than the emission (a demand
-  // request grounds a cone of a few atoms), and the serial path, the
-  // bit-identical reference, runs instead.
-  static bool FillsShards(const std::vector<EmitJob>& jobs) {
+  // two emission shards. The one zero-column row of a rule with no
+  // generator but with variables counts as a whole shard, since the
+  // odometer expands it over U^k. Below that the workers' spawn and join
+  // cost more than the emission (a demand request grounds a cone of a few
+  // atoms), and the serial path, the bit-identical reference, runs
+  // instead.
+  bool FillsShards(const std::vector<BindPlan>& plans,
+                   const std::vector<EmitJob>& jobs) const {
     int64_t rows = 0;
-    int64_t whole_rule = 0;
     for (const EmitJob& job : jobs) {
-      if (job.whole_rule) {
-        ++whole_rule;
-      } else {
-        rows += job.row_end - job.row_begin;
-      }
+      const bool expands = plans[job.rule].generators.empty() &&
+                           program_.rule(job.rule).num_variables > 0;
+      rows += expands ? kMinEmitShardRows : job.row_end - job.row_begin;
     }
-    return rows / kMinEmitShardRows + whole_rule >= 2;
+    return rows / kMinEmitShardRows >= 2;
   }
 
   // Runs `jobs` over a new pool: each worker emits into a private
@@ -671,7 +626,7 @@ class GrounderImpl {
   // program, Δ and the binding relations are read-only), then the shards
   // merge into the final graph with an atom-id remap. Returns
   // RESOURCE_EXHAUSTED when the combined work crossed the instance budget.
-  Status EmitJobs(const std::vector<BindPlan>* plans,
+  Status EmitJobs(const std::vector<BindPlan>& plans,
                   const std::vector<EmitJob>& jobs) {
     pool_ = std::make_unique<ThreadPool>(num_threads_);
     const int32_t workers = pool_->num_threads();
@@ -687,7 +642,6 @@ class GrounderImpl {
     int64_t atoms = 0;
     int64_t args = 0;
     for (const EmitJob& job : jobs) {
-      if (job.whole_rule) continue;
       const EmitProgram prog = BuildEmitProgram(program_.rule(job.rule));
       const int64_t n = job.row_end - job.row_begin;
       rows += n;
@@ -713,13 +667,8 @@ class GrounderImpl {
           EmitContext* ctx = &contexts[worker];
           if (!statuses[worker].ok()) return;  // this lane already failed
           const EmitJob& job = jobs[task];
-          Status s;
-          if (job.whole_rule) {
-            s = GroundRuleReducedLegacy(ctx, job.rule);
-          } else {
-            s = EmitBindingRows(ctx, job.rule, (*plans)[job.rule],
-                                job.row_begin, job.row_end);
-          }
+          Status s = EmitBindingRows(ctx, job.rule, plans[job.rule],
+                                     job.row_begin, job.row_end);
           FlushWork(ctx);
           if (!s.ok()) statuses[worker] = s;
         },
@@ -745,8 +694,8 @@ class GrounderImpl {
   }
 
   // Per-rule batched-emission program, in body order with the head last:
-  // kill checks (negated EDB) interleave with intern ops (IDB literals),
-  // exactly the literal order the row-at-a-time path walks.
+  // kill checks (negated EDB) interleave with intern ops (IDB literals) in
+  // literal order.
   struct EmitOp {
     const Atom* atom = nullptr;
     bool positive = true;  // body sign (head entry unused)
@@ -798,10 +747,10 @@ class GrounderImpl {
 
   // Stages the instance under ctx->binding into block slot `i`: walks the
   // emission program in literal order — a true negated-EDB atom kills the
-  // instance exactly where the row-at-a-time path did (atoms substituted
-  // before the kill still intern, preserving the historical atom set) —
-  // substituting each surviving atom into block scratch and precomputing
-  // its dedupe key. Returns whether the instance survived.
+  // instance at its literal (atoms substituted before the kill still
+  // intern, preserving the historical atom set) — substituting each
+  // surviving atom into block scratch and precomputing its dedupe key.
+  // Returns whether the instance survived.
   bool StageInstance(EmitContext* ctx, const EmitProgram& prog,
                      const Rule& rule, int32_t i) {
     ConstId* args = ctx->block_args.data() +
@@ -857,7 +806,7 @@ class GrounderImpl {
   }
 
   // Interns and appends the staged block rows [0, n): ascending rows, body
-  // before head — the exact order of the row-at-a-time path, so the serial
+  // before head, the order of one-row-at-a-time emission, so the serial
   // graph stays bit-identical. Killed rows (bit clear in `live`) intern
   // their pre-kill prefix but append no rule node.
   void AppendBlock(EmitContext* ctx, int32_t rule_index, const Rule& rule,
@@ -904,10 +853,10 @@ class GrounderImpl {
   // Streams rows [row_begin, row_end) of `plan.rows` into instance
   // emission for rule `r` through the block-batched pipeline, whichever
   // route produced them: fully-bound rules stage one instance per binding
-  // row; rules with residual free variables expand each row through the
-  // universe odometer, staging one instance per odometer step — either way
-  // every instance's atoms are hashed a block ahead of the interns that
-  // consume them.
+  // row; rules with residual free variables (every variable of a rule with
+  // no generator) expand each row through the universe odometer, staging
+  // one instance per odometer step — either way every instance's atoms are
+  // hashed a block ahead of the interns that consume them.
   Status EmitBindingRows(EmitContext* ctx, int32_t r, const BindPlan& plan,
                          int64_t row_begin, int64_t row_end) {
     const Rule& rule = program_.rule(r);
@@ -995,141 +944,6 @@ class GrounderImpl {
       for (int32_t var : free_vars) ctx->binding[var] = -1;
     }
     return Status::Ok();
-  }
-
-  // Legacy reduced grounding of one rule: tuple-at-a-time backtracking
-  // join of the generators against Δ (the seed implementation; reference
-  // for the binding-relation routes and fallback past the engine's arity
-  // cap). Safe from worker threads: all mutation lands in `ctx`.
-  Status GroundRuleReducedLegacy(EmitContext* ctx, int32_t rule_index) {
-    const Rule& rule = program_.rule(rule_index);
-    const std::vector<int32_t> generators = GeneratorsOf(rule);
-    ctx->binding.assign(rule.num_variables, -1);
-    return MatchGenerators(ctx, rule_index, rule, generators, 0,
-                           &ctx->binding);
-  }
-
-  Status MatchGenerators(EmitContext* ctx, int32_t rule_index,
-                         const Rule& rule,
-                         const std::vector<int32_t>& generators, size_t g,
-                         Tuple* binding) {
-    if (g == generators.size()) {
-      return EnumerateFreeVariables(ctx, rule_index, rule, binding);
-    }
-    const Atom& atom = rule.body[generators[g]].atom;
-    const PredId pred = atom.predicate;
-    const int32_t arity = database_.arity(pred);
-    const ConstId* data = database_.FactData(pred);
-    const int64_t facts = database_.NumFacts(pred);
-    for (int64_t row = 0; row < facts; ++row) {
-      const ConstId* tuple = data + row * arity;
-      Status s = Budget(ctx);
-      if (!s.ok()) return s;
-      // Try to unify `atom` with `tuple` under the current partial binding.
-      std::vector<int32_t> bound_here;
-      bool match = true;
-      for (size_t i = 0; i < atom.args.size(); ++i) {
-        const Term& term = atom.args[i];
-        if (term.is_constant()) {
-          if (term.index != tuple[i]) {
-            match = false;
-            break;
-          }
-        } else if ((*binding)[term.index] >= 0) {
-          if ((*binding)[term.index] != tuple[i]) {
-            match = false;
-            break;
-          }
-        } else {
-          (*binding)[term.index] = tuple[i];
-          bound_here.push_back(term.index);
-        }
-      }
-      if (match) {
-        s = MatchGenerators(ctx, rule_index, rule, generators, g + 1,
-                            binding);
-        if (!s.ok()) return s;
-      }
-      for (int32_t var : bound_here) (*binding)[var] = -1;
-    }
-    return Status::Ok();
-  }
-
-  Status EnumerateFreeVariables(EmitContext* ctx, int32_t rule_index,
-                                const Rule& rule, Tuple* binding) {
-    std::vector<int32_t> free_vars;
-    for (int32_t v = 0; v < rule.num_variables; ++v) {
-      if ((*binding)[v] < 0) free_vars.push_back(v);
-    }
-    return EnumerateOver(ctx, rule_index, rule, free_vars, binding);
-  }
-
-  // Emits one instance per assignment of `free_vars` over the universe
-  // (one instance outright when `free_vars` is empty). The odometer lives
-  // in context scratch. Leaves the free variables reset to -1.
-  Status EnumerateOver(EmitContext* ctx, int32_t rule_index, const Rule& rule,
-                       const std::vector<int32_t>& free_vars,
-                       Tuple* binding) {
-    TIEBREAK_CHECK(free_vars.empty() || universe_ready_);
-    if (!free_vars.empty() && universe_.empty()) return Status::Ok();
-    ctx->scratch_odo.assign(free_vars.size(), 0);
-    for (int32_t var : free_vars) (*binding)[var] = universe_.front();
-    while (true) {
-      Status s = Budget(ctx);
-      if (!s.ok()) {
-        for (int32_t var : free_vars) (*binding)[var] = -1;
-        return s;
-      }
-      EmitReducedInstance(ctx, rule_index, rule, *binding);
-      int32_t pos = static_cast<int32_t>(free_vars.size()) - 1;
-      while (pos >= 0) {
-        if (++ctx->scratch_odo[pos] < universe_.size()) {
-          (*binding)[free_vars[pos]] = universe_[ctx->scratch_odo[pos]];
-          break;
-        }
-        ctx->scratch_odo[pos] = 0;
-        (*binding)[free_vars[pos]] = universe_.front();
-        --pos;
-      }
-      if (pos < 0) break;
-    }
-    for (int32_t var : free_vars) (*binding)[var] = -1;
-    return Status::Ok();
-  }
-
-  void EmitReducedInstance(EmitContext* ctx, int32_t rule_index,
-                           const Rule& rule, const Tuple& binding) {
-    GroundAtomStore& atoms = ctx->graph->atoms();
-    ctx->scratch_pos.clear();
-    ctx->scratch_neg.clear();
-    for (const Literal& literal : rule.body) {
-      const PredId pred = literal.atom.predicate;
-      if (program_.IsEdb(pred)) {
-        if (literal.positive) continue;  // matched against Δ already
-        // Negated EDB literal: a true EDB atom kills the instance outright
-        // (the first close would delete this rule node); a false one is a
-        // satisfied literal and leaves no edge.
-        SubstituteInto(literal.atom, binding, &ctx->scratch_tuple);
-        if (database_.ContainsRow(pred, ctx->scratch_tuple.data())) return;
-        continue;
-      }
-      SubstituteInto(literal.atom, binding, &ctx->scratch_tuple);
-      const AtomId atom = atoms.Intern(
-          pred, ctx->scratch_tuple.data(),
-          static_cast<int32_t>(ctx->scratch_tuple.size()));
-      (literal.positive ? ctx->scratch_pos : ctx->scratch_neg)
-          .push_back(atom);
-    }
-    SubstituteInto(rule.head, binding, &ctx->scratch_tuple);
-    const AtomId head = atoms.Intern(
-        rule.head.predicate, ctx->scratch_tuple.data(),
-        static_cast<int32_t>(ctx->scratch_tuple.size()));
-    ctx->graph->AppendRule(
-        rule_index, head, ctx->scratch_pos.data(),
-        static_cast<int32_t>(ctx->scratch_pos.size()),
-        ctx->scratch_neg.data(),
-        static_cast<int32_t>(ctx->scratch_neg.size()), binding.data(),
-        options_.record_bindings ? static_cast<int32_t>(binding.size()) : 0);
   }
 
   const Program& program_;

@@ -1,27 +1,21 @@
 // Construction of the ground graph G(Π, Δ).
 //
-// Two modes:
+// The paper defines G(Π, Δ) over the whole universe U: every rule with k
+// variables instantiated with every k-tuple over U. Ground builds the
+// graph that definition leaves after the EDB part of the very first
+// close(M, G): rule instances with a false positive EDB literal or a true
+// negated EDB literal are never created (close would delete them
+// immediately), satisfied EDB literals are dropped from bodies (close
+// would delete those resolved atoms), and EDB atoms are not interned as
+// nodes. That makes programs like the Theorem 6 machine simulation (whose
+// rules carry long succ-chain variable lists) groundable at all. The
+// definition itself is kept as a test reference (tests/
+// reference_grounder.h), and ground_test.cc checks the two graphs agree
+// after the initial close.
 //
-//  * faithful (reduce_edb = false): the paper's definition verbatim — every
-//    rule with k variables is instantiated with every k-tuple over the
-//    universe U (constants of Π and Δ), and with include_all_atoms the
-//    predicate-node set VP is the full set of ground atoms over U. Feasible
-//    only for small inputs; used as the reference in equivalence tests.
-//
-//  * reduced (default): performs the EDB part of the very first close(M, G)
-//    during grounding. Rule instances with a false positive EDB literal or
-//    a true negated EDB literal are never created (close would delete them
-//    immediately), satisfied EDB literals are dropped from bodies (close
-//    would delete those resolved atoms), and EDB atoms are not interned as
-//    nodes. The result is equivalent to the faithful graph *after* the
-//    initial close — tested exhaustively in ground_test.cc — and it is what
-//    makes programs like the Theorem 6 machine-simulation (whose rules
-//    carry long succ-chain variable lists) groundable at all.
-//
-// Binding enumeration in reduced mode reads each rule's binding relation —
-// the bindings of its positive EDB literals ("generators") against Δ — as
-// one FactSpan of rows over its bound variables, from one of two routes
-// chosen by the rule's shape alone:
+// Each rule's binding relation — the bindings of its positive EDB
+// literals ("generators") against Δ — is one FactSpan of rows over its
+// bound variables, from one of four routes chosen by the rule's shape:
 //
 //  * direct: the rule's only generator lists one or more distinct
 //    variables in ascending index order (win(X) :- move(X, Y), not win(Y)
@@ -39,20 +33,30 @@
 //    intermediate Database copy, and a caller grounding many times over
 //    one Δ lends kept relations through GroundingOptions::edb, so each EDB
 //    relation loads and indexes once. The engine runs only when such a
-//    rule exists.
+//    rule exists;
+//  * fallback: a rule whose bound variables or one of whose generators
+//    pass the engine's arity cap (kEngineMaxArity), or every engine-route
+//    rule when the engine rejects the batch for any reason but the budget,
+//    gets its rows from a tuple-at-a-time backtracking join of its
+//    generators against Δ, written into a row buffer in the join's own
+//    order. Only the rules themselves decide this: a wide predicate that
+//    no generator reads sends nothing to the fallback;
+//  * no generator: the rule's binding relation is one zero-column row.
 //
-// Either way the grounder streams the rows into emission, instances go
-// straight into the CSR graph arenas with zero per-instance heap
-// allocation, and the serial graph does not depend on the route. Emission
-// is block-batched: the substituted atoms of a block of binding rows are
-// hashed ahead and their dedupe slot lines prefetched before any intern
-// touches them (the trick of Relation::InsertBatch), and with
-// num_threads > 1 per-rule emission jobs (row-sharded for large binding
-// relations) fan out over a thread pool into per-worker graph shards that
-// merge with an atom-id remap. The pool is created only when the binding
-// rows fill at least two emission shards (each whole-rule job counting as
-// one); smaller groundings, such as a demand request's cone, take the
-// serial path at any thread count.
+// Rows then stream into one emission pipeline whatever their route, and
+// the variables a row leaves free (all of them, for a rule with no
+// generator) expand over U through an odometer. Instances go straight
+// into the CSR graph arenas with zero per-instance heap allocation, and
+// the serial graph does not depend on the route's mechanics, only on its
+// row order. Emission is block-batched: the substituted atoms of a block
+// of instances are hashed ahead and their dedupe slot lines prefetched
+// before any intern touches them (the trick of Relation::InsertBatch), and
+// with num_threads > 1 row-sharded emission jobs fan out over a thread
+// pool into per-worker graph shards that merge with an atom-id remap. The
+// pool is created only when the binding rows fill at least two emission
+// shards (the one row of a rule with no generator but with variables
+// counting as a whole shard); smaller groundings, such as a demand
+// request's cone, take the serial path at any thread count.
 //
 // A unary IDB predicate whose rules have at least num_constants / 8
 // binding rows interns through a dense atom table (one AtomId per
@@ -63,17 +67,10 @@
 // and DeltaAtomMask then index an array where they would probe a hash
 // table; interning order, and so the serial graph, is unchanged.
 //
-// The seed's tuple-at-a-time backtracking join survives as the legacy
-// path (engine_bindings = false) — it is the reference implementation the
-// CSR/route agreement tests compare against, and the automatic fallback
-// for engine-route rules whose bound-variable count exceeds the engine's
-// arity cap.
-//
 // Per-call cost beyond the emitted instances: the universe U is an O(|Δ|)
-// scan, computed only when grounding enumerates over it (faithful mode,
-// include_all_atoms, or a rule variable no positive EDB literal binds), so
-// a reduced grounding of range-restricted rules over a small cone costs
-// time proportional to the cone plus the program.
+// scan, computed only when some rule has a variable no positive EDB
+// literal binds, so a grounding of range-restricted rules over a small
+// cone costs time proportional to the cone plus the program.
 #ifndef TIEBREAK_GROUND_GROUNDER_H_
 #define TIEBREAK_GROUND_GROUNDER_H_
 
@@ -93,33 +90,18 @@ class EdbRelations;
 
 /// Grounding knobs.
 struct GroundingOptions {
-  /// Apply the EDB reduction (see file comment). Default on.
-  bool reduce_edb = true;
-  /// Faithful mode only: also intern every ground atom over U for every
-  /// predicate, exactly matching the paper's VP.
-  bool include_all_atoms = false;
-  /// Reduced mode: read each rule's binding rows from Δ directly or from
-  /// the relational engine, by the rule's shape (default; see the file
-  /// comment). Only a rule with generators that does not read Δ directly
-  /// reaches the engine: several generators, or one with a constant, a
-  /// repeated or out-of-order variable, or no arguments. false = the
-  /// seed's backtracking join for every rule, kept as the agreement-test
-  /// reference.
-  bool engine_bindings = true;
-  /// Worker threads for reduced-mode instance emission and the graph's
-  /// finalization; the engine evaluation of the engine-route binding rules
-  /// runs on the calling thread before emission starts. Emission
-  /// parallelizes as per-rule jobs (large binding relations of either
-  /// route additionally split into row shards); each worker emits into a
-  /// private GroundGraph shard with no synchronization, and the shards
-  /// merge into the final CSR arenas with an atom-id remap
-  /// (GroundGraph::MergeFrom). 1 = the serial reference (the arenas it
-  /// produces are bit-identical to pre-parallel grounding; parallel runs
-  /// agree on atom sets and rule-instance multisets but may order them
-  /// differently), 0 = hardware concurrency. A grounding whose binding
-  /// rows fill fewer than two emission shards spawns no pool and takes
-  /// the serial path at any count. Faithful mode ignores this and always
-  /// grounds serially.
+  /// Worker threads for instance emission and the graph's finalization;
+  /// the engine evaluation of the engine-route binding rules and the
+  /// fallback joins run on the calling thread before emission starts.
+  /// Emission parallelizes as row shards of each rule's binding relation;
+  /// each worker emits into a private GroundGraph shard with no
+  /// synchronization, and the shards merge into the final CSR arenas with
+  /// an atom-id remap (GroundGraph::MergeFrom). 1 = the serial reference
+  /// (the arenas it produces are bit-identical to pre-parallel grounding;
+  /// parallel runs agree on atom sets and rule-instance multisets but may
+  /// order them differently), 0 = hardware concurrency. A grounding whose
+  /// binding rows fill fewer than two emission shards spawns no pool and
+  /// takes the serial path at any count.
   int32_t num_threads = 1;
   /// Record each instance's variable binding in the graph
   /// (GroundGraph::BindingOf). Off by default: no interpreter reads
@@ -163,9 +145,9 @@ std::vector<ConstId> ComputeUniverse(const Program& program,
 std::vector<char> UniverseMask(const Program& program,
                                const Database& database);
 
-/// Builds G(Π, Δ). The program must Validate(). IDB atoms of Δ are always
-/// interned (they carry initial truth); EDB atoms become nodes only in
-/// faithful mode.
+/// Builds G(Π, Δ) after its initial close (see the file comment). The
+/// program must Validate(). IDB atoms of Δ are always interned (they carry
+/// initial truth); EDB atoms never become nodes.
 Result<GroundingResult> Ground(const Program& program,
                                const Database& database,
                                const GroundingOptions& options = {});

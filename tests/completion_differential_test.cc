@@ -21,6 +21,7 @@
 #include "gtest/gtest.h"
 #include "lang/printer.h"
 #include "reference_completion.h"
+#include "reference_grounder.h"
 #include "test_util.h"
 #include "util/random.h"
 #include "workload/databases.h"
@@ -130,9 +131,9 @@ void RunRandomSuite(int32_t arity, uint64_t seed) {
     const std::string what = ProgramToString(program) + "\n% Δ\n" +
                              DatabaseToString(program, *database);
     for (const bool reduce : {true, false}) {
-      GroundingOptions grounding;
-      grounding.reduce_edb = reduce;
-      Result<GroundingResult> ground = Ground(program, *database, grounding);
+      Result<GroundingResult> ground =
+          reduce ? Ground(program, *database)
+                 : reference::GroundFaithful(program, *database);
       ASSERT_TRUE(ground.ok()) << ground.status().ToString() << "\n" << what;
       ExpectSameFixpoints(program, *database, ground->graph,
                           what + (reduce ? "\n(reduced)" : "\n(faithful)"),
@@ -191,9 +192,10 @@ TEST(CompletionDifferentialTest, EdgeCases) {
   for (const Case& c : cases) {
     const Instance inst = ParseInstance(c.program, c.database);
     for (const bool reduce : {true, false}) {
-      GroundingOptions grounding;
-      grounding.reduce_edb = reduce;
-      const GroundingResult ground = GroundOrDie(inst, grounding);
+      const GroundingResult ground =
+          reduce ? GroundOrDie(inst)
+                 : reference::GroundFaithful(inst.program, inst.database)
+                       .value();
       const std::string what = std::string(c.program) + " | " + c.database +
                                (reduce ? " (reduced)" : " (faithful)");
       EXPECT_EQ(ExpectSameFixpoints(inst.program, inst.database, ground.graph,

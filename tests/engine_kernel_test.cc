@@ -1,9 +1,9 @@
 // Kernel tests: the engine's join kernels (the batch direct scan, hash
 // probes, sort-merge joins chosen by selectivity) must compute exactly the
-// perfect model, as tests/reference_interpreters.h computes it over a
-// grounding with engine_bindings = false, so no engine code runs on the
-// reference side — on every named workload family and on randomized
-// stratified programs.
+// perfect model, as tests/reference_interpreters.h computes it over the
+// backtracking-join grounding of tests/reference_grounder.h, so no engine
+// code runs on the reference side — on every named workload family and on
+// randomized stratified programs.
 #include <string>
 #include <vector>
 

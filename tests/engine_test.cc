@@ -434,6 +434,32 @@ TEST(EngineTest, WideArityRejected) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
+// The cap covers the predicates rules mention. A 33-column relation of Δ
+// that no rule reads loads and passes through: the program evaluates, and
+// the relation comes back whole.
+TEST(EngineTest, UnreadWideRelationPassesThrough) {
+  std::string db = "e(a, b). e(b, c). ";
+  for (const char* first : {"c0", "c1"}) {
+    db += std::string("wide(") + first;
+    for (int32_t i = 1; i <= kEngineMaxArity; ++i) {
+      db += ", c" + std::to_string(i % 3);
+    }
+    db += "). ";
+  }
+  Instance inst = ParseInstance(
+      "t(X, Y) :- e(X, Y).\nt(X, Z) :- e(X, Y), t(Y, Z).", db);
+  const PredId wide = inst.program.LookupPredicate("wide");
+  ASSERT_EQ(inst.program.predicate(wide).arity, kEngineMaxArity + 1);
+  Result<Database> result = EvaluateStratified(inst.program, inst.database);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->NumFacts(inst.program.LookupPredicate("t")), 3);
+  ASSERT_EQ(result->NumFacts(wide), 2);
+  for (int64_t row = 0; row < 2; ++row) {
+    EXPECT_TRUE(result->ContainsRow(
+        wide, inst.database.FactData(wide) + row * (kEngineMaxArity + 1)));
+  }
+}
+
 TEST(EngineTest, UnsafeProgramRejected) {
   Instance inst = ParseInstance("p(X) :- e(Y).");
   Result<Database> result = EvaluateStratified(inst.program, inst.database);

@@ -1,15 +1,16 @@
 // Agreement suite for the columnar grounding pipeline: the engine-backed
 // grounder must produce exactly the same ground graph as the legacy
-// backtracking-join grounder (atoms, rule-instance multiset, adjacency),
-// the CSR consumer/supporter indexes must match a naive rebuild from the
-// rule arenas, and the semantics computed over both graphs (close,
-// largest unfounded set, well-founded = alternating, tie-breaking
-// validity) must agree. Runs over every ground_test program family plus
-// randomized propositional/unary/binary programs in the fuzz_test /
-// property_test style. Both binding routes of the reduced grounder are
+// backtracking-join grounder kept in tests/reference_grounder.h (atoms,
+// rule-instance multiset, adjacency), the CSR consumer/supporter indexes
+// must match a naive rebuild from the rule arenas, and the semantics
+// computed over both graphs (close, largest unfounded set, well-founded =
+// alternating, tie-breaking validity) must agree. Runs over every
+// ground_test program family plus randomized propositional/unary/binary
+// programs in the fuzz_test / property_test style. Every binding route is
 // covered: rules whose one generator lists distinct variables in ascending
-// order read their rows straight from Δ, every other rule's rows come from
-// the engine.
+// order read their rows straight from Δ, other rules with generators get
+// theirs from the engine, rules the engine cannot hold from the
+// backtracking join, and a rule with no generator has one zero-column row.
 #include <algorithm>
 #include <map>
 #include <string>
@@ -24,6 +25,7 @@
 #include "ground/grounder.h"
 #include "gtest/gtest.h"
 #include "lang/parser.h"
+#include "reference_grounder.h"
 #include "reference_interpreters.h"
 #include "test_util.h"
 #include "util/execution_context.h"
@@ -168,15 +170,21 @@ void ExpectSemanticsAgree(const Instance& inst, const GroundingResult& actual,
   }
 }
 
-// Grounds `inst` with both binding enumerators and checks full structural
-// and semantic agreement.
+// The legacy grounding of `inst`: every rule's bindings from the
+// backtracking join, emitted one instance at a time.
+GroundingResult GroundLegacy(const Instance& inst,
+                             const GroundingOptions& options = {}) {
+  Result<GroundingResult> g =
+      reference::GroundBacktracking(inst.program, inst.database, options);
+  EXPECT_TRUE(g.ok()) << g.status().ToString();
+  return std::move(g).value();
+}
+
+// Grounds `inst` with Ground and with the legacy grounder and checks full
+// structural and semantic agreement.
 void ExpectEngineMatchesLegacy(const Instance& inst) {
-  GroundingOptions engine_options;
-  engine_options.engine_bindings = true;
-  GroundingOptions legacy_options;
-  legacy_options.engine_bindings = false;
-  const GroundingResult engine = GroundOrDie(inst, engine_options);
-  const GroundingResult legacy = GroundOrDie(inst, legacy_options);
+  const GroundingResult engine = GroundOrDie(inst);
+  const GroundingResult legacy = GroundLegacy(inst);
 
   ExpectGraphsAgree(engine, legacy);
 
@@ -247,12 +255,13 @@ void ExpectEngineMatchesLegacy(const Instance& inst) {
 // Grounds `inst` serially (the bit-identical reference) and with 2 and 8
 // worker threads, and checks that every parallel grounding agrees
 // structurally (atom set, rule-instance multiset) and semantically
-// (close/WF values by atom key) with the serial one — for the engine-backed
-// binding path and for the legacy backtracking path.
+// (close/WF values by atom key) with the serial one, which agrees
+// structurally with the legacy grounder.
 void ExpectParallelMatchesSerial(const Instance& inst) {
   GroundingOptions serial_options;
   serial_options.num_threads = 1;
   const GroundingResult serial = GroundOrDie(inst, serial_options);
+  ExpectGraphsAgree(GroundLegacy(inst), serial);
   for (const int32_t threads : {2, 8}) {
     GroundingOptions parallel_options;
     parallel_options.num_threads = threads;
@@ -260,11 +269,6 @@ void ExpectParallelMatchesSerial(const Instance& inst) {
     ExpectGraphsAgree(parallel, serial);
     ExpectCsrIndexesConsistent(parallel.graph);
     ExpectSemanticsAgree(inst, parallel, serial);
-
-    GroundingOptions legacy_options = parallel_options;
-    legacy_options.engine_bindings = false;
-    const GroundingResult legacy = GroundOrDie(inst, legacy_options);
-    ExpectGraphsAgree(legacy, serial);
   }
 }
 
@@ -380,8 +384,8 @@ TEST(GroundCsrTest, DirectRouteMatchesLegacyArenas) {
       "f(X, Z) :- v(X), not s(Z).",
       "e(a, b). e(b, a). e(b, c). e(c, c). blocked(c). v(a). v(b). "
       "r(c, a)."));
-  // A generator wider than the engine's arity cap: the engine rejects the
-  // whole program, and the direct route never asks it.
+  // A generator wider than the engine's arity cap: the direct route reads
+  // it in place and never asks the engine.
   instances.push_back(ParseInstance(
       "w(X0) :- big(" + wide_args + "), not w(X" +
           std::to_string(kEngineMaxArity) + ").",
@@ -401,13 +405,10 @@ TEST(GroundCsrTest, DirectRouteMatchesLegacyArenas) {
     SCOPED_TRACE("instance " + std::to_string(i));
     EXPECT_EQ(GroundingSteps(inst), 1);
     for (const bool record : {false, true}) {
-      GroundingOptions direct_options;
-      direct_options.record_bindings = record;
-      GroundingOptions legacy_options = direct_options;
-      legacy_options.engine_bindings = false;
-      const GroundingResult direct = GroundOrDie(inst, direct_options);
-      const GroundingResult legacy = GroundOrDie(inst, legacy_options);
-      ExpectGraphsEqual(direct.graph, legacy.graph);
+      GroundingOptions options;
+      options.record_bindings = record;
+      ExpectGraphsEqual(GroundOrDie(inst, options).graph,
+                        GroundLegacy(inst, options).graph);
     }
     ExpectEngineMatchesLegacy(inst);
   }
@@ -451,12 +452,73 @@ TEST(GroundCsrTest, MixedRoutesAcrossThreadCounts) {
   ExpectEngineMatchesLegacy(inst);
 }
 
+// p(X) has no generator: one zero-column binding row that the odometer
+// expands over U (24 constants). r's two free variables intern p(X)
+// before the negated-EDB kill not e(Y, X) decides the instance.
+Instance GeneratorFreeInstance() {
+  std::string db;
+  for (int32_t i = 0; i < 24; ++i) {
+    db += "e(c" + std::to_string(i) + ", c" + std::to_string(i * 7 % 24) +
+          "). ";
+    if (i % 3 == 0) db += "q(c" + std::to_string(i) + "). ";
+  }
+  return ParseInstance(
+      "p(X) :- not q(X).\nr(X, Y) :- not p(X), not e(Y, X).", db);
+}
+
+// Rules with no variables: one zero-column row each, one instance or a
+// kill after the positive literal p interned.
+Instance PropositionalInstance() {
+  return ParseInstance("p :- not q.\nq :- not p.\nr :- p, not e.\n"
+                       "s :- q, not f.",
+                       "e.");
+}
+
+// The body a(X0, ..., X16), b(X16, ..., X32): two generators of 17
+// columns whose join binds 33 variables, past kEngineMaxArity, so the rule
+// takes the backtracking join.
+std::string WideJoin() {
+  std::string a_args = "X0";
+  for (int32_t i = 1; i <= 16; ++i) a_args += ", X" + std::to_string(i);
+  std::string b_args = "X16";
+  for (int32_t i = 17; i <= 32; ++i) b_args += ", X" + std::to_string(i);
+  return "a(" + a_args + "), b(" + b_args + ")";
+}
+
+// Δ for WideJoin(): `a_rows` facts of a and `b_rows` of b, whose join
+// column X16 cycles through `keys` values.
+std::string WideJoinFacts(int32_t a_rows, int32_t b_rows, int32_t keys) {
+  std::string db;
+  for (int32_t i = 0; i < a_rows; ++i) {
+    db += "a(c" + std::to_string(i);
+    for (int32_t c = 1; c < 16; ++c) db += c == i ? ", m" : ", d";
+    db += ", j" + std::to_string(i % keys) + "). ";
+  }
+  for (int32_t i = 0; i < b_rows; ++i) {
+    db += "b(j" + std::to_string(i % keys);
+    for (int32_t c = 17; c < 32; ++c) db += c == 17 + i ? ", m" : ", d";
+    db += ", t" + std::to_string(i) + "). ";
+  }
+  return db;
+}
+
+// 16 bindings of WideJoin(). The second rule adds a free variable,
+// enumerated over U, and a negated-EDB kill after an IDB literal.
+Instance WideJoinInstance() {
+  return ParseInstance("w(X0) :- " + WideJoin() + ", not w(X32).\n" +
+                           "v(X0, Z) :- " + WideJoin() +
+                           ", not v(Z, X0), not k(X32).",
+                       WideJoinFacts(8, 6, 3) + "k(t1). k(t4).");
+}
+
 // A 1-thread grounding's arenas are pinned. Dense atom tables change which
 // table dedupes an atom, never the order atoms are interned in, so these
 // digests, taken from a grounder that dedupes every atom through the hash
 // table, must hold. The boards and the program with Δ facts of its IDB
 // predicates (interned before the dense tables are reserved) take the
-// dense path.
+// dense path. The last three digests were taken from the grounder that
+// emitted generator-free rules and backtracking-join rows one instance at
+// a time, so they pin the block pipeline's emission of those rows to it.
 TEST(GroundCsrTest, SerialArenasArePinned) {
   struct Pinned {
     std::string name;
@@ -514,11 +576,160 @@ TEST(GroundCsrTest, SerialArenasArePinned) {
                      Instance{std::move(program), std::move(database)},
                      0xB1D41BF545FDB73DULL});
   }
+  cases.push_back(
+      {"generator_free", GeneratorFreeInstance(), 0x2116E80C65392E29ULL});
+  cases.push_back(
+      {"propositional", PropositionalInstance(), 0xAB4BF5977B9732ADULL});
+  cases.push_back({"wide_join", WideJoinInstance(), 0xAE1354B18EF25F63ULL});
   for (const Pinned& pinned : cases) {
     SCOPED_TRACE(pinned.name);
     const GroundingResult g = GroundOrDie(pinned.inst);
     EXPECT_EQ(ArenaDigest(g.graph), pinned.digest);
   }
+}
+
+// Trips groundings of `inst` at 1 and 8 threads at each of their
+// checkpoints in turn, and under instance budgets below the one they
+// need: each checkpoint trip returns the context's status, each budget
+// trip RESOURCE_EXHAUSTED, the budget needed is the same at both thread
+// counts, and a clean rerun equals the untripped grounding.
+void ExpectGroundingTripsCleanly(const Instance& inst) {
+  const GroundingResult clean = GroundOrDie(inst);
+  int64_t needed = 0;
+  for (const int32_t threads : {1, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    GroundingOptions options;
+    options.num_threads = threads;
+    const int64_t checkpoints = GroundingCheckpoints(inst, threads);
+    ASSERT_GE(checkpoints, 2);
+    for (int64_t n = 0; n < checkpoints; ++n) {
+      fault_injection::TripAtCheckpoint(n);
+      ExecutionContext context;
+      options.context = &context;
+      Result<GroundingResult> g = Ground(inst.program, inst.database, options);
+      fault_injection::Disarm();
+      ASSERT_FALSE(g.ok()) << "checkpoint " << n;
+      EXPECT_TRUE(context.stopped()) << "checkpoint " << n;
+      EXPECT_EQ(g.status().code(), context.status().code())
+          << "checkpoint " << n;
+      EXPECT_EQ(g.status().code(), StatusCode::kCancelled)
+          << "checkpoint " << n;
+    }
+    options.context = nullptr;
+    if (threads == 1) {
+      // Every budget below the work the grounding charges trips.
+      for (;; ++needed) {
+        options.max_instances = needed;
+        Result<GroundingResult> g =
+            Ground(inst.program, inst.database, options);
+        if (g.ok()) break;
+        ASSERT_EQ(g.status().code(), StatusCode::kResourceExhausted)
+            << "max_instances " << needed;
+      }
+    } else {
+      options.max_instances = needed - 1;
+      Result<GroundingResult> over =
+          Ground(inst.program, inst.database, options);
+      ASSERT_FALSE(over.ok());
+      EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+      options.max_instances = needed;
+      EXPECT_TRUE(Ground(inst.program, inst.database, options).ok());
+    }
+    options.max_instances = GroundingOptions{}.max_instances;
+    const GroundingResult rerun = GroundOrDie(inst, options);
+    if (threads == 1) {
+      ExpectGraphsEqual(rerun.graph, clean.graph);
+    } else {
+      ExpectGraphsAgree(rerun, clean);
+    }
+  }
+}
+
+// Every rule emits through the one block pipeline: a rule with no
+// generator as one zero-column row, a rule whose join binds more variables
+// than the engine holds as the backtracking join's rows. Both reproduce
+// the legacy grounder's arenas, agree across thread counts, and unwind
+// from trips.
+TEST(GroundCsrTest, GeneratorFreeAndFallbackRulesShareThePipeline) {
+  const std::pair<std::string, Instance> cases[] = {
+      {"generator_free", GeneratorFreeInstance()},
+      {"propositional", PropositionalInstance()},
+      {"wide_join", WideJoinInstance()},
+  };
+  for (const auto& [name, inst] : cases) {
+    SCOPED_TRACE(name);
+    for (const bool record : {false, true}) {
+      GroundingOptions options;
+      options.record_bindings = record;
+      ExpectGraphsEqual(GroundOrDie(inst, options).graph,
+                        GroundLegacy(inst, options).graph);
+    }
+    ExpectEngineMatchesLegacy(inst);
+    ExpectParallelMatchesSerial(inst);
+    ExpectGroundingTripsCleanly(inst);
+  }
+  // p and r count a whole emission shard each, so the pool runs them.
+  ExpectPooled(GeneratorFreeInstance());
+  // 2,112 join rows split into two row shards of the pool.
+  const Instance wide = ParseInstance(
+      "w(X0) :- " + WideJoin() + ", not w(X32).", WideJoinFacts(64, 66, 2));
+  ASSERT_EQ(GroundOrDie(wide).graph.num_rules(), 64 * 33);
+  ExpectGraphsEqual(GroundOrDie(wide).graph, GroundLegacy(wide).graph);
+  ExpectParallelMatchesSerial(wide);
+  ExpectPooled(wide);
+}
+
+// A generator wider than kEngineMaxArity that binds one variable sends
+// only its own rule to the backtracking join: the engine still serves the
+// other rule with several generators, and the graph is the legacy
+// grounder's.
+TEST(GroundCsrTest, WideGeneratorFallsBackAlone) {
+  std::string same = "X";
+  std::string fact_a = "a";
+  std::string fact_b = "b";
+  for (int32_t i = 1; i <= kEngineMaxArity; ++i) {
+    same += ", X";
+    fact_a += ", a";
+    fact_b += ", b";
+  }
+  const Instance inst = ParseInstance(
+      "w(X) :- big(" + same + "), not w(X).\n"
+      "two(X, Z) :- e(X, Y), e(Y, Z), not two(Z, X).",
+      "big(" + fact_a + "). big(" + fact_b + "). e(a, b). e(b, a). "
+      "e(b, c).");
+  EXPECT_GT(GroundingSteps(inst), 1);  // the engine ran
+  const GroundingResult g = GroundOrDie(inst);
+  EXPECT_EQ(g.graph.num_rules(), 2 + 3);
+  ExpectGraphsEqual(g.graph, GroundLegacy(inst).graph);
+  ExpectEngineMatchesLegacy(inst);
+}
+
+// A predicate wider than kEngineMaxArity that no rule reads changes no
+// route: win reads move in place and two joins move with itself on the
+// engine, so a 4,000-position chain grounds to the same graph with and
+// without a 33-column fact in Δ. (When the cap applied to every declared
+// predicate, the wide fact sent two to the backtracking join, whose
+// 3,999 × 3,999 explored bindings passed the default budget.)
+TEST(GroundCsrTest, UnreadWidePredicateKeepsTheEngineRoute) {
+  const std::string program_text =
+      "win(X) :- move(X, Y), not win(Y).\n"
+      "two(X, Z) :- move(X, Y), move(Y, Z).";
+  std::string db;
+  for (int32_t i = 0; i + 1 < 4000; ++i) {
+    db += "move(n" + std::to_string(i) + ", n" + std::to_string(i + 1) +
+          "). ";
+  }
+  std::string wide = "wide(c0";
+  for (int32_t i = 1; i <= kEngineMaxArity; ++i) {
+    wide += ", c" + std::to_string(i);
+  }
+  wide += ").";
+  const Instance plain = ParseInstance(program_text, db);
+  const Instance with_wide = ParseInstance(program_text, db + wide);
+  const GroundingResult g = GroundOrDie(with_wide);
+  EXPECT_EQ(g.graph.num_rules(), 7997);
+  ExpectGraphsEqual(g.graph, GroundOrDie(plain).graph);
+  EXPECT_GT(GroundingSteps(with_wide), 1);  // the engine ran
 }
 
 // A unary IDB predicate gets a dense atom table when its rules' binding
@@ -549,9 +760,7 @@ TEST(GroundCsrTest, DenseTablesFollowTheRowRule) {
               moves == 400 ? constants : 0);
     EXPECT_EQ(atoms.dense_range(inst.program.LookupPredicate("reach")), 0);
     EXPECT_EQ(atoms.dense_range(inst.program.LookupPredicate("move")), 0);
-    GroundingOptions legacy;
-    legacy.engine_bindings = false;
-    ExpectGraphsEqual(g.graph, GroundOrDie(inst, legacy).graph);
+    ExpectGraphsEqual(g.graph, GroundLegacy(inst).graph);
     ExpectAtomStoreConsistent(inst, g.graph);
   }
 }
@@ -1000,8 +1209,8 @@ TEST(GroundCsrTest, UnrelatedEdbFactsDoNotChargeBudget) {
 }
 
 // DeltaAtomMask skips predicates without atoms only on an indexed store.
-// Reduced grounding interns no EDB atom, faithful grounding interns them
-// all, and a uniform Δ's IDB facts (win(c), and win(z), which no rule
+// Ground interns no EDB atom, the faithful reference grounding interns
+// them all, and a uniform Δ's IDB facts (win(c), and win(z), which no rule
 // instance mentions) must be marked either way.
 TEST(GroundCsrTest, DeltaAtomMaskIndexedAndUnindexed) {
   Instance inst = ParseInstance(
@@ -1010,9 +1219,10 @@ TEST(GroundCsrTest, DeltaAtomMaskIndexedAndUnindexed) {
   const PredId win = inst.program.LookupPredicate("win");
   const PredId move = inst.program.LookupPredicate("move");
   for (const bool reduce : {true, false}) {
-    GroundingOptions options;
-    options.reduce_edb = reduce;
-    const GroundingResult g = GroundOrDie(inst, options);
+    const GroundingResult g =
+        reduce ? GroundOrDie(inst)
+               : reference::GroundFaithful(inst.program, inst.database)
+                     .value();
     const GroundAtomStore& indexed = g.graph.atoms();
     ASSERT_TRUE(indexed.has_predicate_index());
     EXPECT_EQ(indexed.AtomsOfPredicate(move).empty(), reduce);

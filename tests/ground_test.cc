@@ -13,6 +13,7 @@
 #include "lang/parser.h"
 #include "lang/printer.h"
 #include "live_graph.h"
+#include "reference_grounder.h"
 #include "util/random.h"
 
 namespace tiebreak {
@@ -91,9 +92,8 @@ TEST(GroundAtomStoreTest, ZeroArityAtoms) {
 TEST(GrounderTest, FaithfulInstanceCountIsUniverseToTheK) {
   Instance inst = MustParse("win(X) :- move(X, Y), not win(Y).",
                             "move(a, b). move(b, c).");
-  GroundingOptions options;
-  options.reduce_edb = false;
-  const GroundingResult g = MustGround(inst, options);
+  const GroundingResult g =
+      reference::GroundFaithful(inst.program, inst.database).value();
   EXPECT_EQ(ComputeUniverse(inst.program, inst.database).size(), 3u);
   EXPECT_EQ(g.graph.num_rules(), 9);  // |U|^2 instances of the one rule
 }
@@ -101,10 +101,10 @@ TEST(GrounderTest, FaithfulInstanceCountIsUniverseToTheK) {
 TEST(GrounderTest, FaithfulWithAllAtomsBuildsFullVp) {
   Instance inst = MustParse("win(X) :- move(X, Y), not win(Y).",
                             "move(a, b). move(b, c).");
-  GroundingOptions options;
-  options.reduce_edb = false;
-  options.include_all_atoms = true;
-  const GroundingResult g = MustGround(inst, options);
+  const GroundingResult g =
+      reference::GroundFaithful(inst.program, inst.database,
+                                /*include_all_atoms=*/true)
+          .value();
   // VP = win over U (3) + move over U^2 (9).
   EXPECT_EQ(g.graph.num_atoms(), 12);
 }
@@ -187,10 +187,10 @@ void ExpectEquivalentAfterInitialClose(const std::string& program_text,
                                        const std::string& database_text) {
   Instance inst = MustParse(program_text, database_text);
 
-  GroundingOptions faithful_options;
-  faithful_options.reduce_edb = false;
-  faithful_options.include_all_atoms = true;
-  const GroundingResult faithful = MustGround(inst, faithful_options);
+  const GroundingResult faithful =
+      reference::GroundFaithful(inst.program, inst.database,
+                                /*include_all_atoms=*/true)
+          .value();
   const GroundingResult reduced = MustGround(inst);
 
   CloseState faithful_state(inst.program, inst.database, faithful.graph);

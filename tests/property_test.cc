@@ -14,6 +14,7 @@
 #include "core/well_founded.h"
 #include "engine/evaluation.h"
 #include "gtest/gtest.h"
+#include "reference_grounder.h"
 #include "reference_interpreters.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -303,11 +304,9 @@ TEST_P(GrounderEquivalenceProperty, ReducedMatchesFaithfulAfterClose) {
   Program program = RandomProgram(&rng, options);
   Database database = *RandomEdbDatabase(&program, 3, 0.4, &rng);
 
-  GroundingOptions faithful_options;
-  faithful_options.reduce_edb = false;
-  faithful_options.include_all_atoms = true;
   const GroundingResult faithful =
-      GroundOrDie(Instance{program, database}, faithful_options);
+      reference::GroundFaithful(program, database, /*include_all_atoms=*/true)
+          .value();
   const GroundingResult reduced = GroundOrDie(Instance{program, database});
 
   // Run the full WF interpreter on both; models must agree on IDB atoms.

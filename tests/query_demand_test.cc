@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/query_plan.h"
+#include "engine/evaluation.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "util/execution_context.h"
@@ -100,6 +101,34 @@ TEST(QueryDemandTest, WinMoveChainWithDraws) {
   Result<QueryResult> e = planner.Execute("win(e)", options);
   ASSERT_TRUE(e.ok());
   EXPECT_EQ(e->undefined_bindings.size(), 1u);
+}
+
+// A predicate wider than kEngineMaxArity that no demand rule mentions
+// keeps the demand path: the planner answers from the cone with no
+// fallback, and full grounding, whose two rule joins on the engine,
+// agrees.
+TEST(QueryDemandTest, UnreadWidePredicateKeepsTheDemandPath) {
+  std::string db;
+  for (int32_t i = 0; i + 1 < 4000; ++i) {
+    db += "move(n" + std::to_string(i) + ", n" + std::to_string(i + 1) +
+          "). ";
+  }
+  db += "wide(c0";
+  for (int32_t i = 1; i <= kEngineMaxArity; ++i) {
+    db += ", c" + std::to_string(i);
+  }
+  db += ").";
+  Instance inst = ParseInstance(
+      "win(X) :- move(X, Y), not win(Y).\n"
+      "two(X, Z) :- move(X, Y), move(Y, Z).",
+      db);
+  QueryPlanner planner(inst.program, inst.database);
+  const QueryResult answer =
+      ExpectModesAgree(&planner, inst.program, "win(n3990)");
+  // n3990 is nine moves from the chain's end, so it wins.
+  EXPECT_EQ(answer.true_bindings.size(), 1u);
+  EXPECT_EQ(planner.stats().fallbacks, 0)
+      << planner.stats().last_fallback_reason;
 }
 
 TEST(QueryDemandTest, TransitiveClosureBindingPatterns) {

@@ -18,6 +18,7 @@
 #include "gtest/gtest.h"
 #include "lang/parser.h"
 #include "lang/printer.h"
+#include "reference_grounder.h"
 #include "reference_stable.h"
 #include "test_util.h"
 #include "util/execution_context.h"
@@ -191,9 +192,10 @@ void RunRandomSuite(int32_t arity, uint64_t seed) {
         ProgramToString(inst.program) + "\n% Δ\n" +
         DatabaseToString(inst.program, inst.database);
     for (const bool reduce : {true, false}) {
-      GroundingOptions grounding;
-      grounding.reduce_edb = reduce;
-      const GroundingResult ground = GroundOrDie(inst, grounding);
+      const GroundingResult ground =
+          reduce ? GroundOrDie(inst)
+                 : reference::GroundFaithful(inst.program, inst.database)
+                       .value();
       if (ground.graph.num_atoms() > kMaxAtoms) continue;
       ExpectSameVerdicts(inst, ground.graph,
                          what + (reduce ? "\n(reduced)" : "\n(faithful)"),
@@ -251,9 +253,10 @@ TEST(StableDifferentialTest, EdgeCases) {
   for (const Case& c : cases) {
     const Instance inst = ParseInstance(c.program, c.database);
     for (const bool reduce : {true, false}) {
-      GroundingOptions grounding;
-      grounding.reduce_edb = reduce;
-      const GroundingResult ground = GroundOrDie(inst, grounding);
+      const GroundingResult ground =
+          reduce ? GroundOrDie(inst)
+                 : reference::GroundFaithful(inst.program, inst.database)
+                       .value();
       const std::string what = std::string(c.program) + " | " + c.database +
                                (reduce ? " (reduced)" : " (faithful)");
       Tally tally;

@@ -14,6 +14,7 @@
 #include "lang/database.h"
 #include "lang/parser.h"
 #include "lang/program.h"
+#include "reference_grounder.h"
 #include "reference_interpreters.h"
 #include "util/span.h"
 
@@ -93,17 +94,17 @@ inline Truth TruthOf(const Instance& inst, const GroundingResult& ground,
 }
 
 /// Checks a bottom-up evaluation's `result` against the perfect model of
-/// the instance (tests/reference_interpreters.h), grounded with
-/// engine_bindings = false so that no engine code runs on the reference
-/// side: `result` holds an IDB fact iff its atom is true in the perfect
-/// model. `label` names the instance in failure messages.
+/// the instance (tests/reference_interpreters.h), grounded by the
+/// backtracking join of tests/reference_grounder.h so that no engine code
+/// runs on the reference side: `result` holds an IDB fact iff its atom is
+/// true in the perfect model. `label` names the instance in failure
+/// messages.
 inline void ExpectMatchesPerfectModel(const Program& program,
                                       const Database& database,
                                       const Database& result,
                                       const std::string& label) {
-  GroundingOptions options;
-  options.engine_bindings = false;
-  const Result<GroundingResult> ground = Ground(program, database, options);
+  const Result<GroundingResult> ground =
+      reference::GroundBacktracking(program, database);
   ASSERT_TRUE(ground.ok()) << label << ": " << ground.status().ToString();
   const GroundGraph& graph = ground->graph;
   const std::optional<std::vector<Truth>> perfect =
