@@ -4,7 +4,9 @@
 // close), the well-founded interpreter, and both tie-breaking interpreters
 // on random boards with draw cycles, plus two giant ties: an even negation
 // ring and a million-node win/move cycle, each one tie spanning the whole
-// graph.
+// graph. On win/move boards every ground rule's body is one negative atom,
+// so G+ has no edge and every unfounded set is empty; one random board with
+// positive rules makes the well-founded interpreter falsify unfounded sets.
 //
 // Standalone harness in the BENCH_engine.json style (shared scaffolding in
 // bench_util.h): emits BENCH_interpreters.json with per-workload wall
@@ -23,6 +25,7 @@
 #include "ground/close.h"
 #include "ground/grounder.h"
 #include "lang/database.h"
+#include "lang/parser.h"
 #include "util/function_view.h"
 #include "util/random.h"
 #include "util/timer.h"
@@ -32,26 +35,21 @@
 namespace tiebreak {
 namespace {
 
-// Recorded nodes/sec, so the speedup column reports a delta. Most entries
-// were measured before the SCC-scheduler change: wftb_negation_ring_1024
-// then materialized a LiveGraph (nodes, edges, id maps) every interpreter
-// round and ran the generic Digraph Tarjan plus an unordered_map-based tie
-// BFS over it, which capped WFTB at ~9.5M nodes/sec against close's ~78M.
-// The *_400k entries are serial reference baselines for the million-node
-// multi-SCC boards. wftb_winmove_cycle_512k's baseline ran the tie pass
-// over the node-level live graph (atoms and rule nodes: one CSR Tarjan, a
-// condensation sweep and a Lemma-1 sweep), measured just before the pass
-// became one Tarjan over the live atoms (core/tie_breaking.cc,
-// FindBottomTies).
+// Recorded nodes/sec, so the speedup column reports a delta: the medians
+// of five runs of this harness built against the library at commit
+// 6c93b9b, before CloseState kept one record per rule node and per atom (a
+// source bit, and per-atom source counts), run interleaved with five runs
+// of the current one on the same 4-core VM.
 constexpr benchutil::BaselineEntry kBaseline[] = {
-    {"close_winmove_chain_8192", 77702366.0},
-    {"wf_winmove_random_4096", 45679737.0},
-    {"wftb_winmove_random_4096", 37823412.0},
-    {"puretb_winmove_random_4096", 41073968.0},
-    {"wftb_negation_ring_1024", 9531034.0},
-    {"close_winmove_random_400k", 18089736.0},
-    {"wf_winmove_random_400k", 16489333.0},
-    {"wftb_winmove_cycle_512k", 10139606.0},
+    {"close_winmove_chain_8192", 111814086.8},
+    {"wf_winmove_random_4096", 50854795.1},
+    {"wftb_winmove_random_4096", 41581435.6},
+    {"puretb_winmove_random_4096", 47173162.6},
+    {"wftb_negation_ring_1024", 29493937.0},
+    {"close_winmove_random_400k", 18756905.3},
+    {"wf_winmove_random_400k", 18555794.6},
+    {"wf_positive_loops_random_200k", 18764998.2},
+    {"wftb_winmove_cycle_512k", 21951440.2},
 };
 
 struct Board {
@@ -83,6 +81,39 @@ Board MakeLargeRandomBoard(int n, uint64_t seed) {
   Rng rng(seed);
   Database database =
       *LargeRandomDigraphDatabase(&program, "move", n, 2 * n, &rng);
+  GroundingResult ground = Ground(program, database).value();
+  return Board{std::move(program), std::move(database), std::move(ground)};
+}
+
+// a(X) :- e(X, Y), a(Y).  a(X) :- f(X, Y), not a(Y).  on n nodes, over
+// random e (n/2 edges, plus n/4 mutual pairs X -> Y -> X) and random f (n/2
+// edges). The positive rule gives G+ its edges, and the mutual pairs close
+// positive loops whose f rules the close kills, so the well-founded
+// interpreter falsifies unfounded sets, over several rounds, through
+// LargestUnfoundedSet's simulation path.
+Board MakePositiveLoopBoard(int n, uint64_t seed) {
+  Program program =
+      ParseProgram("a(X) :- e(X, Y), a(Y).\na(X) :- f(X, Y), not a(Y).")
+          .value();
+  std::vector<ConstId> nodes;
+  for (int i = 0; i < n; ++i) {
+    nodes.push_back(program.InternConstant("n" + std::to_string(i)));
+  }
+  Rng rng(seed);
+  std::vector<ConstId> e;
+  std::vector<ConstId> f;
+  const auto draw = [&](std::vector<ConstId>* rows, bool mutual) {
+    const ConstId x = nodes[rng.Below(n)];
+    const ConstId y = nodes[rng.Below(n)];
+    rows->insert(rows->end(), {x, y});
+    if (mutual) rows->insert(rows->end(), {y, x});
+  };
+  for (int i = 0; i < n / 2; ++i) draw(&e, false);
+  for (int i = 0; i < n / 4; ++i) draw(&e, true);
+  for (int i = 0; i < n / 2; ++i) draw(&f, false);
+  Database database(program);
+  database.BulkLoadFlat(program.LookupPredicate("e"), std::move(e));
+  database.BulkLoadFlat(program.LookupPredicate("f"), std::move(f));
   GroundingResult ground = Ground(program, database).value();
   return Board{std::move(program), std::move(database), std::move(ground)};
 }
@@ -157,6 +188,17 @@ int Main(int argc, char** argv) {
         "wf_winmove_random_400k", board,
         [](const Board& b) {
           WellFounded(b.program, b.database, b.ground.graph);
+        },
+        3));
+  }
+  {
+    const Board board = MakePositiveLoopBoard(200000, 29);
+    results.push_back(Measure(
+        "wf_positive_loops_random_200k", board,
+        [](const Board& b) {
+          const InterpreterResult result =
+              WellFounded(b.program, b.database, b.ground.graph);
+          TIEBREAK_CHECK_GE(result.unfounded_rounds, 1);
         },
         3));
   }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure + build (-Wall -Wextra, warnings as
 # errors) + full ctest suite + a build of the end-to-end benchmark in
-# perfbench/ + docs checks. Run from anywhere; builds into build-check/
-# (the benchmark into build-check/perfbench/).
+# perfbench/ and one short run of each of its workloads + docs checks. Run
+# from anywhere; builds into build-check/ (the benchmark into
+# build-check/perfbench/).
 #
 #   scripts/check.sh [--bench]    --bench additionally runs bench_engine,
 #                                 bench_grounding, bench_interpreters,
@@ -149,6 +150,23 @@ ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
 # to an API it calls fails here rather than when the benchmark runs.
 cmake -B "$build/perfbench" -S "$repo/perfbench" -DCMAKE_BUILD_TYPE=Release
 cmake --build "$build/perfbench" -j "$(nproc)" --target perfbench
+
+# perfbench checks every answer it computes and exits non-zero on a wrong
+# one, so a one-second run of each workload gates on those checks. solve
+# runs traced, which adds its 1-thread calls and compares their models
+# with the 4-thread ones.
+for workload in solve serve enumerate; do
+  trace=0
+  [[ "$workload" == solve ]] && trace=1
+  log="$build/perfbench/$workload.log"
+  if ! "$build/perfbench/perfbench" --workload "$workload" --seed 1 \
+         --seconds 1 --trace "$trace" > "$log"; then
+    tail -n 20 "$log"
+    echo "check.sh: perfbench $workload FAILED"
+    exit 1
+  fi
+  echo "check.sh: perfbench $workload green"
+done
 
 check_docs
 

@@ -21,9 +21,7 @@ FixpointSearch::FixpointSearch(const Program& program,
     return;
   }
   kk_ = close.values();
-  int32_t live_rules = 0;
-  for (const char dead : close.rule_dead()) live_rules += dead == 0;
-  solver_.Reserve(close.num_live_atoms() + live_rules);
+  solver_.Reserve(close.num_live_atoms() + close.num_live_rules());
   std::vector<int32_t> atom_var(graph.num_atoms(), -1);  // -1 = decided
   live_atoms_.reserve(close.num_live_atoms());
   for (AtomId a = 0; a < graph.num_atoms(); ++a) {

@@ -68,7 +68,6 @@ std::vector<TieView> FindBottomTies(const CloseState& state) {
   const Span<int64_t> body_offset = graph.body_offsets();
   const Span<int64_t> pos_end = graph.pos_ends();
   const Span<AtomId> body = graph.body_arena();
-  const char* dead = state.rule_dead().data();
   // One sentinel record past the last atom ends the last edge list.
   std::vector<AtomState> atom(num_atoms + 1,
                               AtomState{kUnvisited, 0, 0, 0, 0});
@@ -79,7 +78,7 @@ std::vector<TieView> FindBottomTies(const CloseState& state) {
   std::vector<SourcedEdge> sweep;
   int32_t num_shared_rules = 0;
   for (int32_t r = 0; r < graph.num_rules(); ++r) {
-    if (dead[r]) continue;
+    if (!state.RuleLive(r)) continue;
     const AtomId head = heads[r];
     if (value[head] != Truth::kUndef) continue;
     const size_t first = sweep.size();

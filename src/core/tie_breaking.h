@@ -86,9 +86,10 @@ InterpreterResult TieBreaking(const Program& program, const Database& database,
 /// The bottom ties of `state`'s live graph, atoms split by Lemma-1 side.
 /// Exposed for certificate verification and diagnostics.
 ///
-/// The pass runs over the live atoms only. One sweep over the rules builds
-/// a CSR of signed edges body atom -> head (one per live body occurrence of
-/// a live rule with a live head); an iterative Tarjan over it labels each
+/// The pass runs over the live atoms only. One sweep over the rules, which
+/// reads CloseState::RuleLive and values(), builds a CSR of signed edges
+/// body atom -> head (one per live body occurrence of a live rule with a
+/// live head); an iterative Tarjan over it labels each
 /// atom with the sign parity of its DFS-tree path, checks every edge that
 /// stays inside a component against that labeling (Lemma 1), and marks a
 /// component as not bottom when any edge enters it from outside. After the

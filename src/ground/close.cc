@@ -15,30 +15,12 @@ constexpr int32_t kClosePollBlock = 256;
 // consumer span start is prefetched a block ahead of its scatter work.
 constexpr int32_t kUnfoundedPrefetchBlock = 64;
 
-// Shared constructor prologue: per-rule pending counters (unresolved body
-// edges) and per-atom support counters (live rules per head), straight off
-// the CSR arenas.
-void InitCounters(const GroundGraph& graph, std::vector<int32_t>* pending,
-                  std::vector<int32_t>* support) {
-  pending->assign(graph.num_rules(), 0);
-  support->assign(graph.num_atoms(), 0);
-  for (int32_t r = 0; r < graph.num_rules(); ++r) {
-    (*pending)[r] = graph.BodySize(r);
-    ++(*support)[graph.HeadOf(r)];
-  }
-}
-
 }  // namespace
 
 CloseState::CloseState(const Program& program, const Database& database,
                        const GroundGraph& graph, ExecutionContext* context)
     : graph_(&graph), exec_(context) {
-  TIEBREAK_CHECK(graph.finalized());
-  const int32_t n = graph.num_atoms();
-  value_.assign(n, Truth::kUndef);
-  num_live_atoms_ = n;
-  rule_dead_.assign(graph.num_rules(), 0);
-  InitCounters(graph, &rule_pending_, &atom_support_);
+  InitRecords();
   // M0(Δ), bulk: Δ atoms true (one DeltaAtomMask scan over the columnar
   // relations), then EDB atoms outside Δ false (one pass over the flat
   // predicate array; EDB atoms exist as nodes only in faithful graphs).
@@ -47,7 +29,7 @@ CloseState::CloseState(const Program& program, const Database& database,
   for (PredId p = 0; p < program.num_predicates(); ++p) {
     is_edb[p] = program.IsEdb(p) ? 1 : 0;
   }
-  for (AtomId a = 0; a < n; ++a) {
+  for (AtomId a = 0; a < graph.num_atoms(); ++a) {
     if (in_delta[a]) {
       Assign(a, Truth::kTrue);
     } else if (is_edb[graph.atoms().PredicateOf(a)]) {
@@ -61,34 +43,54 @@ CloseState::CloseState(const GroundGraph& graph,
                        const std::vector<Truth>& initial,
                        ExecutionContext* context)
     : graph_(&graph), exec_(context) {
-  TIEBREAK_CHECK(graph.finalized());
-  const int32_t n = graph.num_atoms();
-  TIEBREAK_CHECK_EQ(static_cast<int32_t>(initial.size()), n);
-  value_.assign(n, Truth::kUndef);
-  num_live_atoms_ = n;
-  rule_dead_.assign(graph.num_rules(), 0);
-  InitCounters(graph, &rule_pending_, &atom_support_);
-  for (AtomId a = 0; a < n; ++a) {
+  TIEBREAK_CHECK_EQ(static_cast<int32_t>(initial.size()), graph.num_atoms());
+  InitRecords();
+  for (AtomId a = 0; a < graph.num_atoms(); ++a) {
     if (initial[a] != Truth::kUndef) Assign(a, initial[a]);
   }
   InitialClose();
 }
 
+// Shared constructor prologue: every atom undefined, every rule node live
+// with all its body edges unresolved, each head counting its supporters
+// and its source supporters, straight off the CSR arenas.
+void CloseState::InitRecords() {
+  const GroundGraph& graph = *graph_;
+  TIEBREAK_CHECK(graph.finalized());
+  value_.assign(graph.num_atoms(), Truth::kUndef);
+  num_live_atoms_ = graph.num_atoms();
+  num_live_rules_ = graph.num_rules();
+  rules_.resize(graph.num_rules());
+  atoms_.assign(graph.num_atoms(), AtomCounts{0, 0});
+  const Span<AtomId> heads = graph.heads();
+  const Span<int64_t> body_offset = graph.body_offsets();
+  const Span<int64_t> pos_end = graph.pos_ends();
+  for (int32_t r = 0; r < graph.num_rules(); ++r) {
+    const uint32_t source = pos_end[r] == body_offset[r] ? 1 : 0;
+    rules_[r] = RuleNode{static_cast<uint32_t>(heads[r]) << 1 | source,
+                         static_cast<int32_t>(body_offset[r + 1] -
+                                              body_offset[r])};
+    AtomCounts& counts = atoms_[heads[r]];
+    ++counts.support;
+    counts.sources += static_cast<int32_t>(source);
+  }
+}
+
 void CloseState::InitialClose() {
-  // Empty-body rule nodes have no incoming edges: they fire immediately.
-  for (int32_t r = 0; r < graph_->num_rules(); ++r) {
-    if (!rule_dead_[r] && rule_pending_[r] == 0) {
-      rule_dead_[r] = 1;
-      const AtomId head = graph_->HeadOf(r);
-      if (value_[head] == Truth::kUndef) Assign(head, Truth::kTrue);
-      TIEBREAK_CHECK(value_[head] == Truth::kTrue)
-          << "empty-body rule with false head";
-      DecSupport(head);
-    }
+  // Empty-body rule nodes have no incoming edges: they fire immediately,
+  // and their heads, now true, keep frozen counters.
+  for (RuleNode& node : rules_) {
+    if (node.pending != 0) continue;
+    node.pending = kDeleted;
+    --num_live_rules_;
+    const AtomId head = node.head();
+    if (value_[head] == Truth::kUndef) Assign(head, Truth::kTrue);
+    TIEBREAK_CHECK(value_[head] == Truth::kTrue)
+        << "empty-body rule with false head";
   }
   // Atoms with no incoming edges are false.
   for (AtomId a = 0; a < graph_->num_atoms(); ++a) {
-    if (atom_support_[a] == 0 && value_[a] == Truth::kUndef) {
+    if (atoms_[a].support == 0 && value_[a] == Truth::kUndef) {
       Assign(a, Truth::kFalse);
     }
   }
@@ -139,29 +141,35 @@ void CloseState::Drain() {
 }
 
 void CloseState::KillRule(int32_t rule) {
-  if (rule_dead_[rule]) return;
-  rule_dead_[rule] = 1;
-  DecSupport(graph_->HeadOf(rule));
+  RuleNode& node = rules_[rule];
+  if (node.pending < 0) return;
+  node.pending = kDeleted;
+  --num_live_rules_;
+  DecSupport(node.head(), node.source());
 }
 
 void CloseState::DecPending(int32_t rule) {
-  if (rule_dead_[rule]) return;
-  if (--rule_pending_[rule] > 0) return;
-  // No incoming edges left: the rule fires and is deleted.
-  rule_dead_[rule] = 1;
-  const AtomId head = graph_->HeadOf(rule);
+  RuleNode& node = rules_[rule];
+  if (node.pending < 0 || --node.pending > 0) return;
+  // No incoming edges left: the rule fires and is deleted. Its head is
+  // true from here on, so its counters need no update.
+  node.pending = kDeleted;
+  --num_live_rules_;
+  const AtomId head = node.head();
   if (value_[head] == Truth::kUndef) {
     Assign(head, Truth::kTrue);
   } else {
     TIEBREAK_CHECK(value_[head] == Truth::kTrue)
         << "fired rule for an atom already false";
   }
-  DecSupport(head);
 }
 
-void CloseState::DecSupport(AtomId atom) {
-  if (--atom_support_[atom] > 0) return;
-  if (value_[atom] == Truth::kUndef) Assign(atom, Truth::kFalse);
+void CloseState::DecSupport(AtomId atom, int32_t source) {
+  // A decided atom's counters are frozen: nothing reads them again.
+  if (value_[atom] != Truth::kUndef) return;
+  AtomCounts& counts = atoms_[atom];
+  counts.sources -= source;
+  if (--counts.support == 0) Assign(atom, Truth::kFalse);
 }
 
 std::vector<AtomId> CloseState::LiveAtoms() const {
@@ -175,23 +183,36 @@ std::vector<AtomId> CloseState::LiveAtoms() const {
 std::vector<int32_t> CloseState::LiveRules() const {
   std::vector<int32_t> live;
   for (int32_t r = 0; r < graph_->num_rules(); ++r) {
-    if (!rule_dead_[r]) live.push_back(r);
+    if (rules_[r].pending >= 0) live.push_back(r);
   }
   return live;
 }
 
 std::vector<AtomId> CloseState::LargestUnfoundedSet() const {
-  // Simulates close over the positive-edge live subgraph G+ on scratch
-  // copies of the counters. The result is the unique greatest unfounded
-  // set — a monotone closure, so processing order cannot change it — which
-  // is what lets the queue drain in prefetched blocks.
-  // States: 0 = open, 1 = "founded" (deleted as true), 2 = deleted as false.
+  // A tripped state may be half-propagated; see the class comment.
+  if (exec_ != nullptr && exec_->stopped()) return {};
   const GroundGraph& graph = *graph_;
   const int32_t n = graph.num_atoms();
+  // A live source supporter has no incoming G+ edge, so close over G+
+  // fires it and founds its head. When every live atom has one, nothing is
+  // unfounded.
+  AtomId first_unsourced = 0;
+  while (first_unsourced < n && (value_[first_unsourced] != Truth::kUndef ||
+                                 atoms_[first_unsourced].sources > 0)) {
+    ++first_unsourced;
+  }
+  if (first_unsourced == n) return {};
+
+  // Otherwise simulate close over the live G+ on scratch counters. The
+  // result is the unique greatest unfounded set — a monotone closure, so
+  // processing order cannot change it — which is what lets the queue drain
+  // in prefetched blocks. pending[r] counts rule r's live positive body
+  // atoms, and is negative once r is out of the simulated graph.
+  // States: 0 = open, 1 = "founded" (deleted as true), 2 = deleted as false.
   std::vector<char> state(n, 0);
-  std::vector<char> dead = rule_dead_;
-  std::vector<int32_t> pending(graph.num_rules(), 0);
-  std::vector<int32_t> support = atom_support_;
+  std::vector<int32_t> pending(graph.num_rules());
+  std::vector<int32_t> support(n);
+  for (AtomId a = 0; a < n; ++a) support[a] = atoms_[a].support;
   std::vector<AtomId> queue;
 
   auto is_open = [&](AtomId a) {
@@ -204,25 +225,29 @@ std::vector<AtomId> CloseState::LargestUnfoundedSet() const {
   // Deletes a live rule of G+: its head loses one support, and an open
   // head left without support is deleted as false.
   auto drop_support = [&](int32_t r) {
-    dead[r] = 1;
-    const AtomId head = graph.HeadOf(r);
+    pending[r] = kDeleted;
+    const AtomId head = rules_[r].head();
     if (--support[head] <= 0 && is_open(head)) mark(head, 2);
   };
 
   for (int32_t r = 0; r < graph.num_rules(); ++r) {
-    if (dead[r]) continue;
+    const RuleNode node = rules_[r];
+    pending[r] = kDeleted;
+    if (node.pending < 0) continue;
     int32_t live_pos = 0;
-    for (AtomId a : graph.PositiveBody(r)) {
-      if (value_[a] == Truth::kUndef) ++live_pos;
+    if (!node.source()) {
+      for (AtomId a : graph.PositiveBody(r)) {
+        if (value_[a] == Truth::kUndef) ++live_pos;
+      }
     }
-    pending[r] = live_pos;
-    if (live_pos == 0) {
-      // Source rule node in G+: its head is founded.
-      dead[r] = 1;
-      const AtomId head = graph.HeadOf(r);
-      if (is_open(head)) mark(head, 1);
-      --support[head];
+    if (live_pos > 0) {
+      pending[r] = live_pos;
+      continue;
     }
+    // Source rule node in G+: its head is founded.
+    const AtomId head = node.head();
+    if (is_open(head)) mark(head, 1);
+    --support[head];
   }
   for (AtomId a = 0; a < n; ++a) {
     if (is_open(a) && support[a] <= 0) mark(a, 2);
@@ -254,11 +279,11 @@ std::vector<AtomId> CloseState::LargestUnfoundedSet() const {
       const AtomId atom = batch[i];
       const bool founded = state[atom] == 1;
       for (int32_t r : graph.PositiveConsumers(atom)) {
-        if (dead[r]) continue;
+        if (pending[r] < 0) continue;
         if (!founded) {
           drop_support(r);
         } else if (--pending[r] <= 0) {
-          const AtomId head = graph.HeadOf(r);
+          const AtomId head = rules_[r].head();
           if (is_open(head)) mark(head, 1);
           drop_support(r);
         }

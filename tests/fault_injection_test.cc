@@ -16,8 +16,10 @@
 #include "core/query_plan.h"
 #include "core/tie_breaking.h"
 #include "core/well_founded.h"
+#include "ground/close.h"
 #include "ground/grounder.h"
 #include "gtest/gtest.h"
+#include "lang/parser.h"
 #include "util/execution_context.h"
 #include "util/fault_injection.h"
 #include "util/random.h"
@@ -409,6 +411,38 @@ TEST(FaultInjectionTest, FixpointSearchSurvivesTripInsideTheClose) {
 
   ExecutionContext rerun_context;
   EXPECT_EQ(enumerate(&rerun_context, &in_close), clean);
+}
+
+// A close that trips leaves its state half-propagated: atoms assigned but
+// not yet drained keep their consumers alive. LargestUnfoundedSet must then
+// report nothing, even when its own simulation would pop too few atoms to
+// reach a checkpoint. Here the clean close leaves only the positive loop x
+// live (and unfounded); the tripped one leaves d live beside it.
+TEST(FaultInjectionTest, UnfoundedSetOfATrippedCloseIsEmpty) {
+  std::string text = "x :- x.\n";
+  for (int i = 0; i < 300; ++i) {
+    const std::string n = std::to_string(i);
+    text += "d :- q" + n + ".\nq" + n + " :- z" + n + ".\n";
+  }
+  Result<Program> program = ParseProgram(text);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  Result<Database> database = ParseDatabase("", &*program);
+  ASSERT_TRUE(database.ok()) << database.status().ToString();
+  Result<GroundingResult> ground = Ground(*program, *database);
+  ASSERT_TRUE(ground.ok()) << ground.status().ToString();
+
+  const CloseState clean(*program, *database, ground->graph);
+  ASSERT_EQ(clean.num_live_atoms(), 1);
+  EXPECT_EQ(clean.LargestUnfoundedSet().size(), 1u);
+
+  ResourceLimits limits;
+  limits.max_steps = 1;
+  ExecutionContext context(limits);
+  const CloseState tripped(*program, *database, ground->graph, &context);
+  ASSERT_TRUE(context.stopped());
+  EXPECT_EQ(context.truncation().layer, "close");
+  EXPECT_GT(tripped.num_live_atoms(), 1);
+  EXPECT_TRUE(tripped.LargestUnfoundedSet().empty());
 }
 
 // Sorted bindings: demand and full grounding may report them in different
